@@ -5,7 +5,7 @@ Library layers:
 - numeric: certified floors/powers, sawtooth, unit exponential, Gamma,
   compensated reductions.
 - sieve: segmented least-prime-factor table with mu/Lambda and weighted
-  prime sums.
+  prime sums; streaming primality segments for the prime counts.
 - pspseq: floor-power membership, prime counting (plain, progressions,
   Beatty intersections), ternary Goldbach counts, singular series.
 - exppairs: exact-rational exponent-pair calculus and admissibility regions.

@@ -87,6 +87,24 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that raises UsageError and records its long flags.
+
+    ``flags`` maps each long flag, spelled as a config key, to its
+    (dest, type) so config lines convert exactly like the flag would.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.flags: dict[str, tuple[str, object]] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:
+            for opt in action.option_strings:
+                if opt.startswith("--"):
+                    self.flags[opt[2:].replace("-", "_")] = (action.dest, action.type)
+        return action
+
     def error(self, message):  # argparse would call sys.exit(2)
         raise UsageError(message)
 
@@ -390,6 +408,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--output", default=None, help="write to a file instead of stdout")
         sp.add_argument("--config", default=None, help="flat key=value file overriding flags")
         sp.add_argument("--threads", type=int, default=1, help="worker threads (speed only)")
+        sp.set_defaults(config_flags=sp.flags)
 
     exppair = sub.add_parser("exppair").add_subparsers(dest="cmd", required=True)
     ev = exppair.add_parser("eval")
@@ -507,29 +526,11 @@ def build_parser() -> _Parser:
     return top
 
 
-_CONFIG_PARSERS = {
-    "k": parse_rational,
-    "l": parse_rational,
-    "gamma": parse_rational,
-    "delta_rational": parse_rational,
-    "threads": int,
-    "x": int,
-    "q": int,
-    "a_mod": int,
-    "N": int,
-    "P": int,
-    "H": int,
-    "J": int,
-    "Z": int,
-    "M": int,
-    "grid_size": int,
-    "max_word_len": int,
-    "scaled": lambda s: s.lower() in ("1", "true", "yes"),
-}
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
 
 
-def _apply_config(args) -> None:
-    known = vars(args)
+def _apply_config(args, flags: dict[str, tuple[str, object]]) -> None:
     with open(args.config) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -540,25 +541,13 @@ def _apply_config(args) -> None:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in known or key in ("func", "group", "cmd", "config"):
+            if key not in flags or key == "config":
                 raise UsageError(f"{args.config}:{lineno}: unknown key {key!r}")
-            current = known[key]
-            if key == "delta":
-                conv = parse_rational if isinstance(current, Fraction) else parse_real
-            elif key in _CONFIG_PARSERS:
-                conv = _CONFIG_PARSERS[key]
-            elif isinstance(current, bool):
-                conv = _CONFIG_PARSERS["scaled"]
-            elif isinstance(current, int) and not isinstance(current, bool):
-                conv = int
-            elif isinstance(current, float):
-                conv = parse_real
-            elif isinstance(current, Fraction):
-                conv = parse_rational
-            else:
-                conv = str
+            dest, conv = flags[key]
+            if conv is None:
+                conv = _parse_bool if isinstance(getattr(args, dest), bool) else str
             try:
-                setattr(args, key, conv(value))
+                setattr(args, dest, conv(value))
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"{args.config}:{lineno}: bad value for {key}: {exc}")
 
@@ -567,8 +556,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            _apply_config(args)
+        flags = vars(args).pop("config_flags")
+        if args.config:
+            _apply_config(args, flags)
         if hasattr(args, "alpha_raw"):
             args.alpha = parse_real(args.alpha_raw)
         if getattr(args, "func", None) is _cmd_goldbach3:

@@ -6,19 +6,29 @@ integer iff m is a member, expressed via two negated floors). Counting
 functions compare exact counts against their refined main terms; the
 ternary Goldbach count convolves membership indicator vectors; the
 singular series is a truncated Euler product with a provable tail bound.
+
+The prime counts (plain, progression, Beatty) and their main terms stream
+over [0, x] in one pass of fixed-size blocks: primality comes from a
+segmented sieve over the base primes <= sqrt(x), membership from the same
+certified kernel as ``ps_member_array`` applied to the block, and the main
+term from an exactly rounded sum fed block by block. Memory is
+O(block + sqrt(x)) whatever x is; no least-prime-factor table is built.
+Goldbach counts and the singular series still use the shared table.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import mpmath
 import numpy as np
 
 from .numeric import GammaExponent, _pow_parts_array, floor_neg_pow, gamma_fn
-from .sieve import SieveTable, shared_table
+from .sieve import SieveTable, primality_segments, shared_table
 
 MAX_AP_MODULUS = 10 ** 4
 GOLDBACH_N_RANGE = (10 ** 4, 10 ** 6)
@@ -54,13 +64,14 @@ def ps_indicator(m: int, g: GammaExponent) -> int:
     return floor_neg_pow(m, g.gamma) - floor_neg_pow(m + 1, g.gamma)
 
 
-def ps_member_array(limit: int, g: GammaExponent) -> np.ndarray:
-    """Boolean membership for every m <= limit (index 0 is False)."""
-    ms = np.arange(1, limit + 2, dtype=np.int64)
+def ps_member_array(limit: int, g: GammaExponent, lo: int = 0) -> np.ndarray:
+    """Boolean membership for lo <= m <= limit; entry i is m = lo + i (0 is no member)."""
+    start = max(lo, 1)
+    ms = np.arange(start, limit + 2, dtype=np.int64)
     fl, frac = _pow_parts_array(ms, g.gamma)
     ceil = fl + (frac > 0)
-    out = np.zeros(limit + 1, dtype=bool)
-    out[1:] = (ceil[1:] - ceil[:-1]) == 1
+    out = np.zeros(limit + 1 - lo, dtype=bool)
+    out[start - lo :] = (ceil[1:] - ceil[:-1]) == 1
     return out
 
 
@@ -94,19 +105,85 @@ def ps_expansion_residual_array(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
     return ind.astype(np.float64) - expansion
 
 
-def refined_main_term(
-    x: int, c: float, q: int = 1, a: int = 0, table: SieveTable | None = None
-) -> float:
+# Integers per block of the counting sweep; sieve segments are split into
+# blocks this small. The membership kernel allocates about ten temporaries
+# per block: at 2^14 entries (128 KiB per float array) it measured 14 ns per
+# entry, at 2^18 two to four times that (x86-64, numpy 2.4).
+_BLOCK = 1 << 14
+
+
+def _sweep(
+    x: int, q: int, a: int, g: GammaExponent | None = None, B: BeattyParams | None = None
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Per block of [0, x]: its primes p = a (mod q), and how many are members.
+
+    Members are floor-power members for g (none without g), further
+    restricted to the Beatty sequence for B.
+    """
+    for seg_lo, is_prime in primality_segments(x):
+        for lo in range(seg_lo, seg_lo + is_prime.size, _BLOCK):
+            hi = min(lo + _BLOCK, seg_lo + is_prime.size) - 1
+            ps = np.flatnonzero(is_prime[lo - seg_lo : hi - seg_lo + 1]) + lo
+            if q > 1:
+                ps = ps[ps % q == a]
+            members = 0
+            if g is not None:
+                member = ps_member_array(hi, g, lo)
+                if B is not None:
+                    member &= beatty_member_array(hi, B, lo)
+                members = int(np.count_nonzero(member[ps - lo]))
+            yield ps, members
+
+
+def _fsum_sweep(
+    blocks: Iterable[tuple[np.ndarray, int]], term: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, int, int]:
+    """(math.fsum of term(p) over all primes p, members, primes) of one sweep.
+
+    fsum reads the per-block terms lazily: the terms and their order are
+    those of one whole-range array, so the exactly rounded sum is too, while
+    memory stays one block. (tolist hands fsum plain floats, which it reads
+    faster than numpy scalars.)
+    """
+    members = primes = 0
+
+    def terms() -> Iterator[list[float]]:
+        nonlocal members, primes
+        for ps, k in blocks:
+            members += k
+            primes += ps.size
+            yield term(ps.astype(np.float64)).tolist()
+
+    total = math.fsum(chain.from_iterable(terms()))
+    return total, members, primes
+
+
+def _refined_sweep(
+    x: int, gam: float, q: int, a: int, g: GammaExponent | None = None
+) -> tuple[float, int]:
+    """(refined main term, members) for the primes p = a (mod q) up to x."""
+    total, members, _ = _fsum_sweep(_sweep(x, q, a, g), lambda p: p ** (gam - 1.0))
+    return gam * total, members
+
+
+def _ap_sweep(
+    x: int, gam: float, q: int, a: int, g: GammaExponent | None = None
+) -> tuple[float, int]:
+    """(progression main term, members) for the primes p = a (mod q) up to x."""
+    xg1 = float(x) ** (gam - 1.0)
+    integral, members, n = _fsum_sweep(
+        _sweep(x, q, a, g), lambda p: (xg1 - p ** (gam - 1.0)) / (gam - 1.0)
+    )
+    return gam * xg1 * n + gam * (1.0 - gam) * integral, members
+
+
+def refined_main_term(x: int, c: float, q: int = 1, a: int = 0) -> float:
     """gamma * sum of p^(gamma-1) over primes p <= x with p = a (mod q)."""
     g = GammaExponent.from_c(c)
-    table = _ensure_table(x, table)
-    ps = table.primes(x)
-    if q > 1:
-        ps = ps[ps % q == a]
-    return g.gamma * math.fsum(ps.astype(np.float64) ** (g.gamma - 1.0))
+    return _refined_sweep(x, g.gamma, q, a)[0]
 
 
-def ps_prime_count(x: int, c: float, table: SieveTable | None = None) -> PsCountReport:
+def ps_prime_count(x: int, c: float) -> PsCountReport:
     """Count floor-power primes <= x against the refined main term.
 
     The headline x^gamma/log x is reported alongside; the refined term makes
@@ -114,10 +191,7 @@ def ps_prime_count(x: int, c: float, table: SieveTable | None = None) -> PsCount
     is power-saving.
     """
     g = GammaExponent.from_c(c)
-    table = _ensure_table(x, table)
-    mask = ps_member_array(x, g) & table.primality[: x + 1]
-    count = int(np.count_nonzero(mask))
-    main = refined_main_term(x, c, table=table)
+    main, count = _refined_sweep(x, g.gamma, 1, 0, g)
     return PsCountReport(
         x=x,
         c=c,
@@ -128,9 +202,7 @@ def ps_prime_count(x: int, c: float, table: SieveTable | None = None) -> PsCount
     )
 
 
-def ap_main_term(
-    x: int, c: float, q: int, a: int, table: SieveTable | None = None
-) -> float:
+def ap_main_term(x: int, c: float, q: int, a: int) -> float:
     """Main term for the progression count, with the step integral in closed form.
 
     Evaluates gamma*x^(gamma-1)*pi(x;q,a) + gamma*(1-gamma)*I where
@@ -138,32 +210,19 @@ def ap_main_term(
       = sum over p of (x^(gamma-1) - p^(gamma-1)) / (gamma-1).
     """
     g = GammaExponent.from_c(c)
-    table = _ensure_table(x, table)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    ps = table.primes(x)
-    if q > 1:
-        ps = ps[ps % q == a]
-    gam = g.gamma
-    xg1 = float(x) ** (gam - 1.0)
-    integral = math.fsum((xg1 - ps.astype(np.float64) ** (gam - 1.0)) / (gam - 1.0))
-    return gam * xg1 * ps.size + gam * (1.0 - gam) * integral
+    return _ap_sweep(x, g.gamma, q, a)[0]
 
 
-def ps_prime_count_ap(
-    x: int, c: float, q: int, a: int, table: SieveTable | None = None
-) -> PsCountReport:
+def ps_prime_count_ap(x: int, c: float, q: int, a: int) -> PsCountReport:
     """Count floor-power primes <= x in the progression a mod q."""
     if q < 1 or q > MAX_AP_MODULUS:
         raise ValueError(f"q must lie in [1, {MAX_AP_MODULUS}], got {q}")
     if math.gcd(a, q) != 1:
         raise ValueError(f"require gcd(a, q) = 1, got a={a}, q={q}")
     g = GammaExponent.from_c(c)
-    table = _ensure_table(x, table)
-    mask = ps_member_array(x, g) & table.primality[: x + 1]
-    idx = np.nonzero(mask)[0]
-    count = int(np.count_nonzero(idx % q == a % q))
-    main = ap_main_term(x, c, q, a % q, table=table)
+    main, count = _ap_sweep(x, g.gamma, q, a % q, g)
     return PsCountReport(
         x=x,
         c=c,
@@ -214,9 +273,16 @@ class BeattyParams:
         return mpmath.mpf(self.alpha)
 
 
-# Boundary guard for the vectorised membership test, relative to the
-# interval endpoints; flagged entries are re-decided exactly.
-_BEATTY_GUARD_REL = 1e-9
+# Guard radius for the float boundaries lo = (m - beta)/alpha and
+# hi = (m + 1 - beta)/alpha. For m < 2^53 the float m (and m + 1) is exact;
+# the subtraction of beta and the division are each rounded once (relative
+# 2^-53), and the float alpha is within relative 2^-52 of sqrt2 or phi (a
+# decimal alpha is itself the exact parameter). Each computed endpoint is
+# therefore within 4*2^-53 = 2^-51 of its true value, relative to it. An
+# endpoint at least 2^-47*(|lo| + |hi| + 1) from every integer, 16 times
+# that radius, has the same ceiling and comparisons as the true one;
+# anything closer is re-decided exactly.
+_BEATTY_GUARD_REL = 2.0 ** -47
 
 
 def beatty_member(m: int, B: BeattyParams) -> bool:
@@ -251,34 +317,27 @@ def _beatty_member_exact(m: int, B: BeattyParams) -> bool:
         return bool(n0 >= 1 and n0 < hi)
 
 
-def beatty_member_array(limit: int, B: BeattyParams) -> np.ndarray:
-    """Boolean Beatty membership for every m <= limit (index 0 is False)."""
-    ms = np.arange(1, limit + 1, dtype=np.float64)
-    lo = (ms - B.beta) / B.alpha
-    hi = (ms + 1.0 - B.beta) / B.alpha
-    n0 = np.ceil(lo)
-    member = (n0 >= 1.0) & (n0 < hi)
-    tol = (np.abs(lo) + np.abs(hi) + 1.0) * _BEATTY_GUARD_REL
-    risky = (np.abs(lo - np.rint(lo)) < tol) | (np.abs(hi - np.rint(hi)) < tol)
-    out = np.zeros(limit + 1, dtype=bool)
-    out[1:] = member
+def beatty_member_array(limit: int, B: BeattyParams, lo: int = 0) -> np.ndarray:
+    """Boolean Beatty membership for lo <= m <= limit; entry i is m = lo + i (0 is no member)."""
+    start = max(lo, 1)
+    ms = np.arange(start, limit + 1, dtype=np.float64)
+    lo_n = (ms - B.beta) / B.alpha
+    hi_n = (ms + 1.0 - B.beta) / B.alpha
+    n0 = np.ceil(lo_n)
+    member = (n0 >= 1.0) & (n0 < hi_n)
+    tol = (np.abs(lo_n) + np.abs(hi_n) + 1.0) * _BEATTY_GUARD_REL
+    risky = (np.abs(lo_n - np.rint(lo_n)) < tol) | (np.abs(hi_n - np.rint(hi_n)) < tol)
     for i in np.nonzero(risky)[0]:
-        out[i + 1] = _beatty_member_exact(int(i + 1), B)
+        member[i] = _beatty_member_exact(int(start + i), B)
+    out = np.zeros(limit + 1 - lo, dtype=bool)
+    out[start - lo :] = member
     return out
 
 
-def ps_beatty_prime_count(
-    x: int, c: float, B: BeattyParams, table: SieveTable | None = None
-) -> PsCountReport:
+def ps_beatty_prime_count(x: int, c: float, B: BeattyParams) -> PsCountReport:
     """Count primes <= x lying in both sequences, against x^gamma/(alpha*log x)."""
     g = GammaExponent.from_c(c)
-    table = _ensure_table(x, table)
-    mask = (
-        ps_member_array(x, g)
-        & beatty_member_array(x, B)
-        & table.primality[: x + 1]
-    )
-    count = int(np.count_nonzero(mask))
+    count = sum(k for _, k in _sweep(x, 1, 0, g, B))
     main = x ** g.gamma / (B.alpha * math.log(x))
     return PsCountReport(
         x=x,

@@ -1,14 +1,17 @@
-"""Segmented least-prime-factor sieve with Mobius / von Mangoldt support.
+"""Segmented sieves: a least-prime-factor table and a streaming primality sieve.
 
 The table stores the smallest prime factor of every n <= limit, which is
 enough to answer primality, mu(n) and Lambda(n) queries by repeated
 division. Bulk Lambda/mu arrays are built lazily for the exponential-sum
-code, which needs them over full dyadic ranges.
+code, which needs them over full dyadic ranges. Code that only needs
+primality walks ``primality_segments`` instead, holding one segment and the
+base primes <= sqrt(limit) at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +35,14 @@ class SieveTable:
         return np.nonzero(self.primality[lo : hi + 1])[0] + lo
 
 
-def build_table(limit: int, segment_size: int = _SEGMENT) -> SieveTable:
-    """Sieve least prime factors up to limit (2 <= limit <= 2^34), segment by segment."""
+def _check_limit(limit: int) -> None:
     if not 2 <= limit <= MAX_LIMIT:
         raise ValueError(f"sieve limit must lie in [2, 2^34], got {limit}")
+
+
+def build_table(limit: int, segment_size: int = _SEGMENT) -> SieveTable:
+    """Sieve least prime factors up to limit (2 <= limit <= 2^34), segment by segment."""
+    _check_limit(limit)
     dtype = np.int32 if limit < 2 ** 31 else np.int64
     lpf = np.zeros(limit + 1, dtype=dtype)
     root = math.isqrt(limit)
@@ -54,6 +61,29 @@ def build_table(limit: int, segment_size: int = _SEGMENT) -> SieveTable:
     primality = lpf == np.arange(limit + 1, dtype=dtype)
     primality[:2] = False
     return SieveTable(limit=limit, least_prime_factor=lpf, primality=primality)
+
+
+def primality_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Primality of 0..limit one segment at a time, as (lo, is_prime[lo:hi]) pairs.
+
+    Segments are [k*_SEGMENT, (k+1)*_SEGMENT) clipped to limit, in increasing
+    order; each array is fresh and owned by the caller. Only the base primes
+    <= sqrt(limit) persist between segments. The limit is checked on the
+    call, before the first segment is sieved.
+    """
+    _check_limit(limit)
+    base = _small_primes(math.isqrt(limit))
+
+    def segments():
+        for lo in range(0, limit + 1, _SEGMENT):
+            hi = min(lo + _SEGMENT, limit + 1)
+            seg = np.ones(hi - lo, dtype=bool)
+            seg[: max(2 - lo, 0)] = False
+            for p in base:
+                seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
+            yield lo, seg
+
+    return segments()
 
 
 def _small_primes(n: int) -> list[int]:
@@ -169,8 +199,7 @@ _table_cache: dict[int, SieveTable] = {}
 
 def shared_table(limit: int) -> SieveTable:
     """Process-wide table cache; rounds the limit up so nearby requests share."""
-    if not 2 <= limit <= MAX_LIMIT:
-        raise ValueError(f"sieve limit must lie in [2, 2^34], got {limit}")
+    _check_limit(limit)
     for cap, table in _table_cache.items():
         if cap >= limit:
             return table

@@ -112,21 +112,21 @@ def test_criterion_06_progression_main_term_identity(table):
     worst = 0.0
     for (q, a) in ((3, 1), (4, 3), (7, 2)):
         for c in (1.05, 1.1):
-            lhs = pq.ap_main_term(10 ** 6, c, q, a, table=table)
-            rhs = pq.refined_main_term(10 ** 6, c, q, a, table=table)
+            lhs = pq.ap_main_term(10 ** 6, c, q, a)
+            rhs = pq.refined_main_term(10 ** 6, c, q, a)
             worst = max(worst, abs(lhs - rhs) / rhs)
     _report("6", worst <= 1e-9, f"max relative defect of the summation identity = {worst:.2e}")
 
 
 def test_criterion_07a_prime_count_ratio(table):
-    rep = pq.ps_prime_count(10 ** 6, 1.05, table=table)
+    rep = pq.ps_prime_count(10 ** 6, 1.05)
     ok = 0.97 <= rep.ratio <= 1.03 and rep.count == 40489  # count pinned, first run
     _report("7a", ok, f"count {rep.count}, ratio {rep.ratio:.5f} in [0.97, 1.03]")
 
 
 def test_criterion_07b_beatty_count_ratio(table):
     B = pq.BeattyParams.from_label("sqrt2", 0.3)
-    rep = pq.ps_beatty_prime_count(10 ** 6, 1.1, B, table=table)
+    rep = pq.ps_beatty_prime_count(10 ** 6, 1.1, B)
     ok = 0.85 <= rep.ratio <= 1.15 and rep.count == 16011  # count pinned, first run
     _report("7b", ok, f"count {rep.count}, ratio {rep.ratio:.5f} in [0.85, 1.15]")
 

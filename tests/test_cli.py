@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,26 @@ class TestPsCli:
             capsys, "ps", "beatty", "--x", "1000", "--c", "1.2", "--alpha", "1.5"
         )
         assert rc2 == 2
+
+
+class TestDeskScale:
+    def test_count_at_1e8_pinned_under_500mb(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "count.csv"
+        argv = [sys.executable, "-m", "psprimes.cli", "ps", "count"]
+        argv += ["--x", "100000000", "--c", "1.05"]
+        with open(out, "w") as fh:
+            proc = subprocess.Popen(argv, stdout=fh, env=env)
+            _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        row = out.read_text().strip().splitlines()[-1].split(",")
+        # pinned; matches scalar ps_indicator over every prime <= 10^8 from a
+        # plain Eratosthenes sieve
+        assert row[4] == "2402521"
+        assert usage.ru_maxrss < 500 * 1024  # kilobytes on Linux
 
 
 class TestOtherSubcommands:
@@ -167,6 +191,27 @@ class TestCliPlumbing:
             capsys, "ps", "count", "--x", "50", "--c", "1.5", "--config", str(cfg)
         )
         assert rc == 64
+
+    @pytest.mark.parametrize(
+        "argv, config, flags",
+        [
+            (["goldbach3", "--N", "10001", "--c1", "1.01"], "c2=1.05\n", ["--c2", "1.05"]),
+            (["goldbach3", "--N", "10001", "--c1", "1.01"], "c3=1.05\n", ["--c3", "1.05"]),
+            (["expsum", "bprocess", "--h", "8", "--c", "1.1", "--N", "2048"],
+             "a=2049\nb=4000\n", ["--a", "2049", "--b", "4000"]),
+            (["ps", "beatty", "--x", "1000", "--c", "1.2", "--alpha", "1.7"],
+             "alpha=sqrt2\n", ["--alpha", "sqrt2"]),
+        ],
+        ids=["goldbach3-c2", "goldbach3-c3", "bprocess-a-b", "beatty-alpha"],
+    )
+    def test_config_key_matches_flag(self, capsys, tmp_path, argv, config, flags):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        rc, via_config, _ = run(capsys, *argv, "--config", str(cfg))
+        assert rc == 0
+        rc2, via_flags, _ = run(capsys, *argv, *flags)
+        assert rc2 == 0
+        assert via_config == via_flags
 
     def test_identical_config_byte_identical_output(self, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -3,8 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psprimes import pspseq as pq
+from psprimes import sieve as sv
 from psprimes.numeric import GammaExponent, floor_pow, floor_pow_array
 
 
@@ -76,38 +79,127 @@ class TestExpansionResidual:
 
 class TestPrimeCount:
     def test_tiny_example(self, table):
-        rep = pq.ps_prime_count(10, 1.5, table=table)
+        rep = pq.ps_prime_count(10, 1.5)
         assert rep.count == 2  # primes among {1, 2, 5, 8}
 
     def test_c_near_one_counts_all_primes(self, table):
-        rep = pq.ps_prime_count(10, 1.0 + 1e-9, table=table)
+        rep = pq.ps_prime_count(10, 1.0 + 1e-9)
         assert rep.count == 4
 
     def test_report_fields(self, table):
-        rep = pq.ps_prime_count(10 ** 5, 1.05, table=table)
+        rep = pq.ps_prime_count(10 ** 5, 1.05)
         assert rep.ratio == pytest.approx(rep.count / rep.main_term)
         assert rep.headline_term == pytest.approx((10 ** 5) ** (1 / 1.05) / math.log(10 ** 5))
         assert 0.9 <= rep.ratio <= 1.1
 
+    def test_limit_checked_up_front(self):
+        B = pq.BeattyParams.from_label("sqrt2", 0.3)
+        for x in (1, 2 ** 34 + 1):
+            for count in (
+                lambda: pq.ps_prime_count(x, 1.1),
+                lambda: pq.ps_prime_count_ap(x, 1.1, 3, 1),
+                lambda: pq.ps_beatty_prime_count(x, 1.1, B),
+            ):
+                with pytest.raises(ValueError, match=r"\[2, 2\^34\]"):
+                    count()
+
+
+# Streaming counts against the whole-array reference: x sits on or next to a
+# block or sieve-segment boundary, or inside the first block; c reaches down
+# to 1 + 1e-9.
+BLOCK = pq._BLOCK
+stream_x = st.one_of(
+    st.integers(2, BLOCK - 1),
+    st.builds(
+        lambda k, d: k + d,
+        st.sampled_from((BLOCK, 2 * BLOCK, 3 * BLOCK, sv._SEGMENT)),
+        st.sampled_from((-1, 0, 1)),
+    ),
+)
+stream_c = st.one_of(st.just(1.0 + 1e-9), st.floats(1.01, 1.95))
+
+
+def reference_members(x, g):
+    table = sv.build_table(x)
+    return pq.ps_member_array(x, g) & table.primality[: x + 1], table.primes(x)
+
+
+def beatty_params(alpha, beta):
+    """A labelled quadratic irrational ('sqrt2', 'phi') or a decimal alpha."""
+    if alpha in ("sqrt2", "phi"):
+        return pq.BeattyParams.from_label(alpha, beta)
+    return pq.BeattyParams(alpha=float(alpha), beta=beta)
+
+
+class TestStreamingCount:
+    @settings(max_examples=12, deadline=None)
+    @given(x=stream_x, c=stream_c)
+    def test_count_and_main_term(self, x, c):
+        g = GammaExponent.from_c(c)
+        mask, ps = reference_members(x, g)
+        rep = pq.ps_prime_count(x, c)
+        assert rep.count == int(np.count_nonzero(mask))
+        assert rep.main_term == g.gamma * math.fsum(ps.astype(np.float64) ** (g.gamma - 1.0))
+
+    @settings(max_examples=12, deadline=None)
+    @given(x=stream_x, c=stream_c, q=st.integers(1, 10 ** 4), a=st.integers(0, 10 ** 4))
+    def test_ap_count_and_main_term(self, x, c, q, a):
+        assume(math.gcd(a, q) == 1)
+        g = GammaExponent.from_c(c)
+        mask, ps = reference_members(x, g)
+        rep = pq.ps_prime_count_ap(x, c, q, a)
+        assert rep.count == int(np.count_nonzero(np.flatnonzero(mask) % q == a % q))
+        if q > 1:
+            ps = ps[ps % q == a % q]
+        gam = g.gamma
+        xg1 = float(x) ** (gam - 1.0)
+        integral = math.fsum((xg1 - ps.astype(np.float64) ** (gam - 1.0)) / (gam - 1.0))
+        assert rep.main_term == gam * xg1 * ps.size + gam * (1.0 - gam) * integral
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        x=stream_x,
+        c=stream_c,
+        alpha=st.sampled_from(("sqrt2", "phi", "2.345678901234")),
+        beta=st.floats(0.0, 0.999),
+    )
+    def test_beatty_count(self, x, c, alpha, beta):
+        B = beatty_params(alpha, beta)
+        g = GammaExponent.from_c(c)
+        mask, _ = reference_members(x, g)
+        rep = pq.ps_beatty_prime_count(x, c, B)
+        assert rep.count == int(np.count_nonzero(mask & pq.beatty_member_array(x, B)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(lo=st.integers(0, 3 * BLOCK), span=st.integers(0, 5000), c=stream_c)
+    def test_block_kernels_are_slices(self, lo, span, c):
+        g = GammaExponent.from_c(c)
+        B = pq.BeattyParams.from_label("phi", 0.25)
+        hi = lo + span
+        assert np.array_equal(pq.ps_member_array(hi, g, lo), pq.ps_member_array(hi, g)[lo:])
+        assert np.array_equal(
+            pq.beatty_member_array(hi, B, lo), pq.beatty_member_array(hi, B)[lo:]
+        )
+
 
 class TestApCount:
     def test_q_one_degenerates(self, table):
-        a = pq.ps_prime_count_ap(100, 1.1, 1, 0, table=table)
-        b = pq.ps_prime_count(100, 1.1, table=table)
+        a = pq.ps_prime_count_ap(100, 1.1, 1, 0)
+        b = pq.ps_prime_count(100, 1.1)
         assert a.count == b.count
 
     def test_gcd_rejected(self, table):
         with pytest.raises(ValueError):
-            pq.ps_prime_count_ap(100, 1.1, 4, 2, table=table)
+            pq.ps_prime_count_ap(100, 1.1, 4, 2)
         with pytest.raises(ValueError):
-            pq.ps_prime_count_ap(100, 1.1, 10 ** 5, 1, table=table)
+            pq.ps_prime_count_ap(100, 1.1, 10 ** 5, 1)
 
     def test_residue_partition(self, table):
         x, c, q = 10 ** 5, 1.1, 4
         g = GammaExponent.from_c(c)
-        total = pq.ps_prime_count(x, c, table=table).count
+        total = pq.ps_prime_count(x, c).count
         parts = sum(
-            pq.ps_prime_count_ap(x, c, q, a, table=table).count for a in (1, 3)
+            pq.ps_prime_count_ap(x, c, q, a).count for a in (1, 3)
         )
         members_dividing_q = sum(
             1 for p in (2,) if pq.ps_indicator(p, g)
@@ -115,7 +207,7 @@ class TestApCount:
         assert parts + members_dividing_q == total
 
     def test_ratio_near_one(self, table):
-        rep = pq.ps_prime_count_ap(10 ** 6, 1.1, 3, 1, table=table)
+        rep = pq.ps_prime_count_ap(10 ** 6, 1.1, 3, 1)
         assert 0.9 <= rep.ratio <= 1.1
 
 
@@ -124,14 +216,14 @@ class TestApMainTerm:
         # algebraically exact: the closed-form integral collapses the expression
         for (q, a) in ((3, 1), (4, 3), (7, 2), (5, 2)):
             for c in (1.05, 1.1):
-                lhs = pq.ap_main_term(10 ** 5, c, q, a, table=table)
-                rhs = pq.refined_main_term(10 ** 5, c, q, a, table=table)
+                lhs = pq.ap_main_term(10 ** 5, c, q, a)
+                rhs = pq.refined_main_term(10 ** 5, c, q, a)
                 assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_q_one_matches_refined_total(self, table):
-        lhs = pq.ap_main_term(10 ** 5, 1.1, 1, 0, table=table)
+        lhs = pq.ap_main_term(10 ** 5, 1.1, 1, 0)
         assert lhs == pytest.approx(
-            pq.refined_main_term(10 ** 5, 1.1, table=table), rel=1e-9
+            pq.refined_main_term(10 ** 5, 1.1), rel=1e-9
         )
 
     def test_against_midpoint_quadrature(self, table):
@@ -159,7 +251,7 @@ class TestApMainTerm:
             g.gamma * float(x) ** (g.gamma - 1.0) * len(ps)
             + g.gamma * (1.0 - g.gamma) * integral
         )
-        assert pq.ap_main_term(x, c, q, a, table=table) == pytest.approx(
+        assert pq.ap_main_term(x, c, q, a) == pytest.approx(
             expected, rel=1e-6
         )
 
@@ -197,10 +289,40 @@ class TestBeatty:
         for m in random.Random(13).sample(range(1, 2001), 50):
             assert arr[m] == pq.beatty_member(m, B)
 
+    @pytest.mark.parametrize("alpha", ["sqrt2", "phi", "2.345678901234"])
+    def test_guard_band_at_nearest_boundaries(self, alpha):
+        # k where k*alpha + beta comes closest to an integer, for k <= 10^7 and
+        # just below m = 2^34: every m within 2 of such a boundary must agree
+        # with the exact decision, in the scalar and the array path
+        for beta in (0.0, 0.3):
+            B = beatty_params(alpha, beta)
+            top = int(2 ** 34 / B.alpha)
+            ks = []
+            for start in [*range(1, 10 ** 7, 10 ** 6), top - 10 ** 6]:
+                k = np.arange(start, start + 10 ** 6, dtype=np.float64)
+                t = k * B.alpha + beta
+                ks += (k[np.argpartition(np.abs(t - np.rint(t)), 8)[:8]]).tolist()
+            for k in ks:
+                m0 = int(k * B.alpha + beta)
+                got = pq.beatty_member_array(m0 + 2, B, m0 - 2)
+                for i, m in enumerate(range(m0 - 2, m0 + 3)):
+                    want = pq._beatty_member_exact(m, B)
+                    assert got[i] == want, (alpha, beta, m)
+                    assert pq.beatty_member(m, B) == want, (alpha, beta, m)
+
+    def test_guard_band_rechecks_are_rare(self, monkeypatch):
+        calls = []
+        exact = pq._beatty_member_exact
+        monkeypatch.setattr(
+            pq, "_beatty_member_exact", lambda m, B: calls.append(m) or exact(m, B)
+        )
+        pq.beatty_member_array(10 ** 6, pq.BeattyParams.from_label("sqrt2", 0.3))
+        assert len(calls) <= 10
+
     def test_count_is_subset_of_ps_count(self, table):
         B = pq.BeattyParams.from_label("sqrt2", 0.3)
-        joint = pq.ps_beatty_prime_count(10 ** 5, 1.1, B, table=table)
-        plain = pq.ps_prime_count(10 ** 5, 1.1, table=table)
+        joint = pq.ps_beatty_prime_count(10 ** 5, 1.1, B)
+        plain = pq.ps_prime_count(10 ** 5, 1.1)
         assert joint.count <= plain.count
         assert joint.main_term == pytest.approx(
             (10 ** 5) ** (1 / 1.1) / (B.alpha * math.log(10 ** 5))

@@ -52,6 +52,25 @@ class TestBuildTable:
             sv.build_table((1 << 34) + 1)
 
 
+class TestPrimalitySegments:
+    @pytest.mark.parametrize(
+        "limit",
+        [2, 3000]
+        + [k * sv._SEGMENT + d for k in (1, 2) for d in (-1, 0, 1)],
+    )
+    def test_segments_tile_the_table(self, table10m, limit):
+        segs = list(sv.primality_segments(limit))
+        assert [lo for lo, _ in segs] == list(range(0, limit + 1, sv._SEGMENT))
+        assert np.array_equal(
+            np.concatenate([s for _, s in segs]), table10m.primality[: limit + 1]
+        )
+
+    def test_rejected_on_call(self):
+        for limit in (1, (1 << 34) + 1):
+            with pytest.raises(ValueError, match=r"\[2, 2\^34\]"):
+                sv.primality_segments(limit)
+
+
 class TestArithmeticFunctions:
     def test_von_mangoldt_examples(self, table):
         assert sv.von_mangoldt(table, 8) == pytest.approx(math.log(2))
