@@ -3,7 +3,7 @@
 Library layers:
 
 - numeric: certified floors/powers, sawtooth, unit exponential, Gamma,
-  compensated reductions.
+  exactly rounded array sums.
 - sieve: segmented least-prime-factor table with mu/Lambda and weighted
   prime sums; streaming primality segments for the prime counts.
 - pspseq: floor-power membership, prime counting (plain, progressions,
@@ -17,11 +17,8 @@ __version__ = "0.1.0"
 
 from .numeric import (
     CertifiedReal,
-    CompensatedSum,
     GammaExponent,
     PrecisionError,
-    comp_csum,
-    comp_sum,
     floor_neg_pow,
     floor_pow,
     floor_pow_array,

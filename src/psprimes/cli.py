@@ -90,11 +90,12 @@ class _Parser(argparse.ArgumentParser):
     """ArgumentParser that raises UsageError and records its long flags.
 
     ``flags`` maps each long flag, spelled as a config key, to its
-    (dest, type) so config lines convert exactly like the flag would.
+    (dest, type, choices) so config lines are converted and checked exactly
+    like the flag would be.
     """
 
     def __init__(self, *args, **kwargs):
-        self.flags: dict[str, tuple[str, object]] = {}
+        self.flags: dict[str, tuple[str, object, object]] = {}
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
@@ -102,7 +103,8 @@ class _Parser(argparse.ArgumentParser):
         if action.default is not argparse.SUPPRESS:
             for opt in action.option_strings:
                 if opt.startswith("--"):
-                    self.flags[opt[2:].replace("-", "_")] = (action.dest, action.type)
+                    key = opt[2:].replace("-", "_")
+                    self.flags[key] = (action.dest, action.type, action.choices)
         return action
 
     def error(self, message):  # argparse would call sys.exit(2)
@@ -110,14 +112,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_real(text: str) -> float:
+    """A finite float from a decimal, 'p/q', 'sqrt2' or 'phi'; ValueError otherwise."""
     t = text.strip().lower()
     if t == "sqrt2":
         return math.sqrt(2.0)
     if t == "phi":
         return (1.0 + math.sqrt(5.0)) / 2.0
-    if "/" in t:
-        return float(Fraction(t))
-    return float(t)
+    try:
+        val = float(parse_rational(t)) if "/" in t else float(t)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise ValueError(f"{text!r} is not a finite real")
+    return val
 
 
 def _real_label(text: str) -> str | None:
@@ -159,8 +166,11 @@ def _write(args, columns, rows, extra_meta=None):
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -278,7 +288,7 @@ def _cmd_singular(args):
 
 def _cmd_expsum_theorem(args):
     spec = ExpSumSpec(alpha=args.alpha, g=GammaExponent.from_c(args.c), u=args.u, x=args.x, H=args.H)
-    val = theorem_sum(spec, scaled=args.scaled, threads=args.threads)
+    val = theorem_sum(spec, scaled=args.scaled)
     return (
         ["x", "H", "alpha", "u", "c", "value", "value_over_x"],
         [[args.x, args.H, args.alpha, args.u, args.c, val, val / args.x]],
@@ -389,7 +399,7 @@ def _cmd_hb_verify(args):
 
 
 def _cmd_bf_scan(args):
-    res = alpha_scan(args.N, args.c, args.grid_size, threads=args.threads)
+    res = alpha_scan(args.N, args.c, args.grid_size)
     rows = [[args.N, args.c, a, d, d / args.N] for a, d in res.rows]
     return (
         ["N", "c", "alpha", "discrepancy", "discrepancy_over_N"],
@@ -407,7 +417,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", default=None, help="write to a file instead of stdout")
         sp.add_argument("--config", default=None, help="flat key=value file overriding flags")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads (speed only)")
         sp.set_defaults(config_flags=sp.flags)
 
     exppair = sub.add_parser("exppair").add_subparsers(dest="cmd", required=True)
@@ -530,26 +539,33 @@ def _parse_bool(text: str) -> bool:
     return text.lower() in ("1", "true", "yes")
 
 
-def _apply_config(args, flags: dict[str, tuple[str, object]]) -> None:
-    with open(args.config) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{args.config}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in flags or key == "config":
-                raise UsageError(f"{args.config}:{lineno}: unknown key {key!r}")
-            dest, conv = flags[key]
-            if conv is None:
-                conv = _parse_bool if isinstance(getattr(args, dest), bool) else str
-            try:
-                setattr(args, dest, conv(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"{args.config}:{lineno}: bad value for {key}: {exc}")
+def _apply_config(args, flags: dict[str, tuple[str, object, object]]) -> None:
+    try:
+        with open(args.config) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config {args.config}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{args.config}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        value = value.strip()
+        if key not in flags or key == "config":
+            raise UsageError(f"{args.config}:{lineno}: unknown key {key!r}")
+        dest, conv, choices = flags[key]
+        if conv is None:
+            conv = _parse_bool if isinstance(getattr(args, dest), bool) else str
+        try:
+            val = conv(value)
+        except ValueError as exc:
+            raise UsageError(f"{args.config}:{lineno}: bad value for {key}: {exc}")
+        if choices is not None and val not in choices:
+            raise UsageError(f"{args.config}:{lineno}: {key} must be one of {', '.join(choices)}")
+        setattr(args, dest, val)
 
 
 def main(argv=None) -> int:
@@ -560,7 +576,10 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(args, flags)
         if hasattr(args, "alpha_raw"):
-            args.alpha = parse_real(args.alpha_raw)
+            try:
+                args.alpha = parse_real(args.alpha_raw)
+            except ValueError as exc:
+                raise UsageError(f"bad value for --alpha: {exc}") from None
         if getattr(args, "func", None) is _cmd_goldbach3:
             if args.c2 is None:
                 args.c2 = args.c1
@@ -576,8 +595,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
-        # InfeasibleError and ResourceGuardError are ValueError subclasses
+    except (ValueError, ArithmeticError) as exc:
+        # InfeasibleError and ResourceGuardError are ValueError subclasses;
+        # an input too large for a float overflows
         print(f"infeasible or precondition failure: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except Exception as exc:  # pragma: no cover - defensive

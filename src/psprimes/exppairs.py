@@ -27,7 +27,10 @@ class InfeasibleError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or integer literals into an exact rational."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

@@ -6,22 +6,21 @@ sawtooth approximation, second-derivative and stationary-phase checks, the
 combinatorial von Mangoldt decomposition, and the weighted-versus-classical
 prime-sum discrepancy with its alpha scans.
 
-Reductions are exactly rounded and ordered, so every result is
-deterministic regardless of worker parallelism.
+Every reduction is an exactly rounded sum over a fixed order
+(``numeric.fsum_array``), so every result is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import GammaExponent, unit_exp, unit_exp_parts
+from .numeric import GammaExponent, fsum_array, unit_exp, unit_exp_parts
 from .pspseq import ps_member_array
-from .sieve import SieveTable, lambda_array, mobius_array, shared_table
+from .sieve import SieveTable, _ensure_table, lambda_array, mobius_array
 
 _MAX_XH_ENV = "PSPRIMES_MAX_XH"
 _DEFAULT_MAX_XH = 1e13
@@ -29,14 +28,6 @@ _DEFAULT_MAX_XH = 1e13
 
 class ResourceGuardError(ValueError):
     """Requested evaluation exceeds the configured term budget."""
-
-
-def _ensure_table(limit: int, table: SieveTable | None) -> SieveTable:
-    if table is None:
-        return shared_table(limit)
-    if limit > table.limit:
-        raise ValueError(f"need sieve limit >= {limit}, table has {table.limit}")
-    return table
 
 
 @dataclass(frozen=True)
@@ -81,21 +72,20 @@ class ExpSumSpec:
 
 
 def _weighted_abs_sum(weights: np.ndarray, phase: np.ndarray) -> float:
+    """|sum of weights * e(phase)|, each part exactly rounded."""
     cos, sin = unit_exp_parts(phase)
-    return math.hypot(math.fsum(weights * cos), math.fsum(weights * sin))
+    return math.hypot(fsum_array(weights * cos), fsum_array(weights * sin))
 
 
 def theorem_sum(
     spec: ExpSumSpec,
     scaled: bool = False,
     table: SieveTable | None = None,
-    threads: int = 1,
 ) -> float:
     """Sum over h of |sum over n of Lambda(n) e(alpha*n + h*(n+u)^gamma)|.
 
     With scaled=True the result is multiplied by min(1, x^(1-gamma)/H).
-    The per-h inner sums are independent, so h-blocks may be evaluated by a
-    thread pool; the final reduction always runs in increasing h order.
+    The inner sums and the sum over h, in increasing h, are exactly rounded.
     """
     if spec.x * spec.H > _max_xh():
         raise ResourceGuardError(
@@ -111,17 +101,9 @@ def theorem_sum(
     gam = spec.g.gamma
     pow_u = (ns + spec.u) ** gam
     alpha_n = spec.alpha * ns
-    hs = spec.h_values()
-
-    def inner(h: int) -> float:
-        return _weighted_abs_sum(w, alpha_n + h * pow_u)
-
-    if threads > 1 and hs.size > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(inner, [int(h) for h in hs]))
-    else:
-        parts = [inner(int(h)) for h in hs]
-    total = math.fsum(parts)
+    total = math.fsum(
+        [_weighted_abs_sum(w, alpha_n + int(h) * pow_u) for h in spec.h_values()]
+    )
     if scaled:
         total *= min(1.0, spec.x ** (1.0 - gam) / spec.H)
     return total
@@ -182,8 +164,8 @@ def bilinear_sum(
             cos, sin = unit_exp_parts(phase)
             coeff = delta * float(a[i])
             bw = b[mask]
-            res.append(coeff * math.fsum(bw * cos))
-            ims.append(coeff * math.fsum(bw * sin))
+            res.append(coeff * fsum_array(bw * cos))
+            ims.append(coeff * fsum_array(bw * sin))
     return math.hypot(math.fsum(res), math.fsum(ims))
 
 
@@ -262,7 +244,7 @@ def vdc_bound_check(h: float, g: GammaExponent, alpha: float, N: int) -> VdcChec
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     phase = h * ns.astype(np.float64) ** gam + alpha * ns
     cos, sin = unit_exp_parts(phase)
-    lhs = math.hypot(math.fsum(cos), math.fsum(sin))
+    lhs = math.hypot(fsum_array(cos), fsum_array(sin))
     lam = gam * (1.0 - gam) * abs(h) * float(N) ** (gam - 2.0)
     rhs = N * math.sqrt(lam) + 1.0 / math.sqrt(lam)
     return VdcCheck(lhs=lhs, rhs_unit=rhs, empirical_c=lhs / rhs, lam=lam)
@@ -300,7 +282,7 @@ def b_process_compare(
 
     ns = np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.int64)
     cos, sin = unit_exp_parts(h * ns.astype(np.float64) ** gam)
-    direct = complex(math.fsum(cos), math.fsum(sin))
+    direct = complex(fsum_array(cos), fsum_array(sin))
 
     fp = lambda t: gam * h * t ** (gam - 1.0)  # decreasing on [a, b]
     nu_lo = math.ceil(fp(b))
@@ -464,9 +446,7 @@ def bf_discrepancy(
     """
     table = _ensure_table(nmax, table)
     w = _bf_weight_vector(nmax, c, table)
-    ps = table.primes(nmax)
-    cos, sin = unit_exp_parts(alpha * ps.astype(np.float64))
-    return math.hypot(math.fsum(w * cos), math.fsum(w * sin))
+    return _weighted_abs_sum(w, alpha * table.primes(nmax).astype(np.float64))
 
 
 def _bf_weight_vector(nmax: int, c: float, table: SieveTable) -> np.ndarray:
@@ -490,7 +470,6 @@ def alpha_scan(
     c: float,
     grid_size: int,
     table: SieveTable | None = None,
-    threads: int = 1,
 ) -> AlphaScanResult:
     """Worst-case discrepancy over an equispaced alpha grid plus small rationals.
 
@@ -506,17 +485,7 @@ def alpha_scan(
         {i / grid_size for i in range(grid_size)}
         | {a / q for q in range(1, 21) for a in range(q)}
     )
-
-    def disc(alpha: float) -> float:
-        cos, sin = unit_exp_parts(alpha * pf)
-        return math.hypot(math.fsum(w * cos), math.fsum(w * sin))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(disc, alphas))
-    else:
-        vals = [disc(a) for a in alphas]
-    rows = list(zip(alphas, vals))
+    rows = [(a, _weighted_abs_sum(w, a * pf)) for a in alphas]
     best = max(range(len(rows)), key=lambda i: (rows[i][1], -i))
     return AlphaScanResult(
         max_discrepancy=rows[best][1], argmax_alpha=rows[best][0], rows=rows

@@ -28,7 +28,7 @@ import mpmath
 import numpy as np
 
 from .numeric import GammaExponent, _pow_parts_array, floor_neg_pow, gamma_fn
-from .sieve import SieveTable, primality_segments, shared_table
+from .sieve import SieveTable, _ensure_table, primality_segments
 
 MAX_AP_MODULUS = 10 ** 4
 GOLDBACH_N_RANGE = (10 ** 4, 10 ** 6)
@@ -47,14 +47,6 @@ class PsCountReport:
     q: int = 1
     a: int = 0
     headline_term: float | None = None
-
-
-def _ensure_table(x: int, table: SieveTable | None) -> SieveTable:
-    if table is None:
-        return shared_table(x)
-    if x > table.limit:
-        raise ValueError(f"x={x} exceeds sieve limit {table.limit}")
-    return table
 
 
 def ps_indicator(m: int, g: GammaExponent) -> int:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numeric import fsum_array
+
 MAX_LIMIT = 1 << 34
 _SEGMENT = 1 << 20  # entries per segment, sized for cache locality
 
@@ -40,15 +42,15 @@ def _check_limit(limit: int) -> None:
         raise ValueError(f"sieve limit must lie in [2, 2^34], got {limit}")
 
 
-def build_table(limit: int, segment_size: int = _SEGMENT) -> SieveTable:
+def build_table(limit: int) -> SieveTable:
     """Sieve least prime factors up to limit (2 <= limit <= 2^34), segment by segment."""
     _check_limit(limit)
     dtype = np.int32 if limit < 2 ** 31 else np.int64
     lpf = np.zeros(limit + 1, dtype=dtype)
     root = math.isqrt(limit)
     base = _small_primes(root)
-    for lo in range(2, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
+    for lo in range(2, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
         seg = lpf[lo:hi]
         for p in base:
             start = max(p, -(-lo // p) * p)
@@ -168,7 +170,7 @@ def mobius_array(table: SieveTable, hi: int | None = None) -> np.ndarray:
 
 
 def prime_sum_ap(table: SieveTable, x: int, q: int, a: int, weight) -> complex:
-    """Sum of weight(p) over primes p <= x with p = a (mod q), compensated.
+    """Sum of weight(p) over primes p <= x with p = a (mod q).
 
     Primes are visited in increasing order; the reduction is exactly rounded,
     so the result is deterministic. gcd(a, q) > 1 is allowed and simply picks
@@ -189,9 +191,7 @@ def prime_sum_ap(table: SieveTable, x: int, q: int, a: int, weight) -> complex:
             raise TypeError
     except Exception:
         vals = np.array([complex(weight(int(p))) for p in ps], dtype=np.complex128)
-    re = math.fsum(vals.real)
-    im = math.fsum(vals.imag)
-    return complex(re, im)
+    return complex(fsum_array(vals.real), fsum_array(vals.imag))
 
 
 _table_cache: dict[int, SieveTable] = {}
@@ -207,4 +207,13 @@ def shared_table(limit: int) -> SieveTable:
     table = build_table(cap)
     _table_cache.clear()  # keep only the largest; older tables are subsumed
     _table_cache[cap] = table
+    return table
+
+
+def _ensure_table(limit: int, table: SieveTable | None) -> SieveTable:
+    """``table``, checked to reach limit; the shared table when it is None."""
+    if table is None:
+        return shared_table(limit)
+    if limit > table.limit:
+        raise ValueError(f"need sieve limit >= {limit}, table has {table.limit}")
     return table

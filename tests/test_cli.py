@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psprimes import cli
 
@@ -243,3 +247,130 @@ class TestCliPlumbing:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exppair", "eval", "--k", "1/0", "--l", "1/2"],
+            ["exppair", "eval", "--k", "1/2", "--l", "1/2", "--gamma", "3/0"],
+            ["ps", "count", "--x", "100", "--c", "1/0"],
+            ["ps", "count", "--x", "100", "--c", "1" + "0" * 400 + "/1"],
+            ["ps", "beatty", "--x", "100", "--c", "1.1", "--alpha", "1/0"],
+            ["ps", "beatty", "--x", "100", "--c", "1.1", "--alpha", "inf"],
+            ["ps", "beatty", "--x", "100", "--c", "1.1", "--alpha", "1e400"],
+            ["expsum", "theorem", "--x", "1024", "--c", "1.1", "--H", "2",
+             "--alpha", "nan"],
+            ["ps", "count", "--x", "100", "--c", "1.1", "--threads", "2"],
+            ["ps", "count", "--x", "100", "--c", "1.1", "--config", "/nonexistent/cfg"],
+            ["ps", "count", "--x", "100", "--c", "1.1", "--output", "/nonexistent/out"],
+        ],
+        ids=["k-zero-denominator", "gamma-zero-denominator", "c-zero-denominator",
+             "c-overflow", "alpha-zero-denominator", "alpha-inf", "alpha-1e400",
+             "alpha-nan", "threads-flag", "missing-config", "unwritable-output"],
+    )
+    def test_exit_64(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 64
+        assert out == "" and err.startswith("usage error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["hb", "verify", "--x", "1" + "0" * 400, "--J", "2"],
+         ["singular-series", "--N", "1" + "0" * 400, "--P", "1000"]],
+        ids=["hb-x", "singular-N"],
+    )
+    def test_integer_beyond_float_range_exit_2(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == "" and err.startswith("infeasible or precondition failure:")
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["ps", "count", "--x", "100", "--c", "1.1"], "format=xml\n"),
+            (["expsum", "bilinear", "--kind", "TypeI", "--x", "30", "--c", "1.1",
+              "--M", "5", "--N", "5", "--h", "2"], "bn=foo\n"),
+            (["expsum", "bilinear", "--kind", "TypeI", "--x", "30", "--c", "1.1",
+              "--M", "5", "--N", "5", "--h", "2"], "kind=TypeIII\n"),
+            (["exppair", "search", "--max-word-len", "1"], "objective=fastest\n"),
+            (["ps", "count", "--x", "100", "--c", "1.1"], "threads=2\n"),
+            (["ps", "count", "--x", "100", "--c", "1.1"], "c=nan\n"),
+        ],
+        ids=["format", "bn", "kind", "objective", "threads", "nan"],
+    )
+    def test_config_value_rejected(self, capsys, tmp_path, argv, config):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        rc, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert rc == 64
+        assert out == "" and err.startswith("usage error:")
+
+    def test_config_choice_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("format=json\n")
+        rc, out, _ = run(capsys, "ps", "count", "--x", "100", "--c", "1.1",
+                         "--config", str(cfg))
+        assert rc == 0
+        assert json.loads(out)["provenance"]["format"] == "json"
+
+
+# Small in-range values per subcommand; the fuzz test swaps some for the
+# adversarial literals and moves some into a config file.
+_FUZZ_COMMANDS = {
+    ("exppair", "eval"): {"k": "13/84", "l": "55/84", "gamma": "19/20",
+                          "delta": "1/100", "seed": "bourgain"},
+    ("exppair", "search"): {"seeds": "trivial,bourgain", "max_word_len": "2",
+                            "objective": "max_delta", "gamma": "19/20"},
+    ("ps", "count"): {"x": "1000", "c": "1.1"},
+    ("ps", "ap"): {"x": "1000", "c": "1.2", "q": "7", "a": "3"},
+    ("ps", "beatty"): {"x": "1000", "c": "1.2", "alpha": "sqrt2", "beta": "0.3"},
+    ("goldbach3",): {"N": "10001", "c1": "1.01", "c2": "1.02", "c3": "1.03"},
+    ("singular-series",): {"N": "9", "P": "1000"},
+    ("expsum", "theorem"): {"x": "1024", "c": "1.1", "alpha": "sqrt2", "u": "0.25",
+                            "H": "2", "scaled": "true"},
+    ("expsum", "bilinear"): {"kind": "TypeI", "x": "30", "c": "1.1", "alpha": "0.2",
+                             "u": "0.1", "M": "5", "N": "5", "h": "2",
+                             "delta": "1", "bn": "log"},
+    ("expsum", "vdc"): {"h": "4", "c": "1.1", "alpha": "0.3", "N": "1024"},
+    ("expsum", "bprocess"): {"h": "8", "c": "1.1", "N": "1024", "a": "1025",
+                             "b": "2000"},
+    ("expsum", "vaaler"): {"H": "8"},
+    ("hb", "verify"): {"x": "1000", "J": "2", "Z": "50"},
+    ("bf", "scan"): {"N": "4096", "c": "1.1", "grid_size": "8"},
+}
+_ADVERSARIAL = ["1/0", "nan", "inf", "-0", "", "1e400"]
+
+
+@st.composite
+def _fuzz_case(draw):
+    cmd = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    argv, config = list(cmd), []
+    for key, good in _FUZZ_COMMANDS[cmd].items():
+        value = draw(st.sampled_from([good, good, *_ADVERSARIAL]))
+        place = draw(st.sampled_from(["argv", "config", "omit"]))
+        if place == "config":
+            config.append(f"{key}={value}")
+        elif place == "argv" and key == "scaled":
+            argv.append("--scaled")
+        elif place == "argv":
+            argv += [f"--{key.replace('_', '-')}", value]
+    if draw(st.booleans()):
+        config.append(f"format={draw(st.sampled_from(['json', 'csv', *_ADVERSARIAL]))}")
+    return argv, config
+
+
+class TestCliFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_fuzz_case())
+    def test_no_input_reaches_exit_1(self, tmp_path_factory, case):
+        argv, config = case
+        if config:
+            cfg = tmp_path_factory.mktemp("fuzz") / "cfg.txt"
+            cfg.write_text("\n".join(config) + "\n")
+            argv = [*argv, "--config", str(cfg)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        assert rc in (0, 2, 64), (argv, config, err.getvalue())

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from psprimes import expsums as ex
+from psprimes import numeric as nc
+from psprimes import pspseq as pq
 from psprimes import sieve as sv
-from psprimes.numeric import GammaExponent
+from psprimes.numeric import GammaExponent, unit_exp_parts
 
 
 def naive_theorem_sum(spec, table):
@@ -71,13 +73,6 @@ class TestTheoremSum:
         scaled = ex.theorem_sum(spec, scaled=True, table=table)
         factor = min(1.0, (2 ** 10) ** (1 - g.gamma) / 8)
         assert scaled == pytest.approx(plain * factor, rel=1e-12)
-
-    def test_thread_count_never_changes_value(self, table):
-        g = GammaExponent.from_c(1.1)
-        spec = ex.ExpSumSpec(alpha=math.sqrt(2), g=g, u=0.25, x=2 ** 12, H=4)
-        assert ex.theorem_sum(spec, table=table) == ex.theorem_sum(
-            spec, table=table, threads=4
-        )
 
     def test_resource_guard(self, table, monkeypatch):
         monkeypatch.setenv("PSPRIMES_MAX_XH", "1000")
@@ -328,7 +323,88 @@ class TestBalogFriedlander:
         with pytest.raises(ValueError):
             ex.alpha_scan(2 ** 10, 1.1, 10 ** 4 + 1, table=table)
 
-    def test_threads_preserve_values(self, table):
-        a = ex.alpha_scan(2 ** 12, 1.1, 16, table=table)
-        b = ex.alpha_scan(2 ** 12, 1.1, 16, table=table, threads=4)
-        assert a.rows == b.rows
+    def test_scan_rows_are_pointwise_discrepancies(self, table):
+        res = ex.alpha_scan(2 ** 12, 1.1, 16, table=table)
+        for alpha, d in res.rows:
+            assert d == ex.bf_discrepancy(2 ** 12, 1.1, alpha, table=table)
+
+
+class TestReductionsMatchInlineFsum:
+    """Every exponential sum equals math.fsum over the whole term array.
+
+    The references are the plain formulas, with math.fsum applied to the
+    numpy arrays directly; sizes span several fsum_array chunks.
+    """
+
+    @staticmethod
+    def abs_sum(w, phase):
+        cos, sin = unit_exp_parts(phase)
+        return math.hypot(math.fsum(w * cos), math.fsum(w * sin))
+
+    def test_theorem_sum(self, table):
+        g = GammaExponent.from_c(1.1)
+        spec = ex.ExpSumSpec(alpha=math.sqrt(2), g=g, u=0.25, x=2 ** 18, H=2)
+        lam = sv.lambda_array(table, 2 ** 19)
+        ns = np.arange(2 ** 18 + 1, 2 ** 19 + 1, dtype=np.int64)
+        w = lam[ns]
+        ns, w = ns[w > 0], w[w > 0]
+        assert ns.size > nc._FSUM_CHUNK
+        pow_u = (ns + spec.u) ** g.gamma
+        want = math.fsum(
+            [self.abs_sum(w, spec.alpha * ns + h * pow_u) for h in (3, 4)]
+        )
+        assert ex.theorem_sum(spec, table=table) == want
+        scaled = want * min(1.0, spec.x ** (1.0 - g.gamma) / spec.H)
+        assert ex.theorem_sum(spec, scaled=True, table=table) == scaled
+
+    def test_bf_discrepancy_and_scan(self, table):
+        nmax, c = 2 ** 18, 1.1
+        g = GammaExponent.from_c(c)
+        ps = table.primes(nmax)
+        pf = ps.astype(np.float64)
+        member = pq.ps_member_array(nmax, g)[ps]
+        w = c * pf ** (1.0 - g.gamma) * np.log(pf) * member - np.log(pf)
+        assert ps.size > nc._FSUM_CHUNK
+        for alpha in (0.0, 0.3, math.sqrt(2) - 1):
+            want = self.abs_sum(w, alpha * pf)
+            assert ex.bf_discrepancy(nmax, c, alpha, table=table) == want
+        rows = ex.alpha_scan(nmax, c, 4, table=table).rows
+        assert rows == [(a, self.abs_sum(w, a * pf)) for a, _ in rows]
+
+    def test_vdc_bound_check(self):
+        g = GammaExponent.from_c(1.1)
+        N, h, alpha = 2 ** 15, 4.0, 0.3
+        ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
+        cos, sin = unit_exp_parts(h * ns.astype(np.float64) ** g.gamma + alpha * ns)
+        want = math.hypot(math.fsum(cos), math.fsum(sin))
+        assert ex.vdc_bound_check(h, g, alpha, N).lhs == want
+
+    def test_b_process_direct(self):
+        g = GammaExponent.from_c(1.1)
+        N, h = 2 ** 15, 16.0
+        ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
+        cos, sin = unit_exp_parts(h * ns.astype(np.float64) ** g.gamma)
+        want = complex(math.fsum(cos), math.fsum(sin))
+        assert ex.b_process_compare(h, g, N).direct == want
+
+    def test_bilinear_sum(self):
+        g = GammaExponent.from_c(1.05)
+        mr, nr, x, u, alpha = range(1, 4), range(1, 60001), 30000, 0.5, 0.25
+        a = np.array([1.0, -0.5, 0.75])
+        b = np.log(np.arange(1, 60001, dtype=np.float64)) / math.log(120000)
+        weights = {2: 1.0, 3: -0.5}
+        ns = np.arange(1, 60001, dtype=np.int64)
+        res, ims = [], []
+        for h, delta in weights.items():
+            for i, m in enumerate(mr):
+                prod = m * ns
+                mask = (prod > x) & (prod <= 2 * x)
+                sel = prod[mask]
+                cos, sin = unit_exp_parts(alpha * sel + h * (sel + u) ** g.gamma)
+                res.append(delta * a[i] * math.fsum(b[mask] * cos))
+                ims.append(delta * a[i] * math.fsum(b[mask] * sin))
+        want = math.hypot(math.fsum(res), math.fsum(ims))
+        got = ex.bilinear_sum(
+            "TypeII", a, b, mr, nr, alpha=alpha, g=g, u=u, x=x, h_weights=weights
+        )
+        assert got == want

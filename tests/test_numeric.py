@@ -4,6 +4,8 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psprimes import numeric as nc
 
@@ -125,28 +127,43 @@ class TestGamma:
                 nc.gamma_fn(bad)
 
 
-class TestCompensated:
-    def test_streaming_bound(self):
-        acc = nc.CompensatedSum()
-        total = 0.0
-        for k in range(1_000_000):
-            x = math.sin(0.7 * k)
-            acc.add(x)
-            total += abs(x)
-        assert acc.error_bound <= 1e-6
-        # the accumulated value agrees with the exact reduction within the bound
-        exact = math.fsum(math.sin(0.7 * k) for k in range(1_000_000))
-        assert abs(acc.value - exact) <= acc.error_bound
+_CHUNK = nc._FSUM_CHUNK
+# the chunk edges of the largest size below
+_EDGES = [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK]
 
-    def test_bulk_ten_million_unit_terms(self):
-        # invariant: 10^7 unit-magnitude complex terms, reported bound <= 1e-6
-        ks = np.arange(10_000_000, dtype=np.float64)
-        phase = 0.6180339887498949 * ks
-        res = np.cos(2 * np.pi * (phase - np.floor(phase)))
-        ims = np.sin(2 * np.pi * (phase - np.floor(phase)))
-        value, bound = nc.comp_csum(res, ims)
-        assert bound <= 1e-6
-        assert abs(value) <= 10_000_000.0
+
+class TestFsumArray:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        spikes=st.lists(
+            st.tuples(
+                st.sampled_from(_EDGES),
+                st.integers(-2, 2),
+                st.sampled_from([1e16, 1.0, -1e16, 1e300, -1e300, 5e-324, -0.0]),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_equals_fsum(self, n, seed, spikes):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        for edge, off, v in spikes:
+            if 0 <= edge + off < n:
+                a[edge + off] = v
+        assert nc.fsum_array(a) == math.fsum(a)
+
+    def test_cancellation_across_a_chunk_edge(self):
+        a = np.zeros(2 * _CHUNK)
+        a[_CHUNK - 2 : _CHUNK + 1] = [1e16, 1.0, -1e16]
+        # per-chunk sums would round 1e16 + 1 to 1e16 and return 0.0
+        assert nc.fsum_array(a) == 1.0
+
+    def test_strided_view(self):
+        z = np.arange(3 * _CHUNK, dtype=np.float64) * (1.0 + 1j) + 0.1
+        assert nc.fsum_array(z.imag) == math.fsum(z.imag)
+        assert nc.fsum_array(z.real) == math.fsum(z.real)
 
 
 class TestGammaExponent:

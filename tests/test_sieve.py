@@ -41,9 +41,17 @@ class TestBuildTable:
             assert bool(table.primality[n]) == (lpf == n)
 
     def test_segmentation_is_invisible(self):
-        a = sv.build_table(3000, segment_size=64)
-        b = sv.build_table(3000)
-        assert np.array_equal(a.least_prime_factor, b.least_prime_factor)
+        for limit in (sv._SEGMENT - 1, sv._SEGMENT + 1, 2 * sv._SEGMENT + 1):
+            t = sv.build_table(limit)
+            segs = np.concatenate([s for _, s in sv.primality_segments(limit)])
+            assert np.array_equal(t.primality, segs)
+            # least prime factors on both sides of every segment edge
+            for edge in range(sv._SEGMENT, limit + 1, sv._SEGMENT):
+                for n in range(edge - 40, min(edge + 40, limit + 1)):
+                    lpf = next(
+                        (p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n
+                    )
+                    assert int(t.least_prime_factor[n]) == lpf
 
     def test_rejections(self):
         with pytest.raises(ValueError):
