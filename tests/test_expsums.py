@@ -238,6 +238,21 @@ class TestBProcess:
         with pytest.raises(ValueError):
             ex.b_process_compare(4.0, g, 1024, interval=(100, 5000))
 
+    def test_stationary_budget_counts_the_solved_points(self, monkeypatch):
+        g = GammaExponent.from_c(1.1)
+        n = ex.b_process_compare(1000.0, g, 1024).num_stationary
+        assert n == 30
+        monkeypatch.setattr(ex, "_MAX_STATIONARY_TERMS", n)
+        assert ex.b_process_compare(1000.0, g, 1024).num_stationary == n
+        monkeypatch.setattr(ex, "_MAX_STATIONARY_TERMS", n - 1)
+        with pytest.raises(ex.ResourceGuardError):
+            ex.b_process_compare(1000.0, g, 1024)
+
+    def test_huge_h_rejected_up_front(self):
+        g = GammaExponent.from_c(1.1)
+        with pytest.raises(ex.ResourceGuardError):
+            ex.b_process_compare(1e300, g, 1024)
+
 
 class TestHeathBrown:
     def test_composite_gives_zero(self, table):

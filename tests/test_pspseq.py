@@ -355,6 +355,75 @@ class TestSingularSeries:
             pq.singular_series(9, 50, table=table)
 
 
+def blocked_pair_sum_counts(p1, p2, nmax):
+    """Reference pair counts: every sum a + b, 256 rows of p1 at a time."""
+    r = np.zeros(nmax + 1, dtype=np.int64)
+    block = 256
+    for i in range(0, p1.size, block):
+        sums = (p1[i : i + block, None] + p2[None, :]).ravel()
+        sums = sums[sums <= nmax]
+        if sums.size:
+            r += np.bincount(sums, minlength=nmax + 1)
+    return r
+
+
+@st.composite
+def _pair_count_case(draw):
+    nmax = draw(st.one_of(st.integers(0, 2), st.integers(0, 600)))
+    # entries up to nmax + 20 exercise the ones no sum <= nmax can use
+    subset = st.lists(st.integers(0, nmax + 20), unique=True, max_size=300)
+    p1 = np.array(sorted(draw(subset)), dtype=np.int64)
+    p2 = p1.copy() if draw(st.booleans()) else np.array(sorted(draw(subset)), dtype=np.int64)
+    return p1, p2, nmax
+
+
+class TestPairSumCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_pair_count_case())
+    def test_equals_blocked_loop(self, case):
+        p1, p2, nmax = case
+        got = pq._pair_sum_counts(p1, p2, nmax)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, blocked_pair_sum_counts(p1, p2, nmax))
+
+    # 2*nmax + 1 at a power of two (nmax = 0), just below one (2^k - 1) and
+    # just above one (2^k + 1), with every integer present: the largest counts
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 4, 255, 256, 1023, 1024, 1025])
+    def test_dense_at_transform_size_edges(self, nmax):
+        full = np.arange(nmax + 3, dtype=np.int64)
+        odd = full[1::2]
+        for p1, p2 in ((full, full), (full, odd), (odd, full[:0])):
+            got = pq._pair_sum_counts(p1, p2, nmax)
+            assert np.array_equal(got, blocked_pair_sum_counts(p1, p2, nmax))
+
+    def test_member_primes_distinct_exponents(self, table):
+        N = 20011
+        primes = table.primality[: N + 1]
+        p1 = np.nonzero(pq.ps_member_array(N, GammaExponent.from_c(1.01)) & primes)[0]
+        p2 = np.nonzero(pq.ps_member_array(N, GammaExponent.from_c(1.1)) & primes)[0]
+        got = pq._pair_sum_counts(p1, p2, N)
+        assert np.array_equal(got, blocked_pair_sum_counts(p1, p2, N))
+
+    def test_bound_at_top_of_goldbach_range(self, table):
+        n = table.primes(10 ** 6).size
+        assert n == 78498
+        size = 1 << 21  # least power of two >= 2*10^6 + 1
+        assert pq._pair_count_error_bound(n, n, size) < 2.0 ** -20
+
+    def test_bound_reaching_quarter_raises(self, monkeypatch):
+        monkeypatch.setattr(pq, "_FFT_TWIDDLE_ERR", 0.01)
+        p = np.arange(100, dtype=np.int64)
+        with pytest.raises(ArithmeticError, match="bound"):
+            pq._pair_sum_counts(p, p, 100)
+
+    def test_entry_off_integer_raises(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+        p = np.arange(10, dtype=np.int64)
+        with pytest.raises(ArithmeticError, match="integer"):
+            pq._pair_sum_counts(p, p, 10)
+
+
 class TestGoldbach3:
     def test_even_degenerate(self, table):
         r = pq.goldbach3_count(10 ** 4 + 2, 1.01, 1.01, 1.01, table=table)
@@ -384,6 +453,11 @@ class TestGoldbach3:
         r = pq.goldbach3_count(10 ** 5 + 3, 1.01, 1.01, 1.01, table=table)
         assert r.exact == 8418930
         assert r.predicted == pytest.approx(5435568.118649692, rel=1e-9)
+
+    def test_pinned_count_at_top_of_range(self, table):
+        # equal to the blocked pair loop's count at the same N
+        r = pq.goldbach3_count(999999, 1.01, 1.01, 1.01, table=table)
+        assert r.exact == 268313994
 
     def test_mixed_exponents_run(self, table):
         r = pq.goldbach3_count(10 ** 4 + 1, 1.01, 1.05, 1.1, table=table)
