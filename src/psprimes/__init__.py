@@ -4,8 +4,8 @@ Library layers:
 
 - numeric: certified floors/powers, sawtooth, unit exponential, Gamma,
   exactly rounded array sums.
-- sieve: segmented least-prime-factor table with mu/Lambda and weighted
-  prime sums; streaming primality segments for the prime counts.
+- sieve: streaming primality segments for the prime counts, and a cached
+  primality table with bulk mu/Lambda arrays.
 - pspseq: floor-power membership, prime counting (plain, progressions,
   Beatty intersections), ternary Goldbach counts, singular series.
 - exppairs: exact-rational exponent-pair calculus and admissibility regions.
@@ -28,13 +28,9 @@ from .numeric import (
 )
 from .sieve import (
     SieveTable,
-    build_table,
     lambda_array,
-    mobius,
     mobius_array,
-    prime_sum_ap,
     shared_table,
-    von_mangoldt,
 )
 from .pspseq import (
     BeattyParams,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .numeric import GammaExponent, fsum_array, unit_exp, unit_exp_parts
 from .pspseq import ps_member_array
-from .sieve import SieveTable, _ensure_table, lambda_array, mobius_array
+from .sieve import SieveTable, lambda_array, mobius_array, shared_table
 
 _MAX_XH_ENV = "PSPRIMES_MAX_XH"
 _DEFAULT_MAX_XH = 1e13
@@ -77,11 +77,7 @@ def _weighted_abs_sum(weights: np.ndarray, phase: np.ndarray) -> float:
     return math.hypot(fsum_array(weights * cos), fsum_array(weights * sin))
 
 
-def theorem_sum(
-    spec: ExpSumSpec,
-    scaled: bool = False,
-    table: SieveTable | None = None,
-) -> float:
+def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
     """Sum over h of |sum over n of Lambda(n) e(alpha*n + h*(n+u)^gamma)|.
 
     With scaled=True the result is multiplied by min(1, x^(1-gamma)/H).
@@ -92,8 +88,7 @@ def theorem_sum(
             f"x*H = {spec.x * spec.H} exceeds the {_MAX_XH_ENV} budget {_max_xh():g}"
         )
     n_lo, n_hi = spec.n_bounds()
-    table = _ensure_table(n_hi, table)
-    lam = lambda_array(table, n_hi)
+    lam = lambda_array(shared_table(n_hi), n_hi)
     ns = np.arange(n_lo + 1, n_hi + 1, dtype=np.int64)
     w = lam[ns]
     keep = w > 0
@@ -340,6 +335,12 @@ def _stationary_point(gam: float, h: float, nu: float, a: float, b: float) -> fl
     return x
 
 
+# Largest x hb_terms accepts. Its peak memory grows by about 160 bytes per
+# unit of x: 172 MB and 10 s at x = 10^6, J = 3 (2-core x86-64 VM, Python
+# 3.11), so about 0.7 GB and a minute at the limit.
+_MAX_HB_X = 1 << 22
+
+
 @dataclass(frozen=True)
 class HbParams:
     """Shape of the combinatorial decomposition: J folds, cutoff Z, dyadic base x."""
@@ -376,15 +377,21 @@ def _dirichlet(f: np.ndarray, g: np.ndarray, hi: int) -> np.ndarray:
     return out
 
 
-def hb_terms(params: HbParams, table: SieveTable | None = None) -> HbDecomposition:
+def hb_terms(params: HbParams) -> HbDecomposition:
     """Materialise the alternating convolution identity for Lambda on [1, 2x].
 
     Term j is (-1)^(j-1) C(J,j) (mu restricted to [1,Z])^(*j) * log * 1^(*(j-1));
     their sum reproduces Lambda exactly for n <= Z^J, hence on all of (x, 2x].
+    x above _MAX_HB_X raises ResourceGuardError before any array is allocated.
     """
+    if params.x > _MAX_HB_X:
+        raise ResourceGuardError(
+            f"x = {params.x} exceeds the Heath-Brown limit 2^22; "
+            "memory grows by about 160 bytes per unit of x"
+        )
     hi = 2 * params.x
-    table = _ensure_table(max(hi, params.Z), table)
-    mu = mobius_array(table, min(params.Z, hi))
+    cut = min(params.Z, hi)  # mu is read on [1, cut] only
+    mu = mobius_array(shared_table(cut), cut)
     g1 = np.zeros(hi + 1, dtype=np.float64)
     g1[1 : mu.size] = mu[1:]
 
@@ -437,27 +444,13 @@ def classify_block(N_block: int, U: int, V: int, Z: int) -> str:
     return "Neither"
 
 
-def hb_block_hypotheses(x: int, U: int, V: int, Z: int) -> list[str]:
-    """Side conditions the decomposition parameters should satisfy; returns violations."""
-    out = []
-    if x < 64 * Z ** 2 * U:
-        out.append(f"x >= 64*Z^2*U fails: {x} < {64 * Z ** 2 * U}")
-    if Z < 4 * U ** 2:
-        out.append(f"Z >= 4*U^2 fails: {Z} < {4 * U ** 2}")
-    if V ** 3 < 32 * x:
-        out.append(f"V^3 >= 32*x fails: {V ** 3} < {32 * x}")
-    return out
-
-
-def bf_discrepancy(
-    nmax: int, c: float, alpha: float, table: SieveTable | None = None
-) -> float:
+def bf_discrepancy(nmax: int, c: float, alpha: float) -> float:
     """|weighted member sum - classical sum| for the prime exponential sum.
 
     The weighted side carries c*p^(1-gamma)*log(p) over member primes; the
     classical side is sum of log(p) e(alpha p) over all primes <= nmax.
     """
-    table = _ensure_table(nmax, table)
+    table = shared_table(nmax)
     w = _bf_weight_vector(nmax, c, table)
     return _weighted_abs_sum(w, alpha * table.primes(nmax).astype(np.float64))
 
@@ -478,12 +471,7 @@ class AlphaScanResult:
     rows: list[tuple[float, float]]
 
 
-def alpha_scan(
-    nmax: int,
-    c: float,
-    grid_size: int,
-    table: SieveTable | None = None,
-) -> AlphaScanResult:
+def alpha_scan(nmax: int, c: float, grid_size: int) -> AlphaScanResult:
     """Worst-case discrepancy over an equispaced alpha grid plus small rationals.
 
     The grid is {i/grid_size} on [0, 1) joined with every a/q for q <= 20;
@@ -491,7 +479,7 @@ def alpha_scan(
     """
     if not 1 <= grid_size <= 10 ** 4:
         raise ValueError(f"grid_size must lie in [1, 10^4], got {grid_size}")
-    table = _ensure_table(nmax, table)
+    table = shared_table(nmax)
     w = _bf_weight_vector(nmax, c, table)
     pf = table.primes(nmax).astype(np.float64)
     alphas = sorted(

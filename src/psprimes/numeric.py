@@ -182,11 +182,6 @@ def psi(t: float) -> float:
     return (t - math.floor(t)) - 0.5
 
 
-def psi_array(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    return (t - np.floor(t)) - 0.5
-
-
 def unit_exp(t: float) -> complex:
     """e(t) = exp(2*pi*i*t), with the argument reduced mod 1 first."""
     r = t - math.floor(t)

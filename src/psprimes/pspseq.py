@@ -18,8 +18,8 @@ over [0, x] in one pass of fixed-size blocks: primality comes from a
 segmented sieve over the base primes <= sqrt(x), membership from the same
 certified kernel as ``ps_member_array`` applied to the block, and the main
 term from an exactly rounded sum fed block by block. Memory is
-O(block + sqrt(x)) whatever x is; no least-prime-factor table is built.
-Goldbach counts and the singular series still use the shared table.
+O(block + sqrt(x)) whatever x is; no table is built. Goldbach counts and
+the singular series read the shared primality table.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import mpmath
 import numpy as np
 
 from .numeric import GammaExponent, _pow_parts_array, floor_neg_pow, gamma_fn
-from .sieve import SieveTable, _ensure_table, primality_segments
+from .sieve import primality_segments, shared_table
 
 MAX_AP_MODULUS = 10 ** 4
 GOLDBACH_N_RANGE = (10 ** 4, 10 ** 6)
@@ -354,9 +354,7 @@ class SingularSeriesResult:
     tail_bound: float
 
 
-def singular_series(
-    N: int, P: int, table: SieveTable | None = None
-) -> SingularSeriesResult:
+def singular_series(N: int, P: int) -> SingularSeriesResult:
     """Truncated Euler product prod_{p|N}(1-1/(p-1)^2) * prod_{p∤N}(1+1/(p-1)^3).
 
     Vanishes exactly for even N (the p=2 factor is zero). The omitted factors
@@ -367,8 +365,7 @@ def singular_series(
         raise ValueError(f"N must be >= 3, got {N}")
     if P < 100:
         raise ValueError(f"P must be >= 100, got {P}")
-    table = _ensure_table(P, table)
-    ps = table.primes(P).astype(np.int64)
+    ps = shared_table(P).primes(P).astype(np.int64)
     divides = (N % ps) == 0
     pm1 = ps.astype(np.float64) - 1.0
     f_div = float(np.prod(1.0 - 1.0 / pm1[divides] ** 2)) if divides.any() else 1.0
@@ -454,8 +451,6 @@ def goldbach3_count(
     c1: float,
     c2: float,
     c3: float,
-    table: SieveTable | None = None,
-    singular_P: int = SINGULAR_SERIES_P,
 ) -> Goldbach3Result:
     """Ordered triples of floor-power primes summing to N, with the predicted count.
 
@@ -473,8 +468,7 @@ def goldbach3_count(
     for c in cs:
         if not 1.0 < c < 1.2:
             raise ValueError(f"each exponent must lie in (1, 6/5), got {c}")
-    table = _ensure_table(max(N, singular_P), table)
-    prime_mask = table.primality[: N + 1]
+    prime_mask = shared_table(max(N, SINGULAR_SERIES_P)).primality[: N + 1]
     members = {}
     for c in sorted(set(cs)):
         members[c] = ps_member_array(N, GammaExponent.from_c(c)) & prime_mask
@@ -484,7 +478,7 @@ def goldbach3_count(
     p3 = np.nonzero(members[c3])[0]
     exact = int(r[N - p3].sum())
 
-    ss = singular_series(N, singular_P, table=table)
+    ss = singular_series(N, SINGULAR_SERIES_P)
     gs = [GammaExponent.from_c(c).gamma for c in cs]
     coeff = (
         gs[0] * gs[1] * gs[2] * gamma_fn(gs[0]) * gamma_fn(gs[1]) * gamma_fn(gs[2])

@@ -1,6 +1,6 @@
 import pytest
 
-from psprimes.sieve import build_table, shared_table
+from psprimes.sieve import shared_table
 
 
 @pytest.fixture(scope="session")
@@ -11,4 +11,4 @@ def table():
 
 @pytest.fixture(scope="session")
 def table10m():
-    return build_table(10 ** 7)
+    return shared_table(10 ** 7)

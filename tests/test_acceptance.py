@@ -74,7 +74,7 @@ def test_criterion_03_heath_brown_identity(table):
     total_mismatch = 0
     for J in (2, 3):
         params = ex.HbParams(J=J, x=10 ** 4, Z=ex.min_valid_cutoff(10 ** 4, J))
-        handle = ex.hb_terms(params, table=table)
+        handle = ex.hb_terms(params)
         got = handle.lambda_values[10 ** 4 + 1 : 2 * 10 ** 4 + 1]
         want = lam[10 ** 4 + 1 : 2 * 10 ** 4 + 1]
         total_mismatch += int(np.count_nonzero(np.abs(got - want) > 1e-9))
@@ -108,7 +108,7 @@ def test_criterion_05_expansion_residual_bound():
     _report("5", worst <= 1.0, f"max |residual| / (10 m^(gamma-2)) = {worst:.4f} over m in [10^3, 10^6]")
 
 
-def test_criterion_06_progression_main_term_identity(table):
+def test_criterion_06_progression_main_term_identity():
     worst = 0.0
     for (q, a) in ((3, 1), (4, 3), (7, 2)):
         for c in (1.05, 1.1):
@@ -118,13 +118,13 @@ def test_criterion_06_progression_main_term_identity(table):
     _report("6", worst <= 1e-9, f"max relative defect of the summation identity = {worst:.2e}")
 
 
-def test_criterion_07a_prime_count_ratio(table):
+def test_criterion_07a_prime_count_ratio():
     rep = pq.ps_prime_count(10 ** 6, 1.05)
     ok = 0.97 <= rep.ratio <= 1.03 and rep.count == 40489  # count pinned, first run
     _report("7a", ok, f"count {rep.count}, ratio {rep.ratio:.5f} in [0.97, 1.03]")
 
 
-def test_criterion_07b_beatty_count_ratio(table):
+def test_criterion_07b_beatty_count_ratio():
     B = pq.BeattyParams.from_label("sqrt2", 0.3)
     rep = pq.ps_beatty_prime_count(10 ** 6, 1.1, B)
     ok = 0.85 <= rep.ratio <= 1.15 and rep.count == 16011  # count pinned, first run
@@ -141,11 +141,11 @@ _GOLDBACH_PINS = {
 }
 
 
-def test_criterion_07c_goldbach_ratio_window(table):
+def test_criterion_07c_goldbach_ratio_window():
     ratios = []
     pin_ok = True
     for N, pinned in _GOLDBACH_PINS.items():
-        r = pq.goldbach3_count(N, 1.01, 1.01, 1.01, table=table)
+        r = pq.goldbach3_count(N, 1.01, 1.01, 1.01)
         pin_ok = pin_ok and r.exact == pinned
         ratios.append(r.exact / r.predicted)
     mean = sum(ratios) / len(ratios)
@@ -158,16 +158,16 @@ def test_criterion_07c_goldbach_ratio_window(table):
     )
 
 
-def test_criterion_08_singular_series(table):
+def test_criterion_08_singular_series():
     evens_ok = all(
-        pq.singular_series(N, 10 ** 5, table=table).value == 0.0
+        pq.singular_series(N, 10 ** 5).value == 0.0
         for N in range(10 ** 4, 10 ** 4 + 40, 2)
     )
     tail_ok = True
     worst = 0.0
     for N in (9, 105, 10 ** 5 + 3):
-        a = pq.singular_series(N, 10 ** 5, table=table)
-        b = pq.singular_series(N, 2 * 10 ** 5, table=table)
+        a = pq.singular_series(N, 10 ** 5)
+        b = pq.singular_series(N, 2 * 10 ** 5)
         diff = abs(a.value - b.value)
         worst = max(worst, diff)
         tail_ok = tail_ok and diff <= 2.0 / 10 ** 5
@@ -219,13 +219,13 @@ def test_criterion_11_central_sum_trend(table):
         x = 2 ** k
         H = math.ceil(x ** (1 - g.gamma))
         spec = ex.ExpSumSpec(alpha=math.sqrt(2), g=g, u=0.0, x=x, H=H)
-        ratios.append(ex.theorem_sum(spec, table=table) / x)
+        ratios.append(ex.theorem_sum(spec) / x)
     trend_ok = all(ratios[i + 1] <= 1.10 * ratios[i] for i in range(len(ratios) - 1))
 
     x = 2 ** 14
     H = math.ceil(x ** (1 - g.gamma))
     spec = ex.ExpSumSpec(alpha=math.sqrt(2), g=g, u=0.0, x=x, H=H)
-    fast = ex.theorem_sum(spec, table=table)
+    fast = ex.theorem_sum(spec)
     lam = sv.lambda_array(table, 2 * x)
     slow = 0.0
     for h in range(H + 1, 2 * H + 1):
@@ -245,12 +245,12 @@ def test_criterion_11_central_sum_trend(table):
     )
 
 
-def test_criterion_12_discrepancy_trend_and_scan(table):
+def test_criterion_12_discrepancy_trend_and_scan():
     trend = []
     for k in (16, 18, 20):
-        trend.append(ex.bf_discrepancy(2 ** k, 1.1, 0.0, table=table) / 2 ** k)
+        trend.append(ex.bf_discrepancy(2 ** k, 1.1, 0.0) / 2 ** k)
     trend_ok = all(trend[i + 1] <= 1.20 * trend[i] for i in range(len(trend) - 1))
-    scan = ex.alpha_scan(2 ** 18, 1.1, 200, table=table)
+    scan = ex.alpha_scan(2 ** 18, 1.1, 200)
     scan_ok = scan.max_discrepancy / 2 ** 18 <= 0.1
     _report(
         "12",

@@ -160,6 +160,31 @@ class TestOtherSubcommands:
         cols = dict(zip(header.split(","), row.split(",")))
         assert cols["mismatches"] == "0"
 
+    def test_hb_verify_huge_cutoff_sieves_only_what_it_reads(self):
+        # mu is read on [1, min(Z, 2x)] = [1, 2000]: a cutoff of 2^25 must not
+        # size the sieve table (a 2^25-entry table alone is 32 MB). The child
+        # reports its own VmHWM: ru_maxrss from wait4 also counts the memory
+        # of this process, which the child shares until it execs.
+        code = (
+            "import sys; from psprimes.cli import main; rc = main(sys.argv[1:]); "
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM')]; "
+            "print(hwm[0].split()[1], file=sys.stderr); sys.exit(rc)"
+        )
+        argv = ["hb", "verify", "--x", "1000", "--J", "2", "--Z", "33554432"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=_child_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, row = proc.stdout.strip().splitlines()[-2:]
+        assert dict(zip(header.split(","), row.split(",")))["mismatches"] == "0"
+        assert int(proc.stderr.split()[-1]) < 60 * 1024  # kilobytes on Linux
+
+    def test_hb_verify_beyond_work_limit_exit_2(self):
+        proc = run_process("hb", "verify", "--x", str(2 ** 22 + 1), "--J", "2", timeout=10)
+        assert proc.returncode == 2
+        assert "exceeds the Heath-Brown limit 2^22" in proc.stderr
+
     def test_expsum_theorem_columns(self, capsys):
         rc, out, _ = run(
             capsys, "expsum", "theorem", "--x", "1024", "--c", "1.1",

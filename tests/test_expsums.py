@@ -30,16 +30,16 @@ class TestTheoremSum:
     def test_matches_naive_oracle(self, table):
         g = GammaExponent.from_c(1.1)
         spec = ex.ExpSumSpec(alpha=math.sqrt(2), g=g, u=0.0, x=2 ** 10, H=2)
-        fast = ex.theorem_sum(spec, table=table)
+        fast = ex.theorem_sum(spec)
         slow = naive_theorem_sum(spec, table)
         assert fast == pytest.approx(slow, rel=1e-6)
 
-    def test_empty_h_interval_gives_zero(self, table):
+    def test_empty_h_interval_gives_zero(self):
         g = GammaExponent.from_c(1.1)
         spec = ex.ExpSumSpec(
             alpha=0.3, g=g, u=0.5, x=64, H=4, h_interval=(5, 5)
         )
-        assert ex.theorem_sum(spec, table=table) == 0.0
+        assert ex.theorem_sum(spec) == 0.0
 
     def test_reduces_to_plain_form_at_alpha_zero(self, table):
         # alpha = 0, u = 0 must agree with an independently coded
@@ -47,7 +47,7 @@ class TestTheoremSum:
         g = GammaExponent.from_c(1.1)
         x, H = 2 ** 10, 3
         spec = ex.ExpSumSpec(alpha=0.0, g=g, u=0.0, x=x, H=H)
-        val = ex.theorem_sum(spec, table=table)
+        val = ex.theorem_sum(spec)
         lam = sv.lambda_array(table, 2 * x)
         total = 0.0
         for h in range(H + 1, 2 * H + 1):
@@ -61,25 +61,25 @@ class TestTheoremSum:
     def test_triangle_inequality_bound(self, table):
         g = GammaExponent.from_c(1.05)
         spec = ex.ExpSumSpec(alpha=0.7, g=g, u=0.3, x=2 ** 10, H=3)
-        val = ex.theorem_sum(spec, table=table)
+        val = ex.theorem_sum(spec)
         lam = sv.lambda_array(table, 2 ** 11)
         cap = float(lam[2 ** 10 + 1 :].sum()) * len(spec.h_values())
         assert val <= cap
 
-    def test_scaled_factor(self, table):
+    def test_scaled_factor(self):
         g = GammaExponent.from_c(1.1)
         spec = ex.ExpSumSpec(alpha=0.1, g=g, u=0.0, x=2 ** 10, H=8)
-        plain = ex.theorem_sum(spec, table=table)
-        scaled = ex.theorem_sum(spec, scaled=True, table=table)
+        plain = ex.theorem_sum(spec)
+        scaled = ex.theorem_sum(spec, scaled=True)
         factor = min(1.0, (2 ** 10) ** (1 - g.gamma) / 8)
         assert scaled == pytest.approx(plain * factor, rel=1e-12)
 
-    def test_resource_guard(self, table, monkeypatch):
+    def test_resource_guard(self, monkeypatch):
         monkeypatch.setenv("PSPRIMES_MAX_XH", "1000")
         g = GammaExponent.from_c(1.1)
         spec = ex.ExpSumSpec(alpha=0.0, g=g, u=0.0, x=2 ** 10, H=8)
         with pytest.raises(ex.ResourceGuardError):
-            ex.theorem_sum(spec, table=table)
+            ex.theorem_sum(spec)
 
     def test_spec_validation(self):
         g = GammaExponent.from_c(1.1)
@@ -255,19 +255,19 @@ class TestBProcess:
 
 
 class TestHeathBrown:
-    def test_composite_gives_zero(self, table):
-        handle = ex.hb_terms(ex.HbParams(J=2, x=8, Z=4), table=table)
+    def test_composite_gives_zero(self):
+        handle = ex.hb_terms(ex.HbParams(J=2, x=8, Z=4))
         assert ex.hb_reconstruct(handle, 12) == pytest.approx(0.0, abs=1e-12)
 
-    def test_prime_power_value(self, table):
-        handle = ex.hb_terms(ex.HbParams(J=2, x=10, Z=5), table=table)
+    def test_prime_power_value(self):
+        handle = ex.hb_terms(ex.HbParams(J=2, x=10, Z=5))
         assert ex.hb_reconstruct(handle, 16) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_full_dyadic_range_agreement(self, table):
         lam = sv.lambda_array(table, 2 * 10 ** 4)
         for J in (2, 3):
             params = ex.HbParams(J=J, x=10 ** 4, Z=ex.min_valid_cutoff(10 ** 4, J))
-            handle = ex.hb_terms(params, table=table)
+            handle = ex.hb_terms(params)
             got = handle.lambda_values[10 ** 4 + 1 : 2 * 10 ** 4 + 1]
             want = lam[10 ** 4 + 1 : 2 * 10 ** 4 + 1]
             assert int(np.count_nonzero(np.abs(got - want) > 1e-9)) == 0
@@ -278,8 +278,8 @@ class TestHeathBrown:
         with pytest.raises(ValueError):
             ex.HbParams(J=5, x=10, Z=100)
 
-    def test_reconstruct_range_checked(self, table):
-        handle = ex.hb_terms(ex.HbParams(J=2, x=10, Z=5), table=table)
+    def test_reconstruct_range_checked(self):
+        handle = ex.hb_terms(ex.HbParams(J=2, x=10, Z=5))
         with pytest.raises(ValueError):
             ex.hb_reconstruct(handle, 10)
         with pytest.raises(ValueError):
@@ -305,43 +305,38 @@ class TestClassifyBlock:
         with pytest.raises(ValueError):
             ex.classify_block(5, 10, 3, 50)
 
-    def test_hypothesis_report(self):
-        violations = ex.hb_block_hypotheses(10 ** 4, 5, 40, 100)
-        assert len(violations) == 2  # x-size and V^3 conditions fail here
-        assert ex.hb_block_hypotheses(10 ** 9, 4, 3200, 64) == []
-
 
 class TestBalogFriedlander:
-    def test_c_near_one_discrepancy_vanishes(self, table):
-        d = ex.bf_discrepancy(2 ** 16, 1.0 + 1e-12, 0.3, table=table)
+    def test_c_near_one_discrepancy_vanishes(self):
+        d = ex.bf_discrepancy(2 ** 16, 1.0 + 1e-12, 0.3)
         assert d <= 1e-5
 
-    def test_alpha_zero_small(self, table):
-        d = ex.bf_discrepancy(10 ** 6, 1.05, 0.0, table=table)
+    def test_alpha_zero_small(self):
+        d = ex.bf_discrepancy(10 ** 6, 1.05, 0.0)
         assert d / 10 ** 6 <= 0.05
 
-    def test_scan_includes_alpha_zero(self, table):
-        res = ex.alpha_scan(2 ** 14, 1.1, 16, table=table)
-        d0 = ex.bf_discrepancy(2 ** 14, 1.1, 0.0, table=table)
+    def test_scan_includes_alpha_zero(self):
+        res = ex.alpha_scan(2 ** 14, 1.1, 16)
+        d0 = ex.bf_discrepancy(2 ** 14, 1.1, 0.0)
         assert res.max_discrepancy >= d0
         assert any(a == 0.0 for a, _ in res.rows)
         # small rationals a/q, q <= 20, ride along with the equispaced grid
         assert any(abs(a - 1 / 7) < 1e-15 for a, _ in res.rows)
 
-    def test_doubling_grid_is_stable(self, table):
-        m1 = ex.alpha_scan(2 ** 14, 1.1, 32, table=table).max_discrepancy
-        m2 = ex.alpha_scan(2 ** 14, 1.1, 64, table=table).max_discrepancy
+    def test_doubling_grid_is_stable(self):
+        m1 = ex.alpha_scan(2 ** 14, 1.1, 32).max_discrepancy
+        m2 = ex.alpha_scan(2 ** 14, 1.1, 64).max_discrepancy
         assert m2 <= 1.25 * m1
         assert m2 >= m1  # the coarse grid is a subset
 
-    def test_grid_size_cap(self, table):
+    def test_grid_size_cap(self):
         with pytest.raises(ValueError):
-            ex.alpha_scan(2 ** 10, 1.1, 10 ** 4 + 1, table=table)
+            ex.alpha_scan(2 ** 10, 1.1, 10 ** 4 + 1)
 
-    def test_scan_rows_are_pointwise_discrepancies(self, table):
-        res = ex.alpha_scan(2 ** 12, 1.1, 16, table=table)
+    def test_scan_rows_are_pointwise_discrepancies(self):
+        res = ex.alpha_scan(2 ** 12, 1.1, 16)
         for alpha, d in res.rows:
-            assert d == ex.bf_discrepancy(2 ** 12, 1.1, alpha, table=table)
+            assert d == ex.bf_discrepancy(2 ** 12, 1.1, alpha)
 
 
 class TestReductionsMatchInlineFsum:
@@ -368,9 +363,9 @@ class TestReductionsMatchInlineFsum:
         want = math.fsum(
             [self.abs_sum(w, spec.alpha * ns + h * pow_u) for h in (3, 4)]
         )
-        assert ex.theorem_sum(spec, table=table) == want
+        assert ex.theorem_sum(spec) == want
         scaled = want * min(1.0, spec.x ** (1.0 - g.gamma) / spec.H)
-        assert ex.theorem_sum(spec, scaled=True, table=table) == scaled
+        assert ex.theorem_sum(spec, scaled=True) == scaled
 
     def test_bf_discrepancy_and_scan(self, table):
         nmax, c = 2 ** 18, 1.1
@@ -382,8 +377,8 @@ class TestReductionsMatchInlineFsum:
         assert ps.size > nc._FSUM_CHUNK
         for alpha in (0.0, 0.3, math.sqrt(2) - 1):
             want = self.abs_sum(w, alpha * pf)
-            assert ex.bf_discrepancy(nmax, c, alpha, table=table) == want
-        rows = ex.alpha_scan(nmax, c, 4, table=table).rows
+            assert ex.bf_discrepancy(nmax, c, alpha) == want
+        rows = ex.alpha_scan(nmax, c, 4).rows
         assert rows == [(a, self.abs_sum(w, a * pf)) for a, _ in rows]
 
     def test_vdc_bound_check(self):

@@ -84,12 +84,6 @@ class TestPsi:
             t = rng.uniform(-1e3, 1e3)
             assert nc.psi(t + 1.0) == nc.psi(t)
 
-    def test_array_agrees(self):
-        ts = np.linspace(-5, 5, 1001)
-        arr = nc.psi_array(ts)
-        for i in (0, 17, 500, 999):
-            assert arr[i] == nc.psi(float(ts[i]))
-
 
 class TestUnitExp:
     def test_examples(self):

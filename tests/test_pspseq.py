@@ -78,15 +78,15 @@ class TestExpansionResidual:
 
 
 class TestPrimeCount:
-    def test_tiny_example(self, table):
+    def test_tiny_example(self):
         rep = pq.ps_prime_count(10, 1.5)
         assert rep.count == 2  # primes among {1, 2, 5, 8}
 
-    def test_c_near_one_counts_all_primes(self, table):
+    def test_c_near_one_counts_all_primes(self):
         rep = pq.ps_prime_count(10, 1.0 + 1e-9)
         assert rep.count == 4
 
-    def test_report_fields(self, table):
+    def test_report_fields(self):
         rep = pq.ps_prime_count(10 ** 5, 1.05)
         assert rep.ratio == pytest.approx(rep.count / rep.main_term)
         assert rep.headline_term == pytest.approx((10 ** 5) ** (1 / 1.05) / math.log(10 ** 5))
@@ -119,9 +119,19 @@ stream_x = st.one_of(
 stream_c = st.one_of(st.just(1.0 + 1e-9), st.floats(1.01, 1.95))
 
 
+def eratosthenes(n):
+    """Primality of 0..n by one whole-array sieve: an oracle free of segments."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return mask
+
+
 def reference_members(x, g):
-    table = sv.build_table(x)
-    return pq.ps_member_array(x, g) & table.primality[: x + 1], table.primes(x)
+    is_prime = eratosthenes(x)
+    return pq.ps_member_array(x, g) & is_prime, np.nonzero(is_prime)[0]
 
 
 def beatty_params(alpha, beta):
@@ -183,18 +193,18 @@ class TestStreamingCount:
 
 
 class TestApCount:
-    def test_q_one_degenerates(self, table):
+    def test_q_one_degenerates(self):
         a = pq.ps_prime_count_ap(100, 1.1, 1, 0)
         b = pq.ps_prime_count(100, 1.1)
         assert a.count == b.count
 
-    def test_gcd_rejected(self, table):
+    def test_gcd_rejected(self):
         with pytest.raises(ValueError):
             pq.ps_prime_count_ap(100, 1.1, 4, 2)
         with pytest.raises(ValueError):
             pq.ps_prime_count_ap(100, 1.1, 10 ** 5, 1)
 
-    def test_residue_partition(self, table):
+    def test_residue_partition(self):
         x, c, q = 10 ** 5, 1.1, 4
         g = GammaExponent.from_c(c)
         total = pq.ps_prime_count(x, c).count
@@ -206,13 +216,13 @@ class TestApCount:
         )  # primes dividing 4
         assert parts + members_dividing_q == total
 
-    def test_ratio_near_one(self, table):
+    def test_ratio_near_one(self):
         rep = pq.ps_prime_count_ap(10 ** 6, 1.1, 3, 1)
         assert 0.9 <= rep.ratio <= 1.1
 
 
 class TestApMainTerm:
-    def test_abel_identity(self, table):
+    def test_abel_identity(self):
         # algebraically exact: the closed-form integral collapses the expression
         for (q, a) in ((3, 1), (4, 3), (7, 2), (5, 2)):
             for c in (1.05, 1.1):
@@ -220,7 +230,7 @@ class TestApMainTerm:
                 rhs = pq.refined_main_term(10 ** 5, c, q, a)
                 assert lhs == pytest.approx(rhs, rel=1e-9)
 
-    def test_q_one_matches_refined_total(self, table):
+    def test_q_one_matches_refined_total(self):
         lhs = pq.ap_main_term(10 ** 5, 1.1, 1, 0)
         assert lhs == pytest.approx(
             pq.refined_main_term(10 ** 5, 1.1), rel=1e-9
@@ -319,7 +329,7 @@ class TestBeatty:
         pq.beatty_member_array(10 ** 6, pq.BeattyParams.from_label("sqrt2", 0.3))
         assert len(calls) <= 10
 
-    def test_count_is_subset_of_ps_count(self, table):
+    def test_count_is_subset_of_ps_count(self):
         B = pq.BeattyParams.from_label("sqrt2", 0.3)
         joint = pq.ps_beatty_prime_count(10 ** 5, 1.1, B)
         plain = pq.ps_prime_count(10 ** 5, 1.1)
@@ -330,29 +340,29 @@ class TestBeatty:
 
 
 class TestSingularSeries:
-    def test_even_vanishes_exactly(self, table):
+    def test_even_vanishes_exactly(self):
         for N in range(4, 44, 2):
-            assert pq.singular_series(N, 10 ** 5, table=table).value == 0.0
+            assert pq.singular_series(N, 10 ** 5).value == 0.0
 
-    def test_frozen_oracle_value(self, table):
+    def test_frozen_oracle_value(self):
         # frozen from the direct Euler product truncated at P = 10^7
-        r = pq.singular_series(9, 10 ** 6, table=table)
+        r = pq.singular_series(9, 10 ** 6)
         assert r.value == pytest.approx(1.5339743631407254, abs=2e-6)
-        r105 = pq.singular_series(105, 10 ** 6, table=table)
+        r105 = pq.singular_series(105, 10 ** 6)
         assert r105.value == pytest.approx(1.3702996792325440, abs=2e-6)
 
-    def test_self_consistency_tail(self, table):
+    def test_self_consistency_tail(self):
         for N in (9, 105, 10 ** 5 + 3):
-            a = pq.singular_series(N, 10 ** 5, table=table)
-            b = pq.singular_series(N, 2 * 10 ** 5, table=table)
+            a = pq.singular_series(N, 10 ** 5)
+            b = pq.singular_series(N, 2 * 10 ** 5)
             assert abs(a.value - b.value) <= a.tail_bound
             assert a.tail_bound == pytest.approx(2e-5)
 
-    def test_rejections(self, table):
+    def test_rejections(self):
         with pytest.raises(ValueError):
-            pq.singular_series(2, 10 ** 5, table=table)
+            pq.singular_series(2, 10 ** 5)
         with pytest.raises(ValueError):
-            pq.singular_series(9, 50, table=table)
+            pq.singular_series(9, 50)
 
 
 def blocked_pair_sum_counts(p1, p2, nmax):
@@ -425,8 +435,8 @@ class TestPairSumCounts:
 
 
 class TestGoldbach3:
-    def test_even_degenerate(self, table):
-        r = pq.goldbach3_count(10 ** 4 + 2, 1.01, 1.01, 1.01, table=table)
+    def test_even_degenerate(self):
+        r = pq.goldbach3_count(10 ** 4 + 2, 1.01, 1.01, 1.01)
         assert r.degenerate
         assert r.predicted == 0.0
         assert r.exact > 0
@@ -434,7 +444,7 @@ class TestGoldbach3:
     def test_c_near_one_matches_classical_count(self, table):
         N = 10001
         c = 1.0 + 1e-9
-        r = pq.goldbach3_count(N, c, c, c, table=table)
+        r = pq.goldbach3_count(N, c, c, c)
         # classical ordered-triple oracle via a plain double loop
         primes = table.primes(N)
         is_prime = np.zeros(N + 1, dtype=bool)
@@ -448,24 +458,24 @@ class TestGoldbach3:
             classical += int(np.count_nonzero(is_prime[rest - sub]))
         assert r.exact == classical
 
-    def test_regression_pinned_count(self, table):
+    def test_regression_pinned_count(self):
         # first oracle run pinned: N = 10^5 + 3, all exponents 1.01
-        r = pq.goldbach3_count(10 ** 5 + 3, 1.01, 1.01, 1.01, table=table)
+        r = pq.goldbach3_count(10 ** 5 + 3, 1.01, 1.01, 1.01)
         assert r.exact == 8418930
         assert r.predicted == pytest.approx(5435568.118649692, rel=1e-9)
 
-    def test_pinned_count_at_top_of_range(self, table):
+    def test_pinned_count_at_top_of_range(self):
         # equal to the blocked pair loop's count at the same N
-        r = pq.goldbach3_count(999999, 1.01, 1.01, 1.01, table=table)
+        r = pq.goldbach3_count(999999, 1.01, 1.01, 1.01)
         assert r.exact == 268313994
 
-    def test_mixed_exponents_run(self, table):
-        r = pq.goldbach3_count(10 ** 4 + 1, 1.01, 1.05, 1.1, table=table)
+    def test_mixed_exponents_run(self):
+        r = pq.goldbach3_count(10 ** 4 + 1, 1.01, 1.05, 1.1)
         assert r.exact >= 0
         assert r.predicted > 0
 
-    def test_rejections(self, table):
+    def test_rejections(self):
         with pytest.raises(ValueError):
-            pq.goldbach3_count(999, 1.01, 1.01, 1.01, table=table)
+            pq.goldbach3_count(999, 1.01, 1.01, 1.01)
         with pytest.raises(ValueError):
-            pq.goldbach3_count(10 ** 5 + 3, 1.3, 1.01, 1.01, table=table)
+            pq.goldbach3_count(10 ** 5 + 3, 1.3, 1.01, 1.01)

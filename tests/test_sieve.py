@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -7,19 +6,45 @@ import pytest
 from psprimes import sieve as sv
 
 
+def is_prime(n):
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
 def trial_division_primes(n):
-    out = []
-    for m in range(2, n + 1):
-        if all(m % p for p in range(2, int(math.isqrt(m)) + 1)):
-            out.append(m)
+    return [m for m in range(2, n + 1) if is_prime(m)]
+
+
+def eratosthenes(n):
+    """Primality of 0..n by one whole-array sieve: an oracle free of segments."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return mask
+
+
+def factorise(n):
+    """{p: k} for n >= 1 by trial division."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out
 
 
-def trial_least_factor(n):
-    for p in range(2, n + 1):
-        if n % p == 0:
-            return p
-    return n
+def trial_mobius(n):
+    exps = factorise(n).values()
+    return 0 if any(k > 1 for k in exps) else (-1) ** len(exps)
+
+
+def trial_von_mangoldt(n):
+    f = factorise(n)
+    return math.log(next(iter(f))) if len(f) == 1 else 0.0
 
 
 class TestBuildTable:
@@ -31,33 +56,21 @@ class TestBuildTable:
         assert list(table.primes(100)) == trial_division_primes(100)
         assert len(table.primes(10 ** 6)) == 78498
 
-    def test_least_prime_factor_invariant(self, table):
-        rng = random.Random(11)
-        for _ in range(300):
-            n = rng.randrange(2, 10 ** 6)
-            lpf = int(table.least_prime_factor[n])
-            assert n % lpf == 0
-            assert lpf == trial_least_factor(n)
-            assert bool(table.primality[n]) == (lpf == n)
+    def test_primality_matches_eratosthenes(self, table):
+        assert np.array_equal(table.primality, eratosthenes(table.limit))
 
-    def test_segmentation_is_invisible(self):
-        for limit in (sv._SEGMENT - 1, sv._SEGMENT + 1, 2 * sv._SEGMENT + 1):
-            t = sv.build_table(limit)
-            segs = np.concatenate([s for _, s in sv.primality_segments(limit)])
-            assert np.array_equal(t.primality, segs)
-            # least prime factors on both sides of every segment edge
-            for edge in range(sv._SEGMENT, limit + 1, sv._SEGMENT):
-                for n in range(edge - 40, min(edge + 40, limit + 1)):
-                    lpf = next(
-                        (p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n
-                    )
-                    assert int(t.least_prime_factor[n]) == lpf
+    def test_segmentation_is_invisible(self, table):
+        # both sides of every segment edge, by trial division
+        assert table.limit >= 2 * sv._SEGMENT
+        for edge in range(0, table.limit + 1, sv._SEGMENT):
+            for n in range(max(edge - 40, 0), min(edge + 40, table.limit + 1)):
+                assert bool(table.primality[n]) == is_prime(n)
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            sv.build_table(1)
+            sv.shared_table(1)
         with pytest.raises(ValueError):
-            sv.build_table((1 << 34) + 1)
+            sv.shared_table((1 << 34) + 1)
 
 
 class TestPrimalitySegments:
@@ -66,11 +79,11 @@ class TestPrimalitySegments:
         [2, 3000]
         + [k * sv._SEGMENT + d for k in (1, 2) for d in (-1, 0, 1)],
     )
-    def test_segments_tile_the_table(self, table10m, limit):
+    def test_segments_tile_the_table(self, limit):
         segs = list(sv.primality_segments(limit))
         assert [lo for lo, _ in segs] == list(range(0, limit + 1, sv._SEGMENT))
         assert np.array_equal(
-            np.concatenate([s for _, s in segs]), table10m.primality[: limit + 1]
+            np.concatenate([s for _, s in segs]), eratosthenes(limit)
         )
 
     def test_rejected_on_call(self):
@@ -81,63 +94,45 @@ class TestPrimalitySegments:
 
 class TestArithmeticFunctions:
     def test_von_mangoldt_examples(self, table):
-        assert sv.von_mangoldt(table, 8) == pytest.approx(math.log(2))
-        assert sv.von_mangoldt(table, 6) == 0.0
-        assert sv.von_mangoldt(table, 97) == pytest.approx(math.log(97))
-        with pytest.raises(ValueError):
-            sv.von_mangoldt(table, 1)
+        lam = sv.lambda_array(table, 97)
+        assert lam[8] == pytest.approx(math.log(2))
+        assert lam[6] == 0.0 and lam[1] == 0.0
+        assert lam[97] == pytest.approx(math.log(97))
 
     def test_mobius_examples(self, table):
-        assert sv.mobius(table, 1) == 1
-        assert sv.mobius(table, 4) == 0
-        assert sv.mobius(table, 6) == 1
-        assert sv.mobius(table, 30) == -1
-        with pytest.raises(ValueError):
-            sv.mobius(table, 0)
+        mu = sv.mobius_array(table, 30)
+        assert [mu[n] for n in (0, 1, 4, 6, 30)] == [0, 1, 0, 1, -1]
 
     def test_bulk_arrays_match_queries(self, table):
         lam = sv.lambda_array(table, 3000)
         mu = sv.mobius_array(table, 3000)
         for n in range(1, 3001):
-            assert mu[n] == sv.mobius(table, n)
+            assert mu[n] == trial_mobius(n)
             if n >= 2:
-                assert lam[n] == pytest.approx(sv.von_mangoldt(table, n), abs=1e-12)
+                assert lam[n] == pytest.approx(trial_von_mangoldt(n), abs=1e-12)
+
+    def test_results_are_fresh_arrays(self, table):
+        # writing into one result must not leak into the next call's
+        for bulk in (sv.lambda_array, sv.mobius_array):
+            first = bulk(table, table.limit)
+            want = first.copy()
+            first[:] = 7
+            assert np.array_equal(bulk(table, table.limit), want)
+
+    def test_query_beyond_limit_rejected(self, table):
+        with pytest.raises(ValueError, match="exceeds sieve limit"):
+            table.primes(table.limit + 1)
+        for bulk in (sv.lambda_array, sv.mobius_array):
+            with pytest.raises(ValueError, match="exceeds sieve limit"):
+                bulk(table, table.limit + 1)
 
     def test_chebyshev_psi_sanity(self, table10m):
-        lam = sv.lambda_array(table10m)
+        lam = sv.lambda_array(table10m, 10 ** 7)
         ratio = float(lam.sum()) / 1e7
         assert 0.996 <= ratio <= 1.004
 
     def test_mertens_sanity(self, table10m):
-        mu = sv.mobius_array(table10m)
+        mu = sv.mobius_array(table10m, 10 ** 7)
         cum = np.cumsum(mu.astype(np.int64))
         for x in (10 ** 5, 10 ** 6, 10 ** 7):
             assert abs(int(cum[x])) <= x ** 0.6
-
-
-class TestPrimeSumAp:
-    def test_examples(self, table):
-        one = lambda p: np.ones_like(p, dtype=np.float64)
-        assert sv.prime_sum_ap(table, 10, 1, 0, one) == 4
-        assert sv.prime_sum_ap(table, 100, 4, 1, one) == 11
-        assert sv.prime_sum_ap(table, 10, 2, 0, one) == 1  # only p = 2
-
-    def test_scalar_weight_fallback(self, table):
-        val = sv.prime_sum_ap(table, 50, 3, 2, lambda p: 1j * p)
-        primes = [p for p in trial_division_primes(50) if p % 3 == 2]
-        assert val == pytest.approx(1j * sum(primes))
-
-    def test_residue_partition_exact(self, table):
-        one = lambda p: np.ones_like(p, dtype=np.float64)
-        for q in (2, 3, 4, 5, 12):
-            total = sum(
-                sv.prime_sum_ap(table, 10 ** 5, q, a, one) for a in range(q)
-            )
-            assert total == sv.prime_sum_ap(table, 10 ** 5, 1, 0, one)
-
-    def test_rejections(self, table):
-        one = lambda p: np.ones_like(p, dtype=np.float64)
-        with pytest.raises(ValueError):
-            sv.prime_sum_ap(table, table.limit + 1, 1, 0, one)
-        with pytest.raises(ValueError):
-            sv.prime_sum_ap(table, 100, 4, 5, one)
