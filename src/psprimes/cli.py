@@ -24,7 +24,7 @@ decimals. Frozen CSV columns:
   hb verify        x,J,Z,checked,mismatches,max_abs_diff
   bf scan          N,c,alpha,discrepancy,discrepancy_over_N
 
-Environment keys: PSPRIMES_MAX_XH caps the x*H budget of expsum theorem.
+Inputs beyond a work limit (README "Work limits") exit 2 before any work.
 A --config file holds flat key=value lines (flag names without dashes,
 '-' spelled '_'); its values override command-line flags; unknown keys
 are rejected.
@@ -59,6 +59,7 @@ from .expsums import (
     alpha_scan,
     b_process_compare,
     bilinear_sum,
+    check_bilinear_size,
     hb_terms,
     min_valid_cutoff,
     theorem_sum,
@@ -74,7 +75,7 @@ from .pspseq import (
     ps_prime_count_ap,
     singular_series,
 )
-from .sieve import lambda_array, shared_table
+from .sieve import lambda_array
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -300,11 +301,9 @@ def _cmd_expsum_bilinear(args):
     g = GammaExponent.from_c(args.c)
     m_range = range(args.M + 1, 2 * args.M + 1)
     n_range = range(args.N + 1, 2 * args.N + 1)
+    check_bilinear_size(m_range, n_range)  # before the coefficient lists exist
     a = [1.0] * len(m_range)
-    if args.bn == "log":
-        b = [math.log(n) for n in n_range]
-    else:
-        b = [1.0] * len(n_range)
+    b = [math.log(n) if args.bn == "log" else 1.0 for n in n_range]
     val = bilinear_sum(
         args.kind,
         a,
@@ -388,8 +387,7 @@ def _cmd_hb_verify(args):
     Z = args.Z if args.Z is not None else min_valid_cutoff(args.x, args.J)
     params = HbParams(J=args.J, x=args.x, Z=Z)
     handle = hb_terms(params)
-    table = shared_table(2 * args.x)
-    lam = lambda_array(table, 2 * args.x)
+    lam = lambda_array(2 * args.x)
     rec = handle.lambda_values[args.x + 1 : 2 * args.x + 1]
     ref = lam[args.x + 1 : 2 * args.x + 1]
     diff = np.abs(rec - ref)

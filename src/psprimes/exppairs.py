@@ -278,8 +278,7 @@ def search_pairs(
     if objective == "max_delta" and gamma is None:
         raise ValueError("objective max_delta requires gamma")
     trace: list[tuple[str, Fraction, Fraction, Fraction]] = []
-    best: ExponentPair | None = None
-    best_value: Fraction | None = None
+    best = None  # (key, pair, value); the least key wins
     for p in enumerate_pairs(seeds, max_word_len):
         try:
             if objective == "gamma_threshold":
@@ -293,19 +292,9 @@ def search_pairs(
         except InfeasibleError:
             continue
         trace.append((p.word, p.k, p.l, value))
-        better = False
-        if best_value is None:
-            better = True
-        elif objective == "max_delta":
-            better = (value, -len(p.word)) > (best_value, -len(best.word)) or (
-                value == best_value and (len(p.word), p.word) < (len(best.word), best.word)
-            )
-        else:
-            better = value < best_value or (
-                value == best_value and (len(p.word), p.word) < (len(best.word), best.word)
-            )
-        if better:
-            best, best_value = p, value
+        key = (-value if objective == "max_delta" else value, len(p.word), p.word)
+        if best is None or key < best[0]:
+            best = (key, p, value)
     if best is None:
         raise InfeasibleError("no feasible pair among the enumerated candidates")
-    return SearchResult(best=best, value=best_value, trace=trace)
+    return SearchResult(best=best[1], value=best[2], trace=trace)

@@ -13,21 +13,36 @@ Every reduction is an exactly rounded sum over a fixed order
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numeric import GammaExponent, fsum_array, unit_exp, unit_exp_parts
 from .pspseq import ps_member_array
-from .sieve import SieveTable, lambda_array, mobius_array, shared_table
+from .sieve import lambda_array, mobius_array, shared_table
 
-_MAX_XH_ENV = "PSPRIMES_MAX_XH"
-_DEFAULT_MAX_XH = 1e13
+# Largest x*H theorem_sum accepts (its work is about pi(2x)*H phase terms).
+_MAX_XH = 10 ** 13
+# Largest N of vdc_bound_check and b_process_compare, and largest number of
+# (m, n) pairs of bilinear_sum. Through the CLI on a 2-core x86-64 VM: N = 2^24
+# takes ~3.3 s and 675 MB; bilinear 3.4 s and 580 MB at M = 1, N = 2^24 (8 s,
+# 1.1 GB with --bn log) and 112 s, 434 MB at M = 2^24, N = 1 (its per-m loop).
+_MAX_DIRECT_TERMS = 1 << 24
+_MAX_VAALER_H = 10 ** 6  # expsum vaaler prints H + 1 rows: 8.7 s, 480 MB at 10^6
 
 
 class ResourceGuardError(ValueError):
-    """Requested evaluation exceeds the configured term budget."""
+    """Requested evaluation exceeds a fixed term or memory budget."""
+
+
+def _check_terms(what: str, n: int, limit: int) -> None:
+    if n > limit:
+        raise ResourceGuardError(f"{what} = {n} exceeds the limit {limit}")
+
+
+def check_bilinear_size(m_range: range, n_range: range) -> None:
+    """ResourceGuardError if bilinear_sum would visit more than 2^24 (m, n) pairs."""
+    _check_terms("M*N", len(m_range) * len(n_range), _MAX_DIRECT_TERMS)
 
 
 @dataclass(frozen=True)
@@ -83,12 +98,9 @@ def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
     With scaled=True the result is multiplied by min(1, x^(1-gamma)/H).
     The inner sums and the sum over h, in increasing h, are exactly rounded.
     """
-    if spec.x * spec.H > _max_xh():
-        raise ResourceGuardError(
-            f"x*H = {spec.x * spec.H} exceeds the {_MAX_XH_ENV} budget {_max_xh():g}"
-        )
+    _check_terms("x*H", spec.x * spec.H, _MAX_XH)
     n_lo, n_hi = spec.n_bounds()
-    lam = lambda_array(shared_table(n_hi), n_hi)
+    lam = lambda_array(n_hi)
     ns = np.arange(n_lo + 1, n_hi + 1, dtype=np.int64)
     w = lam[ns]
     keep = w > 0
@@ -102,10 +114,6 @@ def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
     if scaled:
         total *= min(1.0, spec.x ** (1.0 - gam) / spec.H)
     return total
-
-
-def _max_xh() -> float:
-    return float(os.environ.get(_MAX_XH_ENV, _DEFAULT_MAX_XH))
 
 
 def bilinear_sum(
@@ -124,10 +132,12 @@ def bilinear_sum(
     """|sum over h, m, n of delta_h a_m b_n e(alpha*mn + h*(mn+u)^gamma)|, mn in (x, 2x].
 
     kind 'TypeI' admits b_n up to max(1, log(2N)) (smooth/log coefficients);
-    'TypeII' requires |b_n| <= 1. Coefficient bound violations are rejected.
+    'TypeII' requires |b_n| <= 1. Coefficient bound violations are rejected,
+    and so are more than _MAX_DIRECT_TERMS pairs (see check_bilinear_size).
     """
     if kind not in ("TypeI", "TypeII"):
         raise ValueError(f"kind must be TypeI or TypeII, got {kind!r}")
+    check_bilinear_size(m_range, n_range)
     a = np.asarray(a_coeffs, dtype=np.float64)
     b = np.asarray(b_coeffs, dtype=np.float64)
     if len(a) != len(m_range) or len(b) != len(n_range):
@@ -210,6 +220,7 @@ def vaaler_coeffs(H: int) -> VaalerApprox:
     """Explicit sawtooth approximant of degree H with |a_h| <= 1/(pi*h), b_h <= 2/H."""
     if H < 1:
         raise ValueError(f"H must be >= 1, got {H}")
+    _check_terms("H", H, _MAX_VAALER_H)
     hs = np.arange(1, H + 1, dtype=np.float64)
     t = hs / (H + 1.0)
     taper = math.pi * t * (1.0 - t) / np.tan(math.pi * t) + t
@@ -235,6 +246,7 @@ def vdc_bound_check(h: float, g: GammaExponent, alpha: float, N: int) -> VdcChec
         raise ValueError("h = 0 gives a degenerate (curvature-free) phase")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    _check_terms("N", N, _MAX_DIRECT_TERMS)
     gam = g.gamma
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     phase = h * ns.astype(np.float64) ** gam + alpha * ns
@@ -278,6 +290,7 @@ def b_process_compare(
     """
     if h <= 0:
         raise ValueError(f"h must be positive for a concave phase, got {h}")
+    _check_terms("N", N, _MAX_DIRECT_TERMS)
     a, b = interval if interval is not None else (N + 1, 2 * N)
     if not (N < a <= b <= 2 * N):
         raise ValueError(f"interval [{a}, {b}] must sit inside ({N}, {2 * N}]")
@@ -391,7 +404,7 @@ def hb_terms(params: HbParams) -> HbDecomposition:
         )
     hi = 2 * params.x
     cut = min(params.Z, hi)  # mu is read on [1, cut] only
-    mu = mobius_array(shared_table(cut), cut)
+    mu = mobius_array(cut)
     g1 = np.zeros(hi + 1, dtype=np.float64)
     g1[1 : mu.size] = mu[1:]
 
@@ -450,14 +463,13 @@ def bf_discrepancy(nmax: int, c: float, alpha: float) -> float:
     The weighted side carries c*p^(1-gamma)*log(p) over member primes; the
     classical side is sum of log(p) e(alpha p) over all primes <= nmax.
     """
-    table = shared_table(nmax)
-    w = _bf_weight_vector(nmax, c, table)
-    return _weighted_abs_sum(w, alpha * table.primes(nmax).astype(np.float64))
+    w = _bf_weight_vector(nmax, c)
+    return _weighted_abs_sum(w, alpha * shared_table(nmax).primes(nmax).astype(np.float64))
 
 
-def _bf_weight_vector(nmax: int, c: float, table: SieveTable) -> np.ndarray:
+def _bf_weight_vector(nmax: int, c: float) -> np.ndarray:
     g = GammaExponent.from_c(c)
-    ps = table.primes(nmax)
+    ps = shared_table(nmax).primes(nmax)
     member = ps_member_array(nmax, g)[ps]
     pf = ps.astype(np.float64)
     logp = np.log(pf)
@@ -479,9 +491,8 @@ def alpha_scan(nmax: int, c: float, grid_size: int) -> AlphaScanResult:
     """
     if not 1 <= grid_size <= 10 ** 4:
         raise ValueError(f"grid_size must lie in [1, 10^4], got {grid_size}")
-    table = shared_table(nmax)
-    w = _bf_weight_vector(nmax, c, table)
-    pf = table.primes(nmax).astype(np.float64)
+    w = _bf_weight_vector(nmax, c)
+    pf = shared_table(nmax).primes(nmax).astype(np.float64)
     alphas = sorted(
         {i / grid_size for i in range(grid_size)}
         | {a / q for q in range(1, 21) for a in range(q)}

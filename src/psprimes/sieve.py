@@ -2,10 +2,11 @@
 
 ``primality_segments`` walks 0..limit one segment at a time, holding one
 segment and the base primes <= sqrt(limit); the prime counts stream over
-it. ``shared_table`` fills one cached 1-byte primality array from those
-segments for code that needs random access: the Goldbach prime masks, the
-singular series and the bulk Lambda/mu arrays of the exponential-sum code,
-all of which depend only on primality.
+it. ``shared_table`` fills one cached 1-byte primality array of exactly
+0..limit <= TABLE_LIMIT from those segments for code that needs random
+access: the Goldbach prime masks, the singular series and the Lambda arrays
+and prime lists of the exponential-sum code. ``mobius_array`` needs only
+the base primes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_LIMIT = 1 << 34
+# Largest shared_table limit (16 MB, ~0.4 s): covers Goldbach and the singular
+# series (10^6), hb verify (2x <= 2^23) and the 10^7 tables of library sessions.
+TABLE_LIMIT = 1 << 24
 _SEGMENT = 1 << 20  # entries per segment, sized for cache locality
 
 
@@ -31,11 +35,6 @@ class SieveTable:
         return np.nonzero(self.primality[: hi + 1])[0]
 
 
-def _check_limit(limit: int) -> None:
-    if not 2 <= limit <= MAX_LIMIT:
-        raise ValueError(f"sieve limit must lie in [2, 2^34], got {limit}")
-
-
 def primality_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """Primality of 0..limit one segment at a time, as (lo, is_prime[lo:hi]) pairs.
 
@@ -44,7 +43,8 @@ def primality_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     <= sqrt(limit) persist between segments. The limit is checked on the
     call, before the first segment is sieved.
     """
-    _check_limit(limit)
+    if not 2 <= limit <= MAX_LIMIT:
+        raise ValueError(f"sieve limit must lie in [2, 2^34], got {limit}")
     base = _small_primes(math.isqrt(limit))
 
     def segments():
@@ -70,9 +70,9 @@ def _small_primes(n: int) -> list[int]:
     return [int(p) for p in np.nonzero(mask)[0]]
 
 
-def lambda_array(table: SieveTable, hi: int) -> np.ndarray:
+def lambda_array(hi: int) -> np.ndarray:
     """Lambda(n) for all n <= hi as a float64 array (index 0 unused)."""
-    ps = table.primes(hi)
+    ps = shared_table(hi).primes(hi)
     lam = np.zeros(hi + 1, dtype=np.float64)
     lam[ps] = np.log(ps)
     for p in ps[ps <= math.isqrt(hi)]:
@@ -84,14 +84,11 @@ def lambda_array(table: SieveTable, hi: int) -> np.ndarray:
     return lam
 
 
-def mobius_array(table: SieveTable, hi: int) -> np.ndarray:
+def mobius_array(hi: int) -> np.ndarray:
     """mu(n) for all n <= hi as an int8 array (index 0 set to 0)."""
-    if hi > table.limit:
-        raise ValueError(f"query {hi} exceeds sieve limit {table.limit}")
     mu = np.ones(hi + 1, dtype=np.int8)
     acc = np.ones(hi + 1, dtype=np.int64)
-    for p in table.primes(math.isqrt(hi)):
-        p = int(p)
+    for p in _small_primes(math.isqrt(hi)):
         mu[p::p] *= -1
         acc[p::p] *= p
         mu[p * p :: p * p] = 0
@@ -102,20 +99,22 @@ def mobius_array(table: SieveTable, hi: int) -> np.ndarray:
     return mu
 
 
-_table_cache: dict[int, SieveTable] = {}
+_table: SieveTable | None = None
 
 
 def shared_table(limit: int) -> SieveTable:
-    """Process-wide primality table; rounds the limit up so nearby requests share."""
-    _check_limit(limit)
-    for cap, table in _table_cache.items():
-        if cap >= limit:
-            return table
-    cap = max(1 << max(limit - 1, 1).bit_length(), 1 << 16)
-    primality = np.empty(cap + 1, dtype=bool)
-    for lo, seg in primality_segments(cap):
-        primality[lo : lo + seg.size] = seg
-    table = SieveTable(limit=cap, primality=primality)
-    _table_cache.clear()  # keep only the largest; older tables are subsumed
-    _table_cache[cap] = table
-    return table
+    """Process-wide primality table of at least 0..limit, in one cached slot.
+
+    A request at or below the cached limit returns the cached table; a larger
+    one builds exactly 0..limit and replaces it. Limits outside
+    [2, TABLE_LIMIT] raise ValueError before anything is allocated.
+    """
+    global _table
+    if not 2 <= limit <= TABLE_LIMIT:
+        raise ValueError(f"sieve table limit must lie in [2, 2^24], got {limit}")
+    if _table is None or _table.limit < limit:
+        primality = np.empty(limit + 1, dtype=bool)
+        for lo, seg in primality_segments(limit):
+            primality[lo : lo + seg.size] = seg
+        _table = SieveTable(limit=limit, primality=primality)
+    return _table

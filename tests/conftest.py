@@ -7,8 +7,3 @@ from psprimes.sieve import shared_table
 def table():
     # big enough for every dyadic range the suite touches (x = 2^20 needs 2x)
     return shared_table(1 << 21)
-
-
-@pytest.fixture(scope="session")
-def table10m():
-    return shared_table(10 ** 7)

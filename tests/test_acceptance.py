@@ -69,8 +69,8 @@ def test_criterion_02_delta_zero_reduction():
     )
 
 
-def test_criterion_03_heath_brown_identity(table):
-    lam = sv.lambda_array(table, 2 * 10 ** 4)
+def test_criterion_03_heath_brown_identity():
+    lam = sv.lambda_array(2 * 10 ** 4)
     total_mismatch = 0
     for J in (2, 3):
         params = ex.HbParams(J=J, x=10 ** 4, Z=ex.min_valid_cutoff(10 ** 4, J))
@@ -212,7 +212,7 @@ def test_criterion_10_stationary_phase_and_second_derivative():
     )
 
 
-def test_criterion_11_central_sum_trend(table):
+def test_criterion_11_central_sum_trend():
     g = GammaExponent.from_c(1.1)
     ratios = []
     for k in (14, 16, 18, 20):
@@ -226,7 +226,7 @@ def test_criterion_11_central_sum_trend(table):
     H = math.ceil(x ** (1 - g.gamma))
     spec = ex.ExpSumSpec(alpha=math.sqrt(2), g=g, u=0.0, x=x, H=H)
     fast = ex.theorem_sum(spec)
-    lam = sv.lambda_array(table, 2 * x)
+    lam = sv.lambda_array(2 * x)
     slow = 0.0
     for h in range(H + 1, 2 * H + 1):
         s = 0j

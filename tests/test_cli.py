@@ -35,6 +35,24 @@ def run_process(*argv, timeout):
     )
 
 
+def run_process_hwm(*argv, timeout):
+    """run_process, plus the child's own peak RSS (VmHWM) in kilobytes.
+
+    ru_maxrss from wait4 would also count the memory of this process, which
+    the child shares until it execs; the child reads VmHWM itself instead.
+    """
+    code = (
+        "import sys; from psprimes.cli import main; rc = main(sys.argv[1:]); "
+        "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM')]; "
+        "print(hwm[0].split()[1], file=sys.stderr); sys.exit(rc)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=_child_env(),
+        capture_output=True, text=True, timeout=timeout,
+    )
+    return proc, int(proc.stderr.split()[-1])
+
+
 class TestExppairCli:
     def test_bourgain_golden(self, capsys):
         rc, out, _ = run(capsys, "exppair", "eval", "--k", "13/84", "--l", "55/84")
@@ -162,23 +180,27 @@ class TestOtherSubcommands:
 
     def test_hb_verify_huge_cutoff_sieves_only_what_it_reads(self):
         # mu is read on [1, min(Z, 2x)] = [1, 2000]: a cutoff of 2^25 must not
-        # size the sieve table (a 2^25-entry table alone is 32 MB). The child
-        # reports its own VmHWM: ru_maxrss from wait4 also counts the memory
-        # of this process, which the child shares until it execs.
-        code = (
-            "import sys; from psprimes.cli import main; rc = main(sys.argv[1:]); "
-            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM')]; "
-            "print(hwm[0].split()[1], file=sys.stderr); sys.exit(rc)"
-        )
-        argv = ["hb", "verify", "--x", "1000", "--J", "2", "--Z", "33554432"]
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv], env=_child_env(),
-            capture_output=True, text=True, timeout=60,
+        # size the sieve table (a 2^25-entry table alone is 32 MB)
+        proc, hwm = run_process_hwm(
+            "hb", "verify", "--x", "1000", "--J", "2", "--Z", "33554432", timeout=60
         )
         assert proc.returncode == 0, proc.stderr
         header, row = proc.stdout.strip().splitlines()[-2:]
         assert dict(zip(header.split(","), row.split(",")))["mismatches"] == "0"
-        assert int(proc.stderr.split()[-1]) < 60 * 1024  # kilobytes on Linux
+        assert hwm < 60 * 1024  # kilobytes on Linux
+
+    def test_hb_verify_builds_one_table(self, capsys, monkeypatch):
+        from psprimes import sieve
+
+        calls = []
+        segments = sieve.primality_segments
+        monkeypatch.setattr(sieve, "_table", None)
+        monkeypatch.setattr(
+            sieve, "primality_segments", lambda limit: calls.append(limit) or segments(limit)
+        )
+        rc, _, _ = run(capsys, "hb", "verify", "--x", "1000", "--J", "2")
+        assert rc == 0
+        assert calls == [2000]
 
     def test_hb_verify_beyond_work_limit_exit_2(self):
         proc = run_process("hb", "verify", "--x", str(2 ** 22 + 1), "--J", "2", timeout=10)
@@ -226,6 +248,40 @@ class TestOtherSubcommands:
         )
         assert proc.returncode == 2
         assert "stationary points exceed the budget" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["singular-series", "--N", "9", "--P", "16777217"],
+            ["bf", "scan", "--N", "16777217", "--c", "1.1", "--grid-size", "1"],
+            ["expsum", "theorem", "--x", "8388609", "--c", "1.1", "--H", "1"],
+        ],
+        ids=["singular-series", "bf-scan", "expsum-theorem"],
+    )
+    def test_beyond_table_cap_exit_2(self, argv):
+        # each needs a primality table past 2^24: rejected before it is built
+        proc, hwm = run_process_hwm(*argv, timeout=10)
+        assert proc.returncode == 2
+        assert "sieve table limit must lie in [2, 2^24]" in proc.stderr
+        assert hwm < 100 * 1024  # kilobytes on Linux
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expsum", "vdc", "--h", "4", "--c", "1.1", "--N", "10000000000"],
+            ["expsum", "bprocess", "--h", "8", "--c", "1.1", "--N", "10000000000"],
+            ["expsum", "vaaler", "--H", "10000000000"],
+            ["expsum", "bilinear", "--kind", "TypeI", "--x", "30", "--c", "1.1",
+             "--M", "10000000000", "--N", "5", "--h", "2"],
+        ],
+        ids=["vdc", "bprocess", "vaaler", "bilinear"],
+    )
+    def test_oversized_direct_sum_exit_2(self, argv):
+        # 10^10 terms would need 75 GiB per float64 array: rejected before any
+        # array or coefficient list of that size exists
+        proc = run_process(*argv, timeout=10)
+        assert proc.returncode == 2
+        assert "exceeds the limit" in proc.stderr
 
     def test_bf_scan_provenance_max(self, capsys):
         rc, out, _ = run(

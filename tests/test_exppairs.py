@@ -186,6 +186,24 @@ class TestSearch:
         with pytest.raises(ValueError):
             ep.search_pairs([ep.TRIVIAL_PAIR], 2, "max_delta")
 
+    @pytest.mark.parametrize(
+        "objective, gamma",
+        [("gamma_threshold", None), ("type1_gamma_bound", None), ("max_delta", F(19, 20))],
+    )
+    def test_best_is_least_of_trace(self, objective, gamma):
+        # documented order: value first (largest for max_delta, else least),
+        # then the shorter word, then the lexicographically smaller word
+        res = ep.search_pairs(
+            [ep.TRIVIAL_PAIR, ep.BOURGAIN_PAIR], 8, objective, gamma=gamma
+        )
+        sign = -1 if objective == "max_delta" else 1
+        ranked = sorted(res.trace, key=lambda t: (sign * t[3], len(t[0]), t[0]))
+        assert (res.best.word, res.value) == (ranked[0][0], ranked[0][3])
+        tied = [t[0] for t in res.trace if t[3] == res.value]
+        assert res.best.word == min(tied, key=lambda w: (len(w), w))
+        if objective == "max_delta":
+            assert len(tied) > 1  # the word order decides
+
     def test_trace_is_deterministic(self):
         a = ep.search_pairs([ep.TRIVIAL_PAIR], 5, "gamma_threshold")
         b = ep.search_pairs([ep.TRIVIAL_PAIR], 5, "gamma_threshold")

@@ -11,9 +11,9 @@ from psprimes import sieve as sv
 from psprimes.numeric import GammaExponent, unit_exp_parts
 
 
-def naive_theorem_sum(spec, table):
+def naive_theorem_sum(spec):
     """Two-loop reference evaluation in plain Python arithmetic."""
-    lam = sv.lambda_array(table, 2 * spec.x)
+    lam = sv.lambda_array(2 * spec.x)
     n_lo, n_hi = spec.n_bounds()
     total = 0.0
     for h in spec.h_values():
@@ -27,11 +27,11 @@ def naive_theorem_sum(spec, table):
 
 
 class TestTheoremSum:
-    def test_matches_naive_oracle(self, table):
+    def test_matches_naive_oracle(self):
         g = GammaExponent.from_c(1.1)
         spec = ex.ExpSumSpec(alpha=math.sqrt(2), g=g, u=0.0, x=2 ** 10, H=2)
         fast = ex.theorem_sum(spec)
-        slow = naive_theorem_sum(spec, table)
+        slow = naive_theorem_sum(spec)
         assert fast == pytest.approx(slow, rel=1e-6)
 
     def test_empty_h_interval_gives_zero(self):
@@ -41,14 +41,14 @@ class TestTheoremSum:
         )
         assert ex.theorem_sum(spec) == 0.0
 
-    def test_reduces_to_plain_form_at_alpha_zero(self, table):
+    def test_reduces_to_plain_form_at_alpha_zero(self):
         # alpha = 0, u = 0 must agree with an independently coded
         # sum_h |sum_n Lambda(n) e(h n^gamma)| evaluation
         g = GammaExponent.from_c(1.1)
         x, H = 2 ** 10, 3
         spec = ex.ExpSumSpec(alpha=0.0, g=g, u=0.0, x=x, H=H)
         val = ex.theorem_sum(spec)
-        lam = sv.lambda_array(table, 2 * x)
+        lam = sv.lambda_array(2 * x)
         total = 0.0
         for h in range(H + 1, 2 * H + 1):
             s = 0j
@@ -58,11 +58,11 @@ class TestTheoremSum:
             total += abs(s)
         assert val == pytest.approx(total, rel=1e-9)
 
-    def test_triangle_inequality_bound(self, table):
+    def test_triangle_inequality_bound(self):
         g = GammaExponent.from_c(1.05)
         spec = ex.ExpSumSpec(alpha=0.7, g=g, u=0.3, x=2 ** 10, H=3)
         val = ex.theorem_sum(spec)
-        lam = sv.lambda_array(table, 2 ** 11)
+        lam = sv.lambda_array(2 ** 11)
         cap = float(lam[2 ** 10 + 1 :].sum()) * len(spec.h_values())
         assert val <= cap
 
@@ -75,7 +75,7 @@ class TestTheoremSum:
         assert scaled == pytest.approx(plain * factor, rel=1e-12)
 
     def test_resource_guard(self, monkeypatch):
-        monkeypatch.setenv("PSPRIMES_MAX_XH", "1000")
+        monkeypatch.setattr(ex, "_MAX_XH", 1000)
         g = GammaExponent.from_c(1.1)
         spec = ex.ExpSumSpec(alpha=0.0, g=g, u=0.0, x=2 ** 10, H=8)
         with pytest.raises(ex.ResourceGuardError):
@@ -206,6 +206,29 @@ class TestVdc:
             ex.vdc_bound_check(0.0, GammaExponent.from_c(1.1), 0.0, 1024)
 
 
+class TestDirectSumLimits:
+    def test_limits_are_inclusive_and_checked_first(self, monkeypatch):
+        monkeypatch.setattr(ex, "_MAX_DIRECT_TERMS", 64)
+        monkeypatch.setattr(ex, "_MAX_VAALER_H", 8)
+        g = GammaExponent.from_c(1.1)
+        ex.vdc_bound_check(1.0, g, 0.0, 64)
+        ex.b_process_compare(1.0, g, 64)
+        ex.vaaler_coeffs(8)
+        ex.check_bilinear_size(range(8), range(8))
+        with pytest.raises(ex.ResourceGuardError):
+            ex.vdc_bound_check(1.0, g, 0.0, 65)
+        with pytest.raises(ex.ResourceGuardError):
+            ex.b_process_compare(1.0, g, 65)
+        with pytest.raises(ex.ResourceGuardError):
+            ex.vaaler_coeffs(9)
+        with pytest.raises(ex.ResourceGuardError):
+            # rejected before the (misaligned) coefficients are read
+            ex.bilinear_sum(
+                "TypeII", [], [], range(8), range(9),
+                alpha=0.0, g=g, u=0.0, x=30, h_weights={1: 1.0},
+            )
+
+
 class TestBProcess:
     def test_error_within_bound_on_grid(self):
         g = GammaExponent.from_c(1.1)
@@ -263,8 +286,17 @@ class TestHeathBrown:
         handle = ex.hb_terms(ex.HbParams(J=2, x=10, Z=5))
         assert ex.hb_reconstruct(handle, 16) == pytest.approx(math.log(2), abs=1e-12)
 
-    def test_full_dyadic_range_agreement(self, table):
-        lam = sv.lambda_array(table, 2 * 10 ** 4)
+    def test_builds_no_table(self, monkeypatch):
+        # mu comes from the base primes <= sqrt(Z) alone
+        calls = []
+        monkeypatch.setattr(sv, "_table", None)
+        monkeypatch.setattr(sv, "primality_segments", lambda limit: calls.append(limit))
+        handle = ex.hb_terms(ex.HbParams(J=3, x=1000, Z=50))
+        assert calls == [] and sv._table is None
+        assert ex.hb_reconstruct(handle, 1009) == pytest.approx(math.log(1009), abs=1e-9)
+
+    def test_full_dyadic_range_agreement(self):
+        lam = sv.lambda_array(2 * 10 ** 4)
         for J in (2, 3):
             params = ex.HbParams(J=J, x=10 ** 4, Z=ex.min_valid_cutoff(10 ** 4, J))
             handle = ex.hb_terms(params)
@@ -351,10 +383,10 @@ class TestReductionsMatchInlineFsum:
         cos, sin = unit_exp_parts(phase)
         return math.hypot(math.fsum(w * cos), math.fsum(w * sin))
 
-    def test_theorem_sum(self, table):
+    def test_theorem_sum(self):
         g = GammaExponent.from_c(1.1)
         spec = ex.ExpSumSpec(alpha=math.sqrt(2), g=g, u=0.25, x=2 ** 18, H=2)
-        lam = sv.lambda_array(table, 2 ** 19)
+        lam = sv.lambda_array(2 ** 19)
         ns = np.arange(2 ** 18 + 1, 2 ** 19 + 1, dtype=np.int64)
         w = lam[ns]
         ns, w = ns[w > 0], w[w > 0]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,39 @@ class TestBuildTable:
             sv.shared_table((1 << 34) + 1)
 
 
+class TestSharedTable:
+    @pytest.fixture
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(sv, "_table", None)
+
+    @pytest.mark.parametrize("n", [2, 3000, 10 ** 7, sv.TABLE_LIMIT])
+    def test_exact_size(self, empty_cache, n):
+        table = sv.shared_table(n)
+        assert table.limit == n and table.primality.size == n + 1
+        assert np.array_equal(table.primality[-3000:], eratosthenes(n)[-3000:])
+
+    def test_smaller_request_hits_larger_replaces(self, empty_cache):
+        first = sv.shared_table(5000)
+        assert sv.shared_table(5000) is first
+        assert sv.shared_table(100) is first
+        second = sv.shared_table(5001)
+        assert second is not first and second.limit == 5001
+        assert sv.shared_table(5000) is second
+
+    def test_beyond_cap_rejected_before_allocating(self, empty_cache, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sv, "primality_segments", lambda limit: calls.append(limit))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"\[2, 2\^24\]"):
+                sv.shared_table(sv.TABLE_LIMIT + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and sv._table is None
+        assert peak < 1 << 20
+
+
 class TestPrimalitySegments:
     @pytest.mark.parametrize(
         "limit",
@@ -93,19 +127,19 @@ class TestPrimalitySegments:
 
 
 class TestArithmeticFunctions:
-    def test_von_mangoldt_examples(self, table):
-        lam = sv.lambda_array(table, 97)
+    def test_von_mangoldt_examples(self):
+        lam = sv.lambda_array(97)
         assert lam[8] == pytest.approx(math.log(2))
         assert lam[6] == 0.0 and lam[1] == 0.0
         assert lam[97] == pytest.approx(math.log(97))
 
-    def test_mobius_examples(self, table):
-        mu = sv.mobius_array(table, 30)
+    def test_mobius_examples(self):
+        mu = sv.mobius_array(30)
         assert [mu[n] for n in (0, 1, 4, 6, 30)] == [0, 1, 0, 1, -1]
 
-    def test_bulk_arrays_match_queries(self, table):
-        lam = sv.lambda_array(table, 3000)
-        mu = sv.mobius_array(table, 3000)
+    def test_bulk_arrays_match_queries(self):
+        lam = sv.lambda_array(3000)
+        mu = sv.mobius_array(3000)
         for n in range(1, 3001):
             assert mu[n] == trial_mobius(n)
             if n >= 2:
@@ -114,25 +148,33 @@ class TestArithmeticFunctions:
     def test_results_are_fresh_arrays(self, table):
         # writing into one result must not leak into the next call's
         for bulk in (sv.lambda_array, sv.mobius_array):
-            first = bulk(table, table.limit)
+            first = bulk(table.limit)
             want = first.copy()
             first[:] = 7
-            assert np.array_equal(bulk(table, table.limit), want)
+            assert np.array_equal(bulk(table.limit), want)
 
     def test_query_beyond_limit_rejected(self, table):
         with pytest.raises(ValueError, match="exceeds sieve limit"):
             table.primes(table.limit + 1)
-        for bulk in (sv.lambda_array, sv.mobius_array):
-            with pytest.raises(ValueError, match="exceeds sieve limit"):
-                bulk(table, table.limit + 1)
 
-    def test_chebyshev_psi_sanity(self, table10m):
-        lam = sv.lambda_array(table10m, 10 ** 7)
+    @pytest.mark.parametrize("p", [53, 1999])
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    def test_mobius_at_square_of_a_prime(self, p, d):
+        # at hi = p^2 - 1 the base primes stop below p; at p^2 they include it
+        hi = p * p + d
+        mu = sv.mobius_array(hi)
+        assert mu.size == hi + 1 and mu[0] == 0
+        window = range(1, hi + 1) if p < 100 else range(hi - 300, hi + 1)
+        assert all(mu[n] == trial_mobius(n) for n in window)
+        assert all(mu[k * p] == trial_mobius(k * p) for k in range(1, hi // p + 1, 37))
+
+    def test_chebyshev_psi_sanity(self):
+        lam = sv.lambda_array(10 ** 7)
         ratio = float(lam.sum()) / 1e7
         assert 0.996 <= ratio <= 1.004
 
-    def test_mertens_sanity(self, table10m):
-        mu = sv.mobius_array(table10m, 10 ** 7)
+    def test_mertens_sanity(self):
+        mu = sv.mobius_array(10 ** 7)
         cum = np.cumsum(mu.astype(np.int64))
         for x in (10 ** 5, 10 ** 6, 10 ** 7):
             assert abs(int(cum[x])) <= x ** 0.6
