@@ -13,12 +13,13 @@ Every reduction is an exactly rounded sum over a fixed order
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numeric import GammaExponent, fsum_array, unit_exp, unit_exp_parts
-from .pspseq import ps_member_array
+from .pspseq import _ps_member_at
 from .sieve import lambda_array, mobius_array, shared_table
 
 # Largest x*H theorem_sum accepts (its work is about pi(2x)*H phase terms).
@@ -26,7 +27,8 @@ _MAX_XH = 10 ** 13
 # Largest N of vdc_bound_check and b_process_compare, and largest number of
 # (m, n) pairs of bilinear_sum. Through the CLI on a 2-core x86-64 VM: N = 2^24
 # takes ~3.3 s and 675 MB; bilinear 3.4 s and 580 MB at M = 1, N = 2^24 (8 s,
-# 1.1 GB with --bn log) and 112 s, 434 MB at M = 2^24, N = 1 (its per-m loop).
+# 1.1 GB with --bn log); at M = 2^24, N = 1, 1.2 s when no m*n lies in
+# (x, 2x] but 382 s and 1.6 GB when every m does (its per-m loop).
 _MAX_DIRECT_TERMS = 1 << 24
 _MAX_VAALER_H = 10 ** 6  # expsum vaaler prints H + 1 rows: 8.7 s, 480 MB at 10^6
 
@@ -152,6 +154,13 @@ def bilinear_sum(
         raise ValueError("need |delta_h| <= 1")
 
     ns = np.fromiter(n_range, dtype=np.int64)
+    m_idx = range(len(m_range))
+    if ns.size and m_range.step > 0 and ns.min() >= 1:
+        # some m*n lies in (x, 2x] only if x // max(n) < m <= 2x // min(n)
+        m_idx = range(
+            bisect_right(m_range, x // int(ns.max())),
+            bisect_right(m_range, 2 * x // int(ns.min())),
+        )
     gam = g.gamma
     res: list[float] = []
     ims: list[float] = []
@@ -159,7 +168,8 @@ def bilinear_sum(
         delta = h_weights[h]
         if delta == 0.0:
             continue
-        for i, m in enumerate(m_range):
+        for i in m_idx:
+            m = m_range[i]
             prod = m * ns
             mask = (prod > x) & (prod <= 2 * x)
             if not mask.any():
@@ -470,7 +480,7 @@ def bf_discrepancy(nmax: int, c: float, alpha: float) -> float:
 def _bf_weight_vector(nmax: int, c: float) -> np.ndarray:
     g = GammaExponent.from_c(c)
     ps = shared_table(nmax).primes(nmax)
-    member = ps_member_array(nmax, g)[ps]
+    member = _ps_member_at(ps, g)
     pf = ps.astype(np.float64)
     logp = np.log(pf)
     return c * pf ** (1.0 - g.gamma) * logp * member - logp

@@ -29,8 +29,16 @@ TWO_PI = 2.0 * math.pi
 _FLOAT_POW_REL = 2.0 ** -47
 
 # Relative guard band for vectorised floors: anything whose fractional part
-# comes closer than this to 0 or 1 is re-decided by the scalar certified path.
-_ARRAY_GUARD_REL = 1e-12
+# comes within y*_ARRAY_GUARD_REL of 0 or 1 is re-decided by the scalar
+# certified path. For n < 2^53 the float n is exact and y = n**e is trusted to
+# the radius y*_FLOAT_POW_REL, as in the scalar path. For y >= 1, floor(y),
+# frac = y - floor(y) and y*2^-46 are exact in float64, so the test
+# frac <= tol is exact; only 1 - tol is rounded, by at most 2^-54 <= tol/2^8.
+# An entry that passes both tests therefore lies more than
+# (2 - 2^-7)*y*_FLOAT_POW_REL from every integer, beyond the radius, and its
+# floor is certain. Twice the radius is the least power-of-two guard that
+# absorbs that rounding.
+_ARRAY_GUARD_REL = 2.0 * _FLOAT_POW_REL
 
 _ESCALATION_PRECS = (96, 160, 256, 416, 704, 1184, 2000)
 
@@ -166,7 +174,7 @@ def _pow_parts_array(ns: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
     y = ns.astype(np.float64) ** e
     fl = np.floor(y)
     frac = y - fl
-    tol = np.maximum(np.abs(y) * _ARRAY_GUARD_REL, _ARRAY_GUARD_REL)
+    tol = y * _ARRAY_GUARD_REL  # y >= 1: every base is >= 1 and e > 0
     risky = (frac <= tol) | (frac >= 1.0 - tol)
     out = fl.astype(np.int64)
     if risky.any():

@@ -13,13 +13,21 @@ rounding bound (Percival, Math. Comp. 2003; stated at
 within 1/4 of an integer, else ArithmeticError; at N = 10^6 with every
 prime the bound is 6.5e-9.
 
+Membership is decided at the points that are read: ``_ps_member_at`` takes
+the certified ceilings of m^gamma and (m+1)^gamma for an array of m in one
+``_pow_parts_array`` call, and ``_beatty_member_at`` does the same for the
+Beatty boundaries. ``ps_member_array`` and ``beatty_member_array`` are their
+range forms over 1..limit.
+
 The prime counts (plain, progression, Beatty) and their main terms stream
 over [0, x] in one pass of fixed-size blocks: primality comes from a
-segmented sieve over the base primes <= sqrt(x), membership from the same
-certified kernel as ``ps_member_array`` applied to the block, and the main
-term from an exactly rounded sum fed block by block. Memory is
-O(block + sqrt(x)) whatever x is; no table is built. Goldbach counts and
-the singular series read the shared primality table.
+segmented sieve over the base primes <= sqrt(x), membership is decided at
+the block's primes in the progression only (the Beatty test only at the
+floor-power members), and the main term is an exactly rounded sum fed block
+by block. Memory is O(segment + sqrt(x)) whatever x is; no table is built.
+Goldbach counts and the weights of ``bf_discrepancy`` decide membership at
+the primes of the shared primality table, which the singular series reads
+too.
 """
 
 from __future__ import annotations
@@ -62,14 +70,26 @@ def ps_indicator(m: int, g: GammaExponent) -> int:
     return floor_neg_pow(m, g.gamma) - floor_neg_pow(m + 1, g.gamma)
 
 
-def ps_member_array(limit: int, g: GammaExponent, lo: int = 0) -> np.ndarray:
-    """Boolean membership for lo <= m <= limit; entry i is m = lo + i (0 is no member)."""
-    start = max(lo, 1)
-    ms = np.arange(start, limit + 2, dtype=np.int64)
-    fl, frac = _pow_parts_array(ms, g.gamma)
+def _indicator_parts(ms: np.ndarray, gam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ceil((m+1)^gam) - ceil(m^gam), frac of m^gam, frac of (m+1)^gam) per m in ms.
+
+    One certified _pow_parts_array call on the bases ms and ms + 1.
+    """
+    k = ms.size
+    fl, frac = _pow_parts_array(np.concatenate([ms, ms + 1]), gam)
     ceil = fl + (frac > 0)
-    out = np.zeros(limit + 1 - lo, dtype=bool)
-    out[start - lo :] = (ceil[1:] - ceil[:-1]) == 1
+    return ceil[k:] - ceil[:k], frac[:k], frac[k:]
+
+
+def _ps_member_at(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
+    """Boolean membership of each m >= 1 in the int64 array ms."""
+    return _indicator_parts(ms, g.gamma)[0] == 1
+
+
+def ps_member_array(limit: int, g: GammaExponent) -> np.ndarray:
+    """Boolean membership for 0 <= m <= limit, indexed by m (0 is no member)."""
+    out = np.zeros(limit + 1, dtype=bool)
+    out[1:] = _ps_member_at(np.arange(1, limit + 1, dtype=np.int64), g)
     return out
 
 
@@ -92,9 +112,7 @@ def ps_expansion_residual_array(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
     if ms.size and ms.min() < 2:
         raise ValueError("all m must be >= 2")
     gam = g.gamma
-    fl0, fr0 = _pow_parts_array(ms, gam)
-    fl1, fr1 = _pow_parts_array(ms + 1, gam)
-    ind = (fl1 + (fr1 > 0)) - (fl0 + (fr0 > 0))
+    ind, fr0, fr1 = _indicator_parts(ms, gam)
     expansion = (
         gam * ms.astype(np.float64) ** (gam - 1.0)
         + _psi_of_negated(fr1)
@@ -104,10 +122,12 @@ def ps_expansion_residual_array(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
 
 
 # Integers per block of the counting sweep; sieve segments are split into
-# blocks this small. The membership kernel allocates about ten temporaries
-# per block: at 2^14 entries (128 KiB per float array) it measured 14 ns per
-# entry, at 2^18 two to four times that (x86-64, numpy 2.4).
-_BLOCK = 1 << 14
+# blocks this small, and membership is decided at each block's primes in one
+# kernel call (about 2*_BLOCK/log(x) entries, each with ten or so float
+# temporaries). Blocks of 2^14, 2^16 and 2^18 integers took 0.34, 0.32 and
+# 0.34 s for a count to 3*10^7 at c = 1.05, and 0.18, 0.12 and 0.12 s for
+# the progression 3 mod 997 (2-core x86-64 VM, numpy 2.4).
+_BLOCK = 1 << 16
 
 
 def _sweep(
@@ -116,20 +136,21 @@ def _sweep(
     """Per block of [0, x]: its primes p = a (mod q), and how many are members.
 
     Members are floor-power members for g (none without g), further
-    restricted to the Beatty sequence for B.
+    restricted to the Beatty sequence for B; membership is decided at the
+    primes only.
     """
     for seg_lo, is_prime in primality_segments(x):
-        for lo in range(seg_lo, seg_lo + is_prime.size, _BLOCK):
-            hi = min(lo + _BLOCK, seg_lo + is_prime.size) - 1
-            ps = np.flatnonzero(is_prime[lo - seg_lo : hi - seg_lo + 1]) + lo
-            if q > 1:
-                ps = ps[ps % q == a]
+        for lo in range(0, is_prime.size, _BLOCK):
+            first = lo + (a - seg_lo - lo) % q  # the block's first m = a (mod q)
+            ps = np.flatnonzero(is_prime[first : lo + _BLOCK : q])
+            ps *= q
+            ps += seg_lo + first
             members = 0
             if g is not None:
-                member = ps_member_array(hi, g, lo)
+                member = _ps_member_at(ps, g)
                 if B is not None:
-                    member &= beatty_member_array(hi, B, lo)
-                members = int(np.count_nonzero(member[ps - lo]))
+                    member[member] = _beatty_member_at(ps[member], B)
+                members = int(np.count_nonzero(member))
             yield ps, members
 
 
@@ -178,6 +199,8 @@ def _ap_sweep(
 def refined_main_term(x: int, c: float, q: int = 1, a: int = 0) -> float:
     """gamma * sum of p^(gamma-1) over primes p <= x with p = a (mod q)."""
     g = GammaExponent.from_c(c)
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
     return _refined_sweep(x, g.gamma, q, a)[0]
 
 
@@ -315,20 +338,24 @@ def _beatty_member_exact(m: int, B: BeattyParams) -> bool:
         return bool(n0 >= 1 and n0 < hi)
 
 
-def beatty_member_array(limit: int, B: BeattyParams, lo: int = 0) -> np.ndarray:
-    """Boolean Beatty membership for lo <= m <= limit; entry i is m = lo + i (0 is no member)."""
-    start = max(lo, 1)
-    ms = np.arange(start, limit + 1, dtype=np.float64)
-    lo_n = (ms - B.beta) / B.alpha
-    hi_n = (ms + 1.0 - B.beta) / B.alpha
+def _beatty_member_at(ms: np.ndarray, B: BeattyParams) -> np.ndarray:
+    """Boolean Beatty membership of each m >= 1 in the int64 array ms."""
+    mf = ms.astype(np.float64)
+    lo_n = (mf - B.beta) / B.alpha
+    hi_n = (mf + 1.0 - B.beta) / B.alpha
     n0 = np.ceil(lo_n)
     member = (n0 >= 1.0) & (n0 < hi_n)
     tol = (np.abs(lo_n) + np.abs(hi_n) + 1.0) * _BEATTY_GUARD_REL
     risky = (np.abs(lo_n - np.rint(lo_n)) < tol) | (np.abs(hi_n - np.rint(hi_n)) < tol)
-    for i in np.nonzero(risky)[0]:
-        member[i] = _beatty_member_exact(int(start + i), B)
-    out = np.zeros(limit + 1 - lo, dtype=bool)
-    out[start - lo :] = member
+    for i in np.flatnonzero(risky):
+        member[i] = _beatty_member_exact(int(ms[i]), B)
+    return member
+
+
+def beatty_member_array(limit: int, B: BeattyParams) -> np.ndarray:
+    """Boolean Beatty membership for 0 <= m <= limit, indexed by m (0 is no member)."""
+    out = np.zeros(limit + 1, dtype=bool)
+    out[1:] = _beatty_member_at(np.arange(1, limit + 1, dtype=np.int64), B)
     return out
 
 
@@ -457,9 +484,11 @@ def goldbach3_count(
     r[s] counts the pairs (p1, p2) with p1 + p2 = s, from one FFT
     convolution certified by an a-priori rounding bound (see
     ``_pair_sum_counts``; ArithmeticError if it cannot be certified), and
-    the exact count is the integer sum of r[N - p3]. About 0.25 s at
-    N = 10^6. Even N is degenerate: the prediction is exactly 0 (singular
-    series), the exact count is still reported.
+    the exact count is the integer sum of r[N - p3]. Membership is decided
+    at the primes <= N only. About 0.3 s at N = 10^6, nearly all of it the
+    FFT (membership at the 78,498 primes takes ~5 ms; 2-core x86-64 VM).
+    Even N is degenerate: the prediction is exactly 0 (singular series), the
+    exact count is still reported.
     """
     lo, hi = GOLDBACH_N_RANGE
     if not lo <= N <= hi:
@@ -468,15 +497,10 @@ def goldbach3_count(
     for c in cs:
         if not 1.0 < c < 1.2:
             raise ValueError(f"each exponent must lie in (1, 6/5), got {c}")
-    prime_mask = shared_table(max(N, SINGULAR_SERIES_P)).primality[: N + 1]
-    members = {}
-    for c in sorted(set(cs)):
-        members[c] = ps_member_array(N, GammaExponent.from_c(c)) & prime_mask
-    p1 = np.nonzero(members[c1])[0]
-    p2 = np.nonzero(members[c2])[0]
-    r = _pair_sum_counts(p1, p2, N)
-    p3 = np.nonzero(members[c3])[0]
-    exact = int(r[N - p3].sum())
+    ps = shared_table(max(N, SINGULAR_SERIES_P)).primes(N)
+    members = {c: ps[_ps_member_at(ps, GammaExponent.from_c(c))] for c in set(cs)}
+    r = _pair_sum_counts(members[c1], members[c2], N)
+    exact = int(r[N - members[c3]].sum())
 
     ss = singular_series(N, SINGULAR_SERIES_P)
     gs = [GammaExponent.from_c(c).gamma for c in cs]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +139,44 @@ class TestBilinear:
             alpha=0.25, g=g, u=0.5, x=x, h_weights={2: 1.0, 3: -0.5},
         )
         assert got == pytest.approx(abs(want), abs=1e-12)
+
+    def test_no_product_in_range_returns_at_once(self):
+        # m in (2^20, 2^21] and n = 2 give m*n in (2^21, 2^22], none in (x, 2x]
+        g = GammaExponent.from_c(1.1)
+        M = x = 1 << 20
+        t0 = time.perf_counter()
+        val = ex.bilinear_sum(
+            "TypeI", [1.0] * M, [1.0], range(M + 1, 2 * M + 1), range(2, 3),
+            alpha=0.0, g=g, u=0.0, x=x, h_weights={1: 1.0},
+        )
+        assert val == 0.0
+        assert time.perf_counter() - t0 < 1.0  # the loop over every m took ~7 s
+
+    @pytest.mark.parametrize("x", [2500, 4000, 9000])
+    def test_partial_overlap_equals_full_loop(self, x):
+        # the reference visits every m, as the loop did before it was windowed
+        g = GammaExponent.from_c(1.05)
+        mr, nr, u, alpha = range(10, 400), range(7, 30), 0.25, 0.3
+        a = np.cos(np.arange(len(mr), dtype=np.float64))
+        b = np.linspace(-1.0, 1.0, len(nr))
+        weights = {1: 1.0, 4: -0.5}
+        ns = np.fromiter(nr, dtype=np.int64)
+        res, ims = [], []
+        for h, delta in sorted(weights.items()):
+            for i, m in enumerate(mr):
+                prod = m * ns
+                mask = (prod > x) & (prod <= 2 * x)
+                if not mask.any():
+                    continue
+                sel = prod[mask]
+                cos, sin = unit_exp_parts(alpha * sel + h * (sel + u) ** g.gamma)
+                res.append(delta * float(a[i]) * math.fsum(b[mask] * cos))
+                ims.append(delta * float(a[i]) * math.fsum(b[mask] * sin))
+        want = math.hypot(math.fsum(res), math.fsum(ims))
+        got = ex.bilinear_sum(
+            "TypeII", a, b, mr, nr, alpha=alpha, g=g, u=u, x=x, h_weights=weights
+        )
+        assert got == want and want > 0.0
 
     def test_coefficient_bounds_enforced(self):
         g = GammaExponent.from_c(1.1)

@@ -65,6 +65,110 @@ class TestFloorPow:
             nc.CertifiedReal(1.0, -0.5)
 
 
+def oracle_pow_parts(n, e):
+    """(floor(n**e), whether n**e is an integer) for the float exponent e.
+
+    With e = P/Q in lowest terms, Q <= 64 is decided in exact integer
+    arithmetic (k**Q <= n**P < (k+1)**Q); for larger Q (a power of two) and
+    2 <= n < 2^53, n**e is irrational, and 1000-bit mpmath decides the floor
+    with a margin that is asserted.
+    """
+    if n == 1:
+        return 1, True
+    P, Q = e.as_integer_ratio()
+    with mpmath.workprec(1000):
+        y = mpmath.power(n, mpmath.mpf(e))
+        k = int(mpmath.floor(y))
+        margin = mpmath.ldexp(y, -900)
+        if Q > 64:
+            assert k + margin < y < k + 1 - margin, (n, e)
+            return k, False
+    t = n ** P
+    while k ** Q > t:
+        k -= 1
+    while (k + 1) ** Q <= t:
+        k += 1
+    return k, k ** Q == t
+
+
+def oracle_member(m, gamma):
+    """ceil((m+1)^gamma) - ceil(m^gamma) == 1, from the oracle floors."""
+    ceils = [f + (not exact) for f, exact in (oracle_pow_parts(v, gamma) for v in (m, m + 1))]
+    return ceils[1] - ceils[0] == 1
+
+
+TOP = (1 << 53) - 1  # largest array base
+
+
+@st.composite
+def rational_power_case(draw):
+    """(n, e) with e = float(p/q) and n = k^q - 1, k^q or k^q + 1, so n**e sits
+    next to the integer k^p, or on it when p/q is dyadic."""
+    q = draw(st.integers(2, 7))
+    p = draw(st.integers(1, 4 * q - 1).filter(lambda p: p % q))
+    k = draw(st.integers(2, int((TOP - 1) ** (1.0 / q))))
+    n = k ** q + draw(st.sampled_from((-1, 0, 1)))
+    return n, p / q
+
+
+# exponents a few ulps from 569/498 and from its reciprocal 498/569
+near_569_498 = st.builds(
+    lambda base, steps: base + steps * math.ulp(base),
+    st.sampled_from((569 / 498, 498 / 569)),
+    st.integers(-4, 4),
+)
+near_top = st.integers(TOP - (1 << 12), TOP)
+hard_case = st.one_of(
+    rational_power_case(),
+    st.tuples(near_top, st.one_of(near_569_498, st.floats(0.05, 3.95))),
+    st.tuples(st.integers(2, TOP), near_569_498),
+)
+
+
+class TestAdversarialFloors:
+    @settings(max_examples=300, deadline=None)
+    @given(case=hard_case)
+    def test_floor_pow_against_oracle(self, case):
+        n, e = case
+        assert nc.floor_pow(n, e) == oracle_pow_parts(n, e)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        eq=st.one_of(
+            st.sampled_from(((0.5, 2), (2 / 3, 3), (0.75, 4), (1.125, 8))),
+            st.tuples(near_569_498, st.just(None)),
+        ),
+    )
+    def test_floor_pow_array_against_oracle(self, data, eq):
+        # n = k^q +- 1 for e = p/q, n near 2^53, and e near 569/498; every
+        # floor stays below 2^63, the range of the int64 result
+        e, q = eq
+        ns = data.draw(st.lists(st.one_of(near_top, st.integers(1, TOP)), max_size=10))
+        if q is not None:
+            ks = data.draw(st.lists(st.integers(2, int((TOP - 1) ** (1.0 / q))), max_size=10))
+            ns += [k ** q + d for k in ks for d in (-1, 0, 1)]
+        got = nc.floor_pow_array(np.array(ns, dtype=np.int64), e)
+        assert got.tolist() == [oracle_pow_parts(n, e)[0] for n in ns]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), pq_=st.sampled_from(((2, 3), (3, 4), (3, 5), (4, 5), (4, 7), (5, 6), (6, 7))))
+    def test_member_at_against_oracle(self, data, pq_):
+        # gamma = p/q with m or m + 1 in {k^q - 1, k^q, k^q + 1}, near 2^53, and
+        # gamma a few ulps from 498/569
+        from psprimes import pspseq
+
+        p, q = pq_
+        near = data.draw(st.booleans())
+        gamma = data.draw(near_569_498.filter(lambda v: v < 1)) if near else p / q
+        g = nc.GammaExponent.from_gamma(gamma)
+        ks = data.draw(st.lists(st.integers(2, int((TOP - 2) ** (1.0 / q))), max_size=8))
+        ms = [k ** q + d for k in ks for d in (-2, -1, 0, 1)]
+        ms += data.draw(st.lists(st.integers(TOP - (1 << 12), TOP - 1), max_size=6))
+        got = pspseq._ps_member_at(np.array(ms, dtype=np.int64), g)
+        assert got.tolist() == [oracle_member(m, gamma) for m in ms]
+
+
 class TestPsi:
     def test_examples(self):
         assert nc.psi(0.25) == -0.25

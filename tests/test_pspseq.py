@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from psprimes import pspseq as pq
 from psprimes import sieve as sv
-from psprimes.numeric import GammaExponent, floor_pow, floor_pow_array
+from psprimes.numeric import GammaExponent, _pow_parts_array, floor_pow, floor_pow_array
 
 
 def brute_member_set(limit, c):
@@ -66,6 +67,27 @@ class TestExpansionResidual:
             res = pq.ps_expansion_residual_array(ms, g)
             bound = 10.0 * ms.astype(np.float64) ** (g.gamma - 2.0)
             assert np.all(np.abs(res) <= bound)
+
+    def test_array_is_bit_identical_to_two_kernel_calls(self):
+        # one call on m and m + 1 together against one call for each
+        ms = np.unique(
+            np.concatenate(
+                [np.arange(2, 3000), np.logspace(3, 9, 500).astype(np.int64), 3 ** np.arange(1, 19)]
+            )
+        )
+        for c in (1.0 + 1e-9, 1.05, 1.5):
+            g = GammaExponent.from_c(c)
+            gam = g.gamma
+            fl0, fr0 = _pow_parts_array(ms, gam)
+            fl1, fr1 = _pow_parts_array(ms + 1, gam)
+            ind = (fl1 + (fr1 > 0)) - (fl0 + (fr0 > 0))
+            psi0 = np.where(fr0 > 0, 0.5 - fr0, -0.5)
+            psi1 = np.where(fr1 > 0, 0.5 - fr1, -0.5)
+            want = ind.astype(np.float64) - (
+                gam * ms.astype(np.float64) ** (gam - 1.0) + psi1 - psi0
+            )
+            got = pq.ps_expansion_residual_array(ms, g)
+            assert got.tobytes() == want.tobytes()
 
     def test_sawtooth_difference_bounded_by_one(self):
         g = GammaExponent.from_c(1.1)
@@ -141,6 +163,19 @@ def beatty_params(alpha, beta):
     return pq.BeattyParams(alpha=float(alpha), beta=beta)
 
 
+@functools.cache
+def nearest_beatty_boundaries(alpha, beta, starts):
+    """m0 = floor(k*alpha + beta) for the 8 k of each window [start, start + 10^6)
+    where k*alpha + beta comes closest to an integer."""
+    B = beatty_params(alpha, beta)
+    ms = []
+    for start in starts:
+        k = np.arange(start, start + 10 ** 6, dtype=np.float64)
+        t = k * B.alpha + beta
+        ms += [int(v * B.alpha + beta) for v in k[np.argpartition(np.abs(t - np.rint(t)), 8)[:8]]]
+    return ms
+
+
 class TestStreamingCount:
     @settings(max_examples=12, deadline=None)
     @given(x=stream_x, c=stream_c)
@@ -181,15 +216,65 @@ class TestStreamingCount:
         assert rep.count == int(np.count_nonzero(mask & pq.beatty_member_array(x, B)))
 
     @settings(max_examples=25, deadline=None)
-    @given(lo=st.integers(0, 3 * BLOCK), span=st.integers(0, 5000), c=stream_c)
+    @given(lo=st.integers(0, 3 << 14), span=st.integers(0, 5000), c=stream_c)
     def test_block_kernels_are_slices(self, lo, span, c):
         g = GammaExponent.from_c(c)
         B = pq.BeattyParams.from_label("phi", 0.25)
         hi = lo + span
-        assert np.array_equal(pq.ps_member_array(hi, g, lo), pq.ps_member_array(hi, g)[lo:])
-        assert np.array_equal(
-            pq.beatty_member_array(hi, B, lo), pq.beatty_member_array(hi, B)[lo:]
+        ms = np.arange(max(lo, 1), hi + 1, dtype=np.int64)
+        assert np.array_equal(pq._ps_member_at(ms, g), pq.ps_member_array(hi, g)[ms])
+        assert np.array_equal(pq._beatty_member_at(ms, B), pq.beatty_member_array(hi, B)[ms])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        c=stream_c,
+        alpha=st.sampled_from(("sqrt2", "phi", "2.345678901234")),
+        beta=st.sampled_from((0.0, 0.3)),
+    )
+    def test_point_kernels_equal_range_form(self, data, c, alpha, beta):
+        # sorted point sets mixing random m, m at block and segment edges, m
+        # next to n^c (m^gamma near an integer) and m next to the nearest
+        # Beatty boundaries
+        g = GammaExponent.from_c(c)
+        B = beatty_params(alpha, beta)
+        seg = sv._SEGMENT
+        near = st.integers(-2, 2)
+        edge = st.builds(
+            lambda k, d: k + d, st.sampled_from((1 << 14, BLOCK, 2 * BLOCK, seg)), near
         )
+        near_integer = st.builds(
+            lambda n, d: int(n ** c) + d, st.integers(1, int(seg ** (1.0 / c))), near
+        )
+        boundary = st.builds(
+            lambda m, d: m + d,
+            st.sampled_from([m for m in nearest_beatty_boundaries(alpha, beta, (1,)) if m < seg]),
+            near,
+        )
+        points = data.draw(
+            st.lists(st.one_of(st.integers(1, seg), edge, near_integer, boundary), min_size=1, max_size=40)
+        )
+        ms = np.unique(np.maximum(np.array(points, dtype=np.int64), 1))
+        hi = int(ms[-1])
+        assert np.array_equal(pq._ps_member_at(ms, g), pq.ps_member_array(hi, g)[ms])
+        assert np.array_equal(pq._beatty_member_at(ms, B), pq.beatty_member_array(hi, B)[ms])
+
+    def test_membership_is_decided_at_primes_only(self, monkeypatch):
+        # a timing-free guard against per-integer work: the kernel sees m and
+        # m + 1 for each prime in the progression, and nothing else
+        entries = []
+        kernel = pq._pow_parts_array
+        monkeypatch.setattr(
+            pq, "_pow_parts_array", lambda ns, e: entries.append(len(ns)) or kernel(ns, e)
+        )
+        x = sv._SEGMENT + 12345
+        ps = np.flatnonzero(eratosthenes(x))
+        pq.ps_prime_count(x, 1.3)
+        assert sum(entries) == 2 * ps.size
+        for q, a in ((3, 2), (7919, 5)):
+            entries.clear()
+            pq.ps_prime_count_ap(x, 1.3, q, a)
+            assert sum(entries) == 2 * int(np.count_nonzero(ps % q == a))
 
 
 class TestApCount:
@@ -229,6 +314,17 @@ class TestApMainTerm:
                 lhs = pq.ap_main_term(10 ** 5, c, q, a)
                 rhs = pq.refined_main_term(10 ** 5, c, q, a)
                 assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    def test_residue_is_taken_mod_q(self):
+        # a names a residue class: a, a + q and a - q select the same primes
+        x, c = 10 ** 5, 1.1
+        for q, a in ((5, 2), (7, 3)):
+            want = pq.refined_main_term(x, c, q, a)
+            assert pq.refined_main_term(x, c, q, a + q) == want
+            assert pq.refined_main_term(x, c, q, a - q) == want
+            assert pq.ap_main_term(x, c, q, a + 2 * q) == pq.ap_main_term(x, c, q, a)
+        with pytest.raises(ValueError):
+            pq.refined_main_term(x, c, 0, 0)
 
     def test_q_one_matches_refined_total(self):
         lhs = pq.ap_main_term(10 ** 5, 1.1, 1, 0)
@@ -307,18 +403,32 @@ class TestBeatty:
         for beta in (0.0, 0.3):
             B = beatty_params(alpha, beta)
             top = int(2 ** 34 / B.alpha)
-            ks = []
-            for start in [*range(1, 10 ** 7, 10 ** 6), top - 10 ** 6]:
-                k = np.arange(start, start + 10 ** 6, dtype=np.float64)
-                t = k * B.alpha + beta
-                ks += (k[np.argpartition(np.abs(t - np.rint(t)), 8)[:8]]).tolist()
-            for k in ks:
-                m0 = int(k * B.alpha + beta)
-                got = pq.beatty_member_array(m0 + 2, B, m0 - 2)
+            starts = (*range(1, 10 ** 7, 10 ** 6), top - 10 ** 6)
+            for m0 in nearest_beatty_boundaries(alpha, beta, starts):
+                got = pq._beatty_member_at(np.arange(m0 - 2, m0 + 3, dtype=np.int64), B)
                 for i, m in enumerate(range(m0 - 2, m0 + 3)):
                     want = pq._beatty_member_exact(m, B)
                     assert got[i] == want, (alpha, beta, m)
                     assert pq.beatty_member(m, B) == want, (alpha, beta, m)
+
+    def test_prime_in_guard_band_reaches_exact_recheck(self, monkeypatch):
+        # beta = p - n*alpha puts the lower boundary (p - beta)/alpha of the
+        # prime p within rounding of the integer n; c near 1 makes p a member
+        c = 1.0 + 1e-9
+        p = 999983
+        alpha = math.sqrt(2.0)
+        B = pq.BeattyParams.from_label("sqrt2", p - (p // alpha) * alpha)
+        assert pq.ps_indicator(p, GammaExponent.from_c(c)) == 1
+        calls = []
+        exact = pq._beatty_member_exact
+        monkeypatch.setattr(
+            pq, "_beatty_member_exact", lambda m, B: calls.append(m) or exact(m, B)
+        )
+        x = p + 50
+        rep = pq.ps_beatty_prime_count(x, c, B)
+        assert p in calls
+        mask, _ = reference_members(x, GammaExponent.from_c(c))
+        assert rep.count == int(np.count_nonzero(mask & pq.beatty_member_array(x, B)))
 
     def test_guard_band_rechecks_are_rare(self, monkeypatch):
         calls = []
