@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-import mpmath
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
@@ -132,6 +131,8 @@ def _pow_parts(n: int, e: float) -> tuple[int, float, bool]:
     root, exact = _iroot(n, frac_e.denominator)
     if exact:
         return root ** frac_e.numerator, 0.0, True
+    import mpmath  # imported here: about 1e-6 of floors ever get this far
+
     for prec in _ESCALATION_PRECS:
         with mpmath.workprec(prec):
             ymp = mpmath.power(n, mpmath.mpf(e))
@@ -158,7 +159,9 @@ def floor_pow_array(ns: np.ndarray, e: float) -> np.ndarray:
     """Vectorised floor(n**e) with the same certification guarantee as floor_pow.
 
     Entries whose float64 fractional part falls inside the guard band are
-    re-decided one by one through the certified scalar path.
+    re-decided one by one through the certified scalar path. Bases outside
+    [1, 2^53), or a power that may reach 2^63 (its float64 value within the
+    guard band of 2^63 or above), raise ValueError up front.
     """
     fl, _ = _pow_parts_array(ns, e)
     return fl
@@ -167,10 +170,15 @@ def floor_pow_array(ns: np.ndarray, e: float) -> np.ndarray:
 def _pow_parts_array(ns: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised (floor, frac) of n**e with guarded near-integer escalation."""
     ns = np.asarray(ns, dtype=np.int64)
-    if ns.size and (ns.min() < 1 or ns.max() >= (1 << 53)):
-        raise ValueError("array bases must lie in [1, 2^53)")
     if not 0.0 < e < 4.0:
         raise ValueError(f"exponent must lie in (0, 4), got {e}")
+    if ns.size:
+        top = int(ns.max())
+        if ns.min() < 1 or top >= (1 << 53):
+            raise ValueError("array bases must lie in [1, 2^53)")
+        # top**e is within the radius top**e * _FLOAT_POW_REL of its float
+        if float(top) ** e * (1.0 + _ARRAY_GUARD_REL) >= 2.0 ** 63:
+            raise ValueError(f"floor({top}**{e!r}) may not fit in int64")
     y = ns.astype(np.float64) ** e
     fl = np.floor(y)
     frac = y - fl
@@ -234,14 +242,66 @@ def gamma_fn(s: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
-# Elements per list chunk in fsum_array. fsum reads plain floats faster than
-# numpy scalars, and converting in chunks keeps the extra memory at one chunk
-# however long the array (a whole-array list takes four times its bytes).
+# fsum_array bins each chunk of _FSUM_CHUNK entries: its int64 temporaries stay
+# in cache, and its extra memory is a few chunks however long the array.
 _FSUM_CHUNK = 1 << 14
+# Below this many entries math.fsum over a list is as fast as the binning or
+# faster (2-core x86-64 VM, normal entries: 0.12 -> 0.07 ms at 2048 entries,
+# 0.7 -> 0.2 ms at 10^4, 20 -> 3.5 ms at 2^18).
+_FSUM_MIN = 1 << 11
+# A bin sums 27-bit halves in float64, which is exact below 2^26 terms.
+_FSUM_MAX = 1 << 26
+# Fewer than 2^26 entries below 2^996 in magnitude keep every partial sum below
+# 2^1022, so neither math.fsum nor the final division can overflow. An array
+# with a larger or a non-finite entry is left to math.fsum itself.
+_FSUM_BIG = 2.0 ** 996
+_MANT_BITS = (1 << 52) - 1
+_LOW_BITS = (1 << 27) - 1
 
 
 def fsum_array(a: np.ndarray) -> float:
-    """Exactly rounded sum of a 1-D float64 array: math.fsum of its elements in order."""
+    """Exactly rounded sum of a 1-D float64 array: math.fsum of its elements.
+
+    A numpy form of Neal's small superaccumulator ("Fast exact summation using
+    small and large superaccumulators", arXiv:1505.05571). Each entry is its
+    signed 53-bit integer mantissa times 2^(exponent field - 1075). The
+    mantissa is split into a 27-bit low half and a signed high half, and both
+    halves are binned by exponent field with np.bincount, exactly. The bins
+    are combined once as a Python int and rounded by one int/int true
+    division, which is correctly rounded, as math.fsum is. An exact zero sum
+    gives +0.0 in both.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if not (
+        _FSUM_MIN <= a.size < _FSUM_MAX and -_FSUM_BIG < a.min() <= a.max() < _FSUM_BIG
+    ):
+        return _fsum_chunked(a)
+    bits = a.view(np.int64)
+    low = np.zeros(2048)
+    high = np.zeros(2048)
+    for i in range(0, bits.size, _FSUM_CHUNK):
+        c = bits[i : i + _FSUM_CHUNK]
+        field = (c >> 52) & 2047
+        # subnormals (field 0) have no implicit bit and the scale of field 1
+        mant = (c & _MANT_BITS) | (np.minimum(field, 1) << 52)
+        mant *= (c >> 63) | 1  # the sign bit: -1 or +1
+        low += np.bincount(field, mant & _LOW_BITS, 2048)
+        high += np.bincount(field, mant >> 27, 2048)
+    used = np.flatnonzero((low != 0.0) | (high != 0.0))
+    lows = low[used].astype(np.int64).tolist()
+    highs = high[used].astype(np.int64).tolist()
+    total = 0
+    for f, lo, hi in zip(used.tolist(), lows, highs):
+        total += (lo + (hi << 27)) << max(f - 1, 0)  # in units of 2^-1074
+    return total / (1 << 1074)
+
+
+def _fsum_chunked(a: np.ndarray) -> float:
+    """math.fsum of a's elements, handed over as lists of one chunk each.
+
+    fsum reads plain floats faster than numpy scalars, and a whole-array list
+    would take four times the array's bytes.
+    """
     return math.fsum(
         chain.from_iterable(
             a[i : i + _FSUM_CHUNK].tolist() for i in range(0, a.size, _FSUM_CHUNK)

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-import mpmath
 import numpy as np
 
 from .numeric import GammaExponent, _pow_parts_array, floor_neg_pow, gamma_fn
@@ -287,6 +286,8 @@ class BeattyParams:
         return cls(alpha=vals[label], beta=beta, alpha_label=label)
 
     def _alpha_mp(self):
+        import mpmath  # only the exact Beatty rechecks need it
+
         if self.alpha_label == "sqrt2":
             return mpmath.sqrt(2)
         if self.alpha_label == "phi":
@@ -327,6 +328,8 @@ def _beatty_member_exact(m: int, B: BeattyParams) -> bool:
         hi = (m + 1 - bf) / af
         n0 = math.ceil(lo)
         return n0 >= 1 and n0 < hi
+    import mpmath  # imported here: few boundaries ever come this close
+
     # quadratic irrationals have bounded partial quotients, so 60 digits
     # decide every boundary at desk scale with room to spare
     with mpmath.workdps(60):

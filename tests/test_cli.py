@@ -1,6 +1,8 @@
 import contextlib
+import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,6 +136,97 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_mpmath(self):
+        # mpmath serves only the float-guard escalations and the exact Beatty
+        # rechecks, which import it when they are reached
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, psprimes.cli; print('mpmath' in sys.modules)"],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ps", "count", "--x", "1000000", "--c", "1.05"],
+            ["expsum", "theorem", "--x", "1024", "--c", "1.1", "--alpha", "sqrt2", "--H", "2"],
+        ],
+    )
+    def test_commands_load_no_mpmath(self, argv):
+        code = (
+            "import sys; from psprimes.cli import main; rc = main(sys.argv[1:]); "
+            "print('mpmath' in sys.modules, file=sys.stderr); sys.exit(rc)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=_child_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split()[-1] == "False"
+
+    def test_exact_paths_import_mpmath_when_reached(self):
+        # the Beatty pin loads no mpmath; an exact Beatty recheck at the
+        # guard-band prime 999983 then loads it, and a floor that only mpmath
+        # decides (sqrt(2^52 - 1), within 2^-27 of an integer) still comes out
+        code = (
+            "import math, sys; from psprimes.cli import main; "
+            "rc = main(['ps', 'beatty', '--x', '1000000', '--c', '1.1', "
+            "'--alpha', 'sqrt2', '--beta', '0.3']); "
+            "before = 'mpmath' in sys.modules; "
+            "from psprimes import numeric, pspseq; p = 999983; "
+            "B = pspseq.BeattyParams.from_label('sqrt2', p - (p // math.sqrt(2)) * math.sqrt(2)); "
+            "print(before, pspseq._beatty_member_exact(p, B), 'mpmath' in sys.modules, "
+            "numeric.floor_pow(2 ** 52 - 1, 0.5), file=sys.stderr); "
+            "sys.exit(rc)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_child_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1].split(",")[4] == "16011"
+        from psprimes import pspseq
+
+        p = 999983
+        B = pspseq.BeattyParams.from_label("sqrt2", p - (p // math.sqrt(2)) * math.sqrt(2))
+        member = str(pspseq._beatty_member_exact(p, B))
+        assert proc.stderr.split() == ["False", member, "True", str(2 ** 26 - 1)]
+
+
+def _load_layertrace():
+    """bench/layertrace.py, loaded from its file without running or changing it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace_contract", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestBenchContract:
+    """The names the benchmark tracer looks up must keep existing."""
+
+    def test_named_functions_exist(self):
+        lt = _load_layertrace()
+        missing = [
+            f"{m}.{attr}" for m, attrs in lt.NAMED.items() for attr in attrs
+            if not callable(getattr(importlib.import_module(f"psprimes.{m}"), attr, None))
+        ]
+        assert missing == []
+
+    def test_cli_import_loads_every_traced_module(self):
+        lt = _load_layertrace()
+        code = (
+            "import sys, psprimes.cli; "
+            "print(' '.join(m for m in sys.argv[1:] if 'psprimes.' + m not in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *lt.LIBRARY], env=_child_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
 
 class TestDeskScale:

@@ -316,6 +316,83 @@ class TestBProcess:
             ex.b_process_compare(1e300, g, 1024)
 
 
+def loop_dirichlet(f, g, hi):
+    """The plain divisor loop: one slice per nonzero f[d], d ascending (oracle)."""
+    out = np.zeros(hi + 1, dtype=np.float64)
+    for d in np.nonzero(f[: hi + 1])[0]:
+        if d == 0:
+            continue
+        out[d :: d] += f[d] * g[1 : hi // d + 1]
+    return out
+
+
+def loop_hb_terms(params):
+    """hb_terms written with plain per-divisor loops (oracle)."""
+    hi = 2 * params.x
+    mu = sv.mobius_array(min(params.Z, hi))
+    g1 = np.zeros(hi + 1, dtype=np.float64)
+    g1[1 : mu.size] = mu[1:]
+    l_j = np.zeros(hi + 1, dtype=np.float64)
+    l_j[1:] = np.log(np.arange(1, hi + 1, dtype=np.float64))
+    terms, g_j = [], None
+    for j in range(1, params.J + 1):
+        g_j = g1 if g_j is None else loop_dirichlet(g_j, g1, hi)
+        if j > 1:
+            l_prev = l_j
+            l_j = np.zeros(hi + 1, dtype=np.float64)
+            for d in range(1, hi + 1):
+                if l_prev[d]:
+                    l_j[d :: d] += l_prev[d]
+        terms.append((-1.0) ** (j - 1) * math.comb(params.J, j) * loop_dirichlet(g_j, l_j, hi))
+    return terms
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestDirichletMatchesLoop:
+    """_dirichlet and hb_terms are bit-identical to the per-divisor loops."""
+
+    @pytest.mark.parametrize("hi", [1, 2, 3, 4, 8, 9, 12, 30, 99, 100, 110, 1000, 4097])
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.3, 1.0])
+    def test_random_f(self, hi, density):
+        rng = np.random.default_rng(hi * 10 + int(density * 100))
+        size = hi + 1 + int(rng.integers(0, 4))
+        f = rng.standard_normal(size) * (rng.random(size) < density)
+        f[rng.integers(0, size, 3)] = -0.0
+        g = rng.standard_normal(size)
+        g[rng.integers(0, size, 3)] = -0.0
+        for top in (size, hi // 2 + 1, math.isqrt(hi) + 1):  # f zero beyond top
+            ft = np.where(np.arange(size) < top, f, 0.0)
+            assert_same_bits(ex._dirichlet(ft, g, hi), loop_dirichlet(ft, g, hi))
+
+    def test_integer_valued_f_with_cancellation(self):
+        # mu-like values: exact sums that pass through zero keep +0.0
+        rng = np.random.default_rng(5)
+        f = rng.integers(-1, 2, 3001).astype(np.float64)
+        g = rng.integers(-2, 3, 3001).astype(np.float64)
+        assert_same_bits(ex._dirichlet(f, g, 3000), loop_dirichlet(f, g, 3000))
+
+    @pytest.mark.parametrize(
+        "J,x,Z",
+        [(1, 500, 1000), (1, 500, 1700), (2, 500, 32), (2, 500, 1500), (3, 2000, None),
+         (3, 2000, 4500), (4, 2000, None), (4, 300, 700), (2, 20000, None)],
+    )
+    def test_hb_terms(self, J, x, Z):
+        params = ex.HbParams(J=J, x=x, Z=Z or ex.min_valid_cutoff(x, J))
+        handle = ex.hb_terms(params)
+        want = loop_hb_terms(params)
+        assert len(handle.term_arrays) == J
+        for got, ref in zip(handle.term_arrays, want):
+            assert_same_bits(got, ref)
+        total = np.zeros(2 * x + 1)
+        for ref in want:
+            total += ref
+        assert_same_bits(handle.lambda_values, total)
+
+
 class TestHeathBrown:
     def test_composite_gives_zero(self):
         handle = ex.hb_terms(ex.HbParams(J=2, x=8, Z=4))

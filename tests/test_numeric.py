@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -57,6 +58,17 @@ class TestFloorPow:
             idx = random.Random(7).sample(range(len(ns)), 80)
             for i in idx:
                 assert arr[i] == nc.floor_pow(int(ns[i]), e)
+
+    def test_array_floor_beyond_int64_rejected_up_front(self):
+        # (2^53 - 4097)^1.5 is about 2^79.5; no cast warning may come first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (2 ** 53 - 4097, 2 ** 42):  # 2^42 gives exactly 2^63
+                with pytest.raises(ValueError, match="int64"):
+                    nc.floor_pow_array(np.array([1, n]), 1.5)
+            # (2^42 - 1)^1.5 lies just below 2^63 and is still accepted
+            top = 2 ** 42 - 1
+            assert nc.floor_pow_array(np.array([top]), 1.5)[0] == nc.floor_pow(top, 1.5)
 
     def test_certified_real_floor(self):
         assert nc.CertifiedReal(2.5, 0.1).decided_floor() == 2
@@ -262,6 +274,90 @@ class TestFsumArray:
         z = np.arange(3 * _CHUNK, dtype=np.float64) * (1.0 + 1j) + 0.1
         assert nc.fsum_array(z.imag) == math.fsum(z.imag)
         assert nc.fsum_array(z.real) == math.fsum(z.real)
+
+
+def fsum_outcome(fsum, a):
+    """The value of fsum(a) with its sign, "nan", or the exception type it raises."""
+    try:
+        v = fsum(a)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(v) else (v, math.copysign(1.0, v))
+
+
+_MIN = nc._FSUM_MIN
+
+
+class TestFsumArrayEdges:
+    """fsum_array against math.fsum where the binning must step aside or be exact."""
+
+    @pytest.mark.parametrize(
+        "special",
+        [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf], [math.inf, math.nan],
+         [1e308, 1e308, -1e308], [2.0 ** 996], [-(2.0 ** 996)], [2.0 ** 1000, -(2.0 ** 1000)]],
+    )
+    @pytest.mark.parametrize("n", [0, _MIN - 4, _MIN + 1, 3 * _CHUNK + 5])
+    def test_nonfinite_and_huge_entries(self, special, n):
+        rng = np.random.default_rng(n)
+        a = np.concatenate([rng.standard_normal(n), special])
+        assert fsum_outcome(nc.fsum_array, a) == fsum_outcome(math.fsum, a)
+
+    @pytest.mark.parametrize(
+        "spikes", [[1e308, 1e308, -1e308], [8e307] * 3 + [-8e307] * 2]  # 8e307 < 2^1023
+    )
+    def test_intermediate_overflow_raises_in_both(self, spikes):
+        a = np.zeros(2 * _MIN)
+        a[[0, 7, _MIN, _MIN + 9, 2 * _MIN - 1][: len(spikes)]] = spikes
+        for fsum in (math.fsum, nc.fsum_array):
+            with pytest.raises(OverflowError):
+                fsum(a)
+
+    @pytest.mark.parametrize("n", [_MIN - 1, _MIN, 2 * _CHUNK + 3])
+    def test_zero_and_signed_zero_sums_are_plus_zero(self, n):
+        rng = np.random.default_rng(n)
+        mixed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        x = rng.standard_normal(n)
+        for a in (np.zeros(n), np.full(n, -0.0), mixed, np.concatenate([x, -x[::-1]])):
+            assert fsum_outcome(nc.fsum_array, a) == fsum_outcome(math.fsum, a) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("n", [_MIN + 1, 3 * _CHUNK + 5])
+    def test_subnormal_only(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.integers(-(2 ** 52), 2 ** 52, n) * 5e-324  # exact multiples of 2^-1074
+        a[::7] = 2.0 ** -1022 - 5e-324  # the largest subnormal
+        assert np.all(np.abs(a) < 2.0 ** -1022)
+        assert fsum_outcome(nc.fsum_array, a) == fsum_outcome(math.fsum, a)
+
+    @pytest.mark.parametrize("n", [_MIN - 2, _MIN - 1, _MIN, _MIN + 1])
+    def test_sizes_around_the_crossover(self, n):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            assert fsum_outcome(nc.fsum_array, a) == fsum_outcome(math.fsum, a)
+
+    def test_finite_arrays_are_binned_without_fsum(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal(3 * _CHUNK) * 10.0 ** rng.integers(-300, 300, 3 * _CHUNK)
+        want = math.fsum(a)
+
+        def no_fsum(_):
+            raise AssertionError("math.fsum reached")
+
+        monkeypatch.setattr(math, "fsum", no_fsum)
+        assert nc.fsum_array(a) == want
+
+    def test_term_cap_falls_back_to_fsum(self, monkeypatch):
+        # arrays of 2^26 entries or more would overflow the exact bins; the
+        # cap is lowered here instead of allocating such an array
+        a = np.zeros(3 * _CHUNK)
+        a[_CHUNK - 2 : _CHUNK + 1] = [1e16, 1.0, -1e16]
+        calls = []
+        chunked = nc._fsum_chunked
+        monkeypatch.setattr(nc, "_FSUM_MAX", a.size)
+        monkeypatch.setattr(nc, "_fsum_chunked", lambda arr: calls.append(arr.size) or chunked(arr))
+        assert nc.fsum_array(a) == math.fsum(a) == 1.0
+        assert nc.fsum_array(a[:-1]) == 1.0  # one entry below the cap: binned
+        assert calls == [a.size]
 
 
 class TestGammaExponent:
