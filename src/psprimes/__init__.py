@@ -16,7 +16,6 @@ Library layers:
 __version__ = "0.1.0"
 
 from .numeric import (
-    CertifiedReal,
     GammaExponent,
     PrecisionError,
     floor_neg_pow,
@@ -55,7 +54,6 @@ from .exppairs import (
     ConstraintReport,
     ExponentPair,
     InfeasibleError,
-    Rational,
     a_process,
     b_process,
     delta_feasible,
@@ -76,8 +74,6 @@ from .expsums import (
     b_process_compare,
     bf_discrepancy,
     bilinear_sum,
-    classify_block,
-    hb_reconstruct,
     hb_terms,
     min_valid_cutoff,
     theorem_sum,

@@ -386,10 +386,9 @@ def _cmd_expsum_vaaler(args):
 def _cmd_hb_verify(args):
     Z = args.Z if args.Z is not None else min_valid_cutoff(args.x, args.J)
     params = HbParams(J=args.J, x=args.x, Z=Z)
-    handle = hb_terms(params)
-    lam = lambda_array(2 * args.x)
-    rec = handle.lambda_values[args.x + 1 : 2 * args.x + 1]
-    ref = lam[args.x + 1 : 2 * args.x + 1]
+    # Lambda on (x, 2x]; hb_terms runs first, so its peak holds no Lambda table
+    rec = hb_terms(params)[args.x + 1 :]
+    ref = lambda_array(2 * args.x)[args.x + 1 :]
     diff = np.abs(rec - ref)
     mismatches = int(np.count_nonzero(diff > 1e-9))
     row = [args.x, args.J, Z, rec.size, mismatches, float(diff.max())]

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-Rational = Fraction
-
 F = Fraction  # local shorthand for literals
 
 
@@ -76,16 +74,20 @@ def b_process(p: ExponentPair) -> ExponentPair:
         raise ValueError(f"B-process left the validity domain from ({p.k}, {p.l}): {exc}")
 
 
+def _guard(p: ExponentPair) -> Fraction:
+    """4k - 2l + 1; InfeasibleError unless positive, as every region below needs."""
+    guard = 4 * p.k - 2 * p.l + 1
+    if guard <= 0:
+        raise InfeasibleError(f"pair ({p.k}, {p.l}) rejected: 4k-2l+1 = {guard} is not positive")
+    return guard
+
+
 def gamma_threshold(p: ExponentPair) -> Fraction:
     """Feasibility floor for gamma: admissible c are exactly 1 < c < 1/threshold.
 
     Requires 4k - 2l + 1 > 0; the threshold is max(13/15, (12k+10)/(12k-2l+13)).
     """
-    guard = 4 * p.k - 2 * p.l + 1
-    if guard <= 0:
-        raise InfeasibleError(
-            f"pair ({p.k}, {p.l}) rejected: 4k-2l+1 = {guard} is not positive"
-        )
+    _guard(p)
     return max(F(13, 15), (12 * p.k + 10) / (12 * p.k - 2 * p.l + 13))
 
 
@@ -107,7 +109,12 @@ class ConstraintReport:
     gamma_lower: Fraction | None
     n_lower_exponents: list[EpsExponent] = field(default_factory=list)
     n_upper_exponent: EpsExponent | None = None
-    which_constraint_binds: str = ""
+
+
+def _type1_gamma_floor(p: ExponentPair, delta: Fraction) -> Fraction:
+    """Type I gamma floor; (5k-l+3)/(6k-2l+4) at delta = 0."""
+    den = 12 * p.k - 4 * p.l + 8
+    return 1 - ((2 * p.k - 2 * p.l + 2) - (14 * p.k - 4 * p.l + 9) * delta) / den
 
 
 def type1_constraints(
@@ -122,35 +129,19 @@ def type1_constraints(
     gamma, delta = Fraction(gamma), Fraction(delta)
     if not 0 <= delta <= 1 - gamma:
         raise ValueError(f"delta must lie in [0, 1-gamma], got {delta}")
-    guard = 4 * p.k - 2 * p.l + 1
-    if guard == 0:
-        raise InfeasibleError("4k-2l+1 = 0: exponent-pair route divides by zero")
-    if guard < 0:
-        raise InfeasibleError(f"pair ({p.k}, {p.l}) rejected: 4k-2l+1 = {guard} < 0")
-
-    den = 12 * p.k - 4 * p.l + 8
-    gamma_lower = 1 - ((2 * p.k - 2 * p.l + 2) - (14 * p.k - 4 * p.l + 9) * delta) / den
+    guard = _guard(p)
+    gamma_lower = _type1_gamma_floor(p, delta)
     one_minus = 1 - gamma
     simple = one_minus + F(1, 2) + F(3, 2) * delta
     pair_route = (
         (4 * p.k + 6) * one_minus + (2 * p.k - 1) + (6 * p.k + 7) * delta
     ) / guard
     shift_route = 2 * one_minus + 3 * delta
-    inner = max(pair_route, shift_route)
-    n_lower = min(simple, inner)
-    if n_lower == simple:
-        binds = "second-derivative"
-    elif inner == pair_route:
-        binds = "exponent-pair"
-    else:
-        binds = "weyl-shift"
-    feasible = gamma_lower < gamma < 1
+    n_lower = min(simple, max(pair_route, shift_route))
     return ConstraintReport(
-        feasible=feasible,
+        feasible=gamma_lower < gamma < 1,
         gamma_lower=gamma_lower,
         n_lower_exponents=[EpsExponent(n_lower, +1)],
-        n_upper_exponent=None,
-        which_constraint_binds=binds if feasible else "gamma-floor",
     )
 
 
@@ -173,7 +164,6 @@ def type2_range(gamma: Fraction, delta: Fraction = F(0)) -> ConstraintReport:
         gamma_lower=F(5, 6) if delta == 0 else None,
         n_lower_exponents=[EpsExponent(lo, +1)],
         n_upper_exponent=EpsExponent(hi, -1),
-        which_constraint_binds="window-nonempty" if feasible else "empty-window",
     )
 
 
@@ -184,10 +174,7 @@ def delta_feasible(p: ExponentPair, gamma: Fraction, delta: Fraction) -> bool:
     error); a pair failing the structural guard 4k-2l+1 > 0 is rejected.
     """
     gamma, delta = Fraction(gamma), Fraction(delta)
-    if 4 * p.k - 2 * p.l + 1 <= 0:
-        raise InfeasibleError(
-            f"pair ({p.k}, {p.l}) rejected: 4k-2l+1 must be positive"
-        )
+    _guard(p)
     if not 0 <= delta <= 1 - gamma or not gamma < 1:
         return False
     den = 3 - 2 * p.l
@@ -284,9 +271,8 @@ def search_pairs(
             if objective == "gamma_threshold":
                 value = gamma_threshold(p)
             elif objective == "type1_gamma_bound":
-                if 4 * p.k - 2 * p.l + 1 <= 0:
-                    raise InfeasibleError("structural guard")
-                value = (5 * p.k - p.l + 3) / (6 * p.k - 2 * p.l + 4)
+                _guard(p)
+                value = _type1_gamma_floor(p, F(0))
             else:
                 value = max_delta(p, gamma)
         except InfeasibleError:

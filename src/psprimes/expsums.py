@@ -52,19 +52,13 @@ def check_bilinear_size(m_range: range, n_range: range) -> None:
 
 @dataclass(frozen=True)
 class ExpSumSpec:
-    """Parameters of the central sum: phase alpha*n + h*(n+u)^gamma.
-
-    n runs over a subinterval of (x, 2x] and h over a subinterval of (H, 2H];
-    both default to the full dyadic interval.
-    """
+    """The central sum's phase alpha*n + h*(n+u)^gamma, n in (x, 2x], h in (H, 2H]."""
 
     alpha: float
     g: GammaExponent
     u: float
     x: int
     H: int
-    n_interval: tuple[int, int] | None = None
-    h_interval: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.u <= 1.0:
@@ -73,28 +67,19 @@ class ExpSumSpec:
             raise ValueError(f"x must be >= 16, got {self.x}")
         if self.H < 1:
             raise ValueError(f"H must be >= 1, got {self.H}")
-        for name, iv, lo, hi in (
-            ("n_interval", self.n_interval, self.x, 2 * self.x),
-            ("h_interval", self.h_interval, self.H, 2 * self.H),
-        ):
-            if iv is not None:
-                if not (lo <= iv[0] <= iv[1] <= hi):
-                    raise ValueError(f"{name}={iv} not a subinterval of ({lo}, {hi}]")
 
-    def n_bounds(self) -> tuple[int, int]:
-        return self.n_interval if self.n_interval is not None else (self.x, 2 * self.x)
 
-    def h_values(self) -> np.ndarray:
-        lo, hi = (
-            self.h_interval if self.h_interval is not None else (self.H, 2 * self.H)
-        )
-        return np.arange(lo + 1, hi + 1, dtype=np.int64)
+def _weighted_parts(weights, phase: np.ndarray) -> tuple[float, float]:
+    """Exactly rounded (re, im) of sum of weights * e(phase); weights may be a scalar."""
+    cos, sin = unit_exp_parts(phase)
+    cos *= weights  # in place, with the bits of weights * cos
+    sin *= weights
+    return fsum_array(cos), fsum_array(sin)
 
 
 def _weighted_abs_sum(weights: np.ndarray, phase: np.ndarray) -> float:
     """|sum of weights * e(phase)|, each part exactly rounded."""
-    cos, sin = unit_exp_parts(phase)
-    return math.hypot(fsum_array(weights * cos), fsum_array(weights * sin))
+    return math.hypot(*_weighted_parts(weights, phase))
 
 
 def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
@@ -104,18 +89,16 @@ def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
     The inner sums and the sum over h, in increasing h, are exactly rounded.
     """
     _check_terms("x*H", spec.x * spec.H, _MAX_XH)
-    n_lo, n_hi = spec.n_bounds()
-    lam = lambda_array(n_hi)
-    ns = np.arange(n_lo + 1, n_hi + 1, dtype=np.int64)
+    lam = lambda_array(2 * spec.x)
+    ns = np.arange(spec.x + 1, 2 * spec.x + 1, dtype=np.int64)
     w = lam[ns]
     keep = w > 0
     ns, w = ns[keep], w[keep]
     gam = spec.g.gamma
     pow_u = (ns + spec.u) ** gam
     alpha_n = spec.alpha * ns
-    total = math.fsum(
-        [_weighted_abs_sum(w, alpha_n + int(h) * pow_u) for h in spec.h_values()]
-    )
+    hs = range(spec.H + 1, 2 * spec.H + 1)
+    total = math.fsum([_weighted_abs_sum(w, alpha_n + h * pow_u) for h in hs])
     if scaled:
         total *= min(1.0, spec.x ** (1.0 - gam) / spec.H)
     return total
@@ -178,12 +161,10 @@ def bilinear_sum(
             if not mask.any():
                 continue
             sel = prod[mask]
-            phase = alpha * sel + h * (sel + u) ** gam
-            cos, sin = unit_exp_parts(phase)
+            re, im = _weighted_parts(b[mask], alpha * sel + h * (sel + u) ** gam)
             coeff = delta * float(a[i])
-            bw = b[mask]
-            res.append(coeff * fsum_array(bw * cos))
-            ims.append(coeff * fsum_array(bw * sin))
+            res.append(coeff * re)
+            ims.append(coeff * im)
     return math.hypot(math.fsum(res), math.fsum(ims))
 
 
@@ -262,9 +243,7 @@ def vdc_bound_check(h: float, g: GammaExponent, alpha: float, N: int) -> VdcChec
     _check_terms("N", N, _MAX_DIRECT_TERMS)
     gam = g.gamma
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    phase = h * ns.astype(np.float64) ** gam + alpha * ns
-    cos, sin = unit_exp_parts(phase)
-    lhs = math.hypot(fsum_array(cos), fsum_array(sin))
+    lhs = math.hypot(*_weighted_parts(1.0, h * ns.astype(np.float64) ** gam + alpha * ns))
     lam = gam * (1.0 - gam) * abs(h) * float(N) ** (gam - 2.0)
     rhs = N * math.sqrt(lam) + 1.0 / math.sqrt(lam)
     return VdcCheck(lhs=lhs, rhs_unit=rhs, empirical_c=lhs / rhs, lam=lam)
@@ -318,8 +297,7 @@ def b_process_compare(
         )
 
     ns = np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.int64)
-    cos, sin = unit_exp_parts(h * ns.astype(np.float64) ** gam)
-    direct = complex(fsum_array(cos), fsum_array(sin))
+    direct = complex(*_weighted_parts(1.0, h * ns.astype(np.float64) ** gam))
 
     terms_re: list[float] = []
     terms_im: list[float] = []
@@ -361,9 +339,10 @@ def _stationary_point(gam: float, h: float, nu: float, a: float, b: float) -> fl
     return x
 
 
-# Largest x hb_terms accepts. Its peak memory grows by about 160 bytes per
-# unit of x. Through `hb verify` at J = 3 (2-core x86-64 VM, Python 3.11):
-# 1.5 s and 168 MB at x = 10^6, 9.6 s and 640 MB at the limit.
+# Largest x hb_terms accepts. At its peak it holds six float64 arrays of
+# length 2x, and its peak memory grows by about 105 bytes per unit of x.
+# Through `hb verify` at J = 3 (2-core x86-64 VM, Python 3.11): 1.3 s and
+# 122 MB at x = 10^6, 9.7 s and 446 MB at the limit.
 _MAX_HB_X = 1 << 22
 
 
@@ -384,13 +363,6 @@ class HbParams:
             raise ValueError(
                 f"identity invalid: Z^J = {self.Z ** self.J} < 2x = {2 * self.x}"
             )
-
-
-@dataclass
-class HbDecomposition:
-    params: HbParams
-    lambda_values: np.ndarray = field(repr=False)  # reconstructed Lambda on [0, 2x]
-    term_arrays: list[np.ndarray] = field(repr=False)  # signed binomial terms per j
 
 
 def _dirichlet(f: np.ndarray, g: np.ndarray, hi: int) -> np.ndarray:
@@ -417,17 +389,18 @@ def _dirichlet(f: np.ndarray, g: np.ndarray, hi: int) -> np.ndarray:
     return out
 
 
-def hb_terms(params: HbParams) -> HbDecomposition:
-    """Materialise the alternating convolution identity for Lambda on [1, 2x].
+def hb_terms(params: HbParams) -> np.ndarray:
+    """The alternating convolution identity for Lambda, as one array on [0, 2x].
 
     Term j is (-1)^(j-1) C(J,j) (mu restricted to [1,Z])^(*j) * log * 1^(*(j-1));
     their sum reproduces Lambda exactly for n <= Z^J, hence on all of (x, 2x].
-    x above _MAX_HB_X raises ResourceGuardError before any array is allocated.
+    Each term is added to the total and dropped. x above _MAX_HB_X raises
+    ResourceGuardError before any array is allocated.
     """
     if params.x > _MAX_HB_X:
         raise ResourceGuardError(
             f"x = {params.x} exceeds the Heath-Brown limit 2^22; "
-            "memory grows by about 160 bytes per unit of x"
+            "memory grows by about 105 bytes per unit of x"
         )
     hi = 2 * params.x
     cut = min(params.Z, hi)  # mu is read on [1, cut] only
@@ -435,29 +408,21 @@ def hb_terms(params: HbParams) -> HbDecomposition:
     g1 = np.zeros(hi + 1, dtype=np.float64)
     g1[1 : mu.size] = mu[1:]
 
-    logs = np.zeros(hi + 1, dtype=np.float64)
-    logs[1:] = np.log(np.arange(1, hi + 1, dtype=np.float64))
+    l_j = np.zeros(hi + 1, dtype=np.float64)  # log * 1^(*(j-1)), built incrementally
+    l_j[1:] = np.log(np.arange(1, hi + 1, dtype=np.float64))
 
-    terms = []
     total = np.zeros(hi + 1, dtype=np.float64)
-    g_j = None
-    l_j = logs  # log * 1^(*(j-1)), built incrementally
+    g_j = g1
     ones = np.broadcast_to(1.0, (hi + 1,))  # the constant 1, without an array
     for j in range(1, params.J + 1):
-        g_j = g1 if g_j is None else _dirichlet(g_j, g1, hi)
         if j > 1:
+            g_j = _dirichlet(g_j, g1, hi)
             l_j = _dirichlet(l_j, ones, hi)
-        signed = (-1.0) ** (j - 1) * math.comb(params.J, j) * _dirichlet(g_j, l_j, hi)
-        terms.append(signed)
-        total += signed
-    return HbDecomposition(params=params, lambda_values=total, term_arrays=terms)
-
-
-def hb_reconstruct(handle: HbDecomposition, n: int) -> float:
-    """Evaluate the decomposition at n in (x, 2x]; equals Lambda(n) exactly."""
-    if not handle.params.x < n <= 2 * handle.params.x:
-        raise ValueError(f"n={n} outside ({handle.params.x}, {2 * handle.params.x}]")
-    return float(handle.lambda_values[n])
+        term = _dirichlet(g_j, l_j, hi)
+        term *= (-1.0) ** (j - 1) * math.comb(params.J, j)
+        total += term
+        del term  # the next term is built without this one alive
+    return total
 
 
 def min_valid_cutoff(x: int, J: int) -> int:
@@ -468,17 +433,6 @@ def min_valid_cutoff(x: int, J: int) -> int:
     while z > 2 and (z - 1) ** J >= 2 * x:
         z -= 1
     return z
-
-
-def classify_block(N_block: int, U: int, V: int, Z: int) -> str:
-    """Block label: 'TypeI' when N > Z, 'TypeII' when U < N < V, else 'Neither'."""
-    if not 3 <= U < V < Z:
-        raise ValueError(f"need 3 <= U < V < Z, got U={U}, V={V}, Z={Z}")
-    if N_block > Z:
-        return "TypeI"
-    if U < N_block < V:
-        return "TypeII"
-    return "Neither"
 
 
 def bf_discrepancy(nmax: int, c: float, alpha: float) -> float:

@@ -70,24 +70,6 @@ class GammaExponent:
         return cls(c=1.0 / float(gamma), gamma=float(gamma))
 
 
-@dataclass(frozen=True)
-class CertifiedReal:
-    """A real known to lie in [value - radius, value + radius]."""
-
-    value: float
-    radius: float
-
-    def __post_init__(self) -> None:
-        if self.radius < 0.0 or not math.isfinite(self.value):
-            raise ValueError("certified real needs a finite value and radius >= 0")
-
-    def decided_floor(self) -> int | None:
-        """Floor of the represented quantity, or None if the interval straddles an integer."""
-        lo = math.floor(self.value - self.radius)
-        hi = math.floor(self.value + self.radius)
-        return int(lo) if lo == hi else None
-
-
 def _iroot(n: int, k: int) -> tuple[int, bool]:
     """Integer k-th root of n >= 1: returns (floor(n**(1/k)), exact?)."""
     if n < 2 or k == 1:
@@ -119,10 +101,10 @@ def _pow_parts(n: int, e: float) -> tuple[int, float, bool]:
     if e == int(e):
         return n ** int(e), 0.0, True
 
-    y = float(n) ** e
-    cr = CertifiedReal(y, abs(y) * _FLOAT_POW_REL)
-    fl = cr.decided_floor()
-    if fl is not None:
+    y = float(n) ** e  # >= 1, within y * _FLOAT_POW_REL of n**e
+    rad = y * _FLOAT_POW_REL
+    fl = math.floor(y - rad)
+    if fl == math.floor(y + rad):
         # Interval excludes every integer, so the power is certainly not one.
         return fl, y - fl, False
 

@@ -74,8 +74,7 @@ def test_criterion_03_heath_brown_identity():
     total_mismatch = 0
     for J in (2, 3):
         params = ex.HbParams(J=J, x=10 ** 4, Z=ex.min_valid_cutoff(10 ** 4, J))
-        handle = ex.hb_terms(params)
-        got = handle.lambda_values[10 ** 4 + 1 : 2 * 10 ** 4 + 1]
+        got = ex.hb_terms(params)[10 ** 4 + 1 : 2 * 10 ** 4 + 1]
         want = lam[10 ** 4 + 1 : 2 * 10 ** 4 + 1]
         total_mismatch += int(np.count_nonzero(np.abs(got - want) > 1e-9))
     _report("3", total_mismatch == 0, f"mismatches: {total_mismatch} on (10^4, 2*10^4], J in {{2,3}}")

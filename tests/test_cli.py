@@ -195,20 +195,42 @@ class TestImportCost:
         assert proc.stderr.split() == ["False", member, "True", str(2 ** 26 - 1)]
 
 
-def _load_layertrace():
-    """bench/layertrace.py, loaded from its file without running or changing it."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
-    spec = importlib.util.spec_from_file_location("layertrace_contract", path)
+def _load_bench(name):
+    """bench/<name>.py, loaded from its file without running or changing it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_contract", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
 class TestBenchContract:
-    """The names the benchmark tracer looks up must keep existing."""
+    """The names the benchmark reads from the library must keep existing."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 31])
+    def test_session_ops_name_exports(self, seed):
+        import psprimes
+
+        fns = {op["fn"] for op in _load_bench("ops").make_ops("session", seed)}
+        assert fns and [f for f in fns if not callable(getattr(psprimes, f, None))] == []
+
+    def test_session_and_tracer_attributes_exist(self):
+        import psprimes
+        from psprimes.sieve import SieveTable
+
+        assert callable(psprimes.shared_table)  # bench/session.py warms it
+        assert callable(SieveTable.primes)  # layertrace.install() patches it
+
+    def test_aliases_name_library_functions(self):
+        lt = _load_bench("layertrace")
+        mods = [importlib.import_module(f"psprimes.{m}") for m in lt.LIBRARY]
+        missing = [
+            a for a in lt.ALIASES if not any(callable(getattr(m, a, None)) for m in mods)
+        ]
+        assert missing == []
 
     def test_named_functions_exist(self):
-        lt = _load_layertrace()
+        lt = _load_bench("layertrace")
         missing = [
             f"{m}.{attr}" for m, attrs in lt.NAMED.items() for attr in attrs
             if not callable(getattr(importlib.import_module(f"psprimes.{m}"), attr, None))
@@ -216,7 +238,7 @@ class TestBenchContract:
         assert missing == []
 
     def test_cli_import_loads_every_traced_module(self):
-        lt = _load_layertrace()
+        lt = _load_bench("layertrace")
         code = (
             "import sys, psprimes.cli; "
             "print(' '.join(m for m in sys.argv[1:] if 'psprimes.' + m not in sys.modules))"
@@ -281,6 +303,15 @@ class TestOtherSubcommands:
         header, row = proc.stdout.strip().splitlines()[-2:]
         assert dict(zip(header.split(","), row.split(",")))["mismatches"] == "0"
         assert hwm < 60 * 1024  # kilobytes on Linux
+
+    def test_hb_verify_peak_memory(self):
+        # hb_terms keeps one running total, not all J terms: 122 MB on x86-64
+        # Linux with Python 3.11, against 168 MB when it kept every term
+        proc, hwm = run_process_hwm("hb", "verify", "--x", "1000000", "--J", "3", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        header, row = proc.stdout.strip().splitlines()[-2:]
+        assert dict(zip(header.split(","), row.split(",")))["mismatches"] == "0"
+        assert hwm <= 150 * 1024  # kilobytes on Linux
 
     def test_hb_verify_builds_one_table(self, capsys, monkeypatch):
         from psprimes import sieve

@@ -39,6 +39,14 @@ class TestProcesses:
             ep.ExponentPair(F(1, 4), F(5, 4))
 
 
+# The functions that need 4k - 2l + 1 > 0, each called at a feasible gamma
+GUARDED = (
+    ep.gamma_threshold,
+    lambda p: ep.type1_constraints(p, F(9, 10)),
+    lambda p: ep.delta_feasible(p, F(9, 10), F(0)),
+)
+
+
 class TestGammaThreshold:
     def test_golden_values(self):
         assert ep.gamma_threshold(ep.BOURGAIN_PAIR) == F(498, 569)
@@ -75,8 +83,9 @@ class TestType1:
 
     def test_division_guard(self):
         # 4k - 2l + 1 = 0 at (1/8, 3/4)
-        with pytest.raises(ep.InfeasibleError):
-            ep.type1_constraints(ep.ExponentPair(F(1, 8), F(3, 4)), F(9, 10))
+        for call in GUARDED:
+            with pytest.raises(ep.InfeasibleError):
+                call(ep.ExponentPair(F(1, 8), F(3, 4)))
 
     def test_delta_zero_matches_generalised_form(self):
         p = ep.ExponentPair(F(1, 2), F(1, 2))
@@ -116,8 +125,10 @@ class TestDeltaFeasible:
         assert ep.delta_feasible(p, F(19, 20), F(1, 10)) is False
 
     def test_guard(self):
-        with pytest.raises(ep.InfeasibleError):
-            ep.delta_feasible(ep.TRIVIAL_PAIR, F(9, 10), F(0))
+        # 4k - 2l + 1 = -1 at the trivial pair
+        for call in GUARDED:
+            with pytest.raises(ep.InfeasibleError):
+                call(ep.TRIVIAL_PAIR)
 
     def test_reduction_to_threshold_on_grid(self):
         # delta=0 feasibility must coincide exactly with the threshold predicate
@@ -203,6 +214,18 @@ class TestSearch:
         assert res.best.word == min(tied, key=lambda w: (len(w), w))
         if objective == "max_delta":
             assert len(tied) > 1  # the word order decides
+
+    def test_type1_gamma_bound_is_the_closed_form(self):
+        seeds = list(ep.SEED_PAIRS.values())
+        res = ep.search_pairs(seeds, 10, "type1_gamma_bound")
+        want = {
+            p.word: (5 * p.k - p.l + 3) / (6 * p.k - 2 * p.l + 4)
+            for p in ep.enumerate_pairs(seeds, 10)
+            if 4 * p.k - 2 * p.l + 1 > 0
+        }
+        assert len(res.trace) == len(want) > 100
+        for word, _, _, value in res.trace:
+            assert value == want[word]
 
     def test_trace_is_deterministic(self):
         a = ep.search_pairs([ep.TRIVIAL_PAIR], 5, "gamma_threshold")

@@ -70,12 +70,6 @@ class TestFloorPow:
             top = 2 ** 42 - 1
             assert nc.floor_pow_array(np.array([top]), 1.5)[0] == nc.floor_pow(top, 1.5)
 
-    def test_certified_real_floor(self):
-        assert nc.CertifiedReal(2.5, 0.1).decided_floor() == 2
-        assert nc.CertifiedReal(3.0, 0.1).decided_floor() is None
-        with pytest.raises(ValueError):
-            nc.CertifiedReal(1.0, -0.5)
-
 
 def oracle_pow_parts(n, e):
     """(floor(n**e), whether n**e is an integer) for the float exponent e.
