@@ -15,6 +15,7 @@ integer boundary.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -224,8 +225,8 @@ def gamma_fn(s: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
-# fsum_array bins each chunk of _FSUM_CHUNK entries: its int64 temporaries stay
-# in cache, and its extra memory is a few chunks however long the array.
+# The binning takes _FSUM_CHUNK entries at a time: its int64 temporaries stay
+# in cache, and its extra memory is a few chunks however many the terms.
 _FSUM_CHUNK = 1 << 14
 # Below this many entries math.fsum over a list is as fast as the binning or
 # faster (2-core x86-64 VM, normal entries: 0.12 -> 0.07 ms at 2048 entries,
@@ -236,7 +237,7 @@ _FSUM_MAX = 1 << 26
 # Fewer than 2^26 entries below 2^996 in magnitude keep every partial sum below
 # 2^1022, so neither math.fsum nor the final division can overflow. An array
 # with a larger or a non-finite entry is left to math.fsum itself.
-_FSUM_BIG = 2.0 ** 996
+_FSUM_BIG_FIELD = 1023 + 996  # the exponent field of 2^996; inf and nan have 2047
 _MANT_BITS = (1 << 52) - 1
 _LOW_BITS = (1 << 27) - 1
 
@@ -244,38 +245,79 @@ _LOW_BITS = (1 << 27) - 1
 def fsum_array(a: np.ndarray) -> float:
     """Exactly rounded sum of a 1-D float64 array: math.fsum of its elements.
 
-    A numpy form of Neal's small superaccumulator ("Fast exact summation using
-    small and large superaccumulators", arXiv:1505.05571). Each entry is its
-    signed 53-bit integer mantissa times 2^(exponent field - 1075). The
-    mantissa is split into a 27-bit low half and a signed high half, and both
-    halves are binned by exponent field with np.bincount, exactly. The bins
-    are combined once as a Python int and rounded by one int/int true
-    division, which is correctly rounded, as math.fsum is. An exact zero sum
-    gives +0.0 in both.
+    The one-array call of ``_fsum_stream``. An array outside its precondition,
+    or of _FSUM_MAX entries or more, is left to math.fsum.
     """
     a = np.asarray(a, dtype=np.float64)
-    if not (
-        _FSUM_MIN <= a.size < _FSUM_MAX and -_FSUM_BIG < a.min() <= a.max() < _FSUM_BIG
-    ):
-        return _fsum_chunked(a)
-    bits = a.view(np.int64)
-    low = np.zeros(2048)
-    high = np.zeros(2048)
-    for i in range(0, bits.size, _FSUM_CHUNK):
-        c = bits[i : i + _FSUM_CHUNK]
-        field = (c >> 52) & 2047
-        # subnormals (field 0) have no implicit bit and the scale of field 1
-        mant = (c & _MANT_BITS) | (np.minimum(field, 1) << 52)
-        mant *= (c >> 63) | 1  # the sign bit: -1 or +1
-        low += np.bincount(field, mant & _LOW_BITS, 2048)
-        high += np.bincount(field, mant >> 27, 2048)
-    used = np.flatnonzero((low != 0.0) | (high != 0.0))
-    lows = low[used].astype(np.int64).tolist()
-    highs = high[used].astype(np.int64).tolist()
-    total = 0
-    for f, lo, hi in zip(used.tolist(), lows, highs):
-        total += (lo + (hi << 27)) << max(f - 1, 0)  # in units of 2^-1074
-    return total / (1 << 1074)
+    if a.size < _FSUM_MAX:
+        try:
+            return _fsum_stream([a])
+        except ValueError:  # an entry is not finite or reaches 2^996
+            pass
+    return _fsum_chunked(a)
+
+
+def _fsum_stream(blocks: Iterable[np.ndarray]) -> float:
+    """Exactly rounded sum of a stream of 1-D float64 arrays: math.fsum of them all.
+
+    A numpy form of Neal's small superaccumulator ("Fast exact summation using
+    small and large superaccumulators", arXiv:1505.05571). Blocks are buffered
+    until about _FSUM_CHUNK entries, then binned: each entry is its signed
+    53-bit integer mantissa times 2^(exponent field - 1075), and the 27-bit
+    low and the signed high half of the mantissa are binned by exponent field
+    with np.bincount, exactly. Before _FSUM_MAX entries are in the bins, they
+    are folded into one exact Python int, rounded at the end by one int/int
+    true division: correctly rounded, as math.fsum is, and +0.0 for an exact
+    zero sum in both. Fewer than _FSUM_MIN entries go to math.fsum; an empty
+    stream gives 0.0. Precondition: every binned entry is finite and below
+    2^996 in magnitude (ValueError otherwise).
+    """
+    bins = np.zeros((2, 2048))  # the low and the high halves per exponent field
+    total = binned = 0  # the folded bins in units of 2^-1074; entries in the bins
+    pending: list[np.ndarray] = []
+    size = entries = 0  # entries in pending, and in the whole stream
+
+    def flush() -> None:
+        nonlocal total, binned, size
+        bits = (pending[0] if len(pending) == 1 else np.concatenate(pending)).view(np.int64)
+        pending.clear()
+        size = 0
+        for i in range(0, bits.size, _FSUM_CHUNK):
+            c = bits[i : i + _FSUM_CHUNK]
+            field = (c >> 52) & 2047
+            if field.max() >= _FSUM_BIG_FIELD:
+                raise ValueError("fsum terms must be finite and below 2^996 in magnitude")
+            if binned + c.size >= _FSUM_MAX:
+                total += _fold(bins)
+                bins.fill(0.0)
+                binned = 0
+            # subnormals (field 0) have no implicit bit and the scale of field 1
+            mant = (c & _MANT_BITS) | (np.minimum(field, 1) << 52)
+            mant *= (c >> 63) | 1  # the sign bit: -1 or +1
+            bins[0] += np.bincount(field, mant & _LOW_BITS, 2048)
+            bins[1] += np.bincount(field, mant >> 27, 2048)
+            binned += c.size
+
+    for block in blocks:
+        pending.append(block)
+        size += block.size
+        entries += block.size
+        if size >= _FSUM_CHUNK:
+            flush()
+    if entries < _FSUM_MIN:  # nothing is binned: _FSUM_MIN <= _FSUM_CHUNK
+        return math.fsum(chain.from_iterable(b.tolist() for b in pending))
+    if size:
+        flush()
+    return (total + _fold(bins)) / (1 << 1074)
+
+
+def _fold(bins: np.ndarray) -> int:
+    """The exact sum in the bins of _fsum_stream, in units of 2^-1074."""
+    used = np.flatnonzero(bins.any(axis=0))
+    lows, highs = bins[:, used].astype(np.int64).tolist()
+    return sum(
+        (lo + (hi << 27)) << max(f - 1, 0) for f, lo, hi in zip(used.tolist(), lows, highs)
+    )
 
 
 def _fsum_chunked(a: np.ndarray) -> float:

@@ -6,12 +6,13 @@ integer iff m is a member, expressed via two negated floors). Counting
 functions compare exact counts against their refined main terms; the
 singular series is a truncated Euler product with a provable tail bound.
 
-The ternary Goldbach count convolves the member-prime indicators of two
-exponents once by a float64 FFT and rounds to integers. An a-priori
-rounding bound (Percival, Math. Comp. 2003; stated at
+The ternary Goldbach count convolves the half-index indicators (p - 1)/2
+of the odd member primes of two exponents once by a float64 FFT and rounds
+to integers; the triples holding the prime 2 are counted exactly apart. An
+a-priori rounding bound (Percival, Math. Comp. 2003; stated at
 ``_pair_count_error_bound``) must stay below 1/4, and every entry must land
-within 1/4 of an integer, else ArithmeticError; at N = 10^6 with every
-prime the bound is 6.5e-9.
+within 1/4 of an integer, else ArithmeticError; at N = 10^6 with every odd
+prime the bound is 6.2e-9.
 
 Membership is decided at the points that are read: ``_ps_member_at`` takes
 the certified ceilings of m^gamma and (m+1)^gamma for an array of m in one
@@ -24,7 +25,8 @@ over [0, x] in one pass of fixed-size blocks: primality comes from a
 segmented sieve over the base primes <= sqrt(x), membership is decided at
 the block's primes in the progression only (the Beatty test only at the
 floor-power members), and the main term is an exactly rounded sum fed block
-by block. Memory is O(segment + sqrt(x)) whatever x is; no table is built.
+by block. Memory is O(segment + sqrt(x)) whatever x is; no table is built,
+but a cached table that covers x is read instead of sieving.
 Goldbach counts and the weights of ``bf_discrepancy`` decide membership at
 the primes of the shared primality table, which the singular series reads
 too.
@@ -36,11 +38,10 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
-from .numeric import GammaExponent, _pow_parts_array, floor_neg_pow, gamma_fn
+from .numeric import GammaExponent, _fsum_stream, _pow_parts_array, floor_neg_pow, gamma_fn
 from .sieve import primality_segments, shared_table
 
 MAX_AP_MODULUS = 10 ** 4
@@ -158,21 +159,21 @@ def _fsum_sweep(
 ) -> tuple[float, int, int]:
     """(math.fsum of term(p) over all primes p, members, primes) of one sweep.
 
-    fsum reads the per-block terms lazily: the terms and their order are
-    those of one whole-range array, so the exactly rounded sum is too, while
-    memory stays one block. (tolist hands fsum plain floats, which it reads
-    faster than numpy scalars.)
+    The exactly rounded sum streams the per-block terms through
+    ``_fsum_stream``, so it equals math.fsum of one whole-range array while
+    memory stays a few blocks. The terms are finite and below 2^996 in
+    magnitude, as its precondition asks.
     """
     members = primes = 0
 
-    def terms() -> Iterator[list[float]]:
+    def terms() -> Iterator[np.ndarray]:
         nonlocal members, primes
         for ps, k in blocks:
             members += k
             primes += ps.size
-            yield term(ps.astype(np.float64)).tolist()
+            yield term(ps.astype(np.float64))
 
-    total = math.fsum(chain.from_iterable(terms()))
+    total = _fsum_stream(terms())
     return total, members, primes
 
 
@@ -389,20 +390,35 @@ def singular_series(N: int, P: int) -> SingularSeriesResult:
 
     Vanishes exactly for even N (the p=2 factor is zero). The omitted factors
     beyond P change log(value) by at most sum_{n>P} 2/n^3 <= 1/P^2, reported
-    conservatively as 2/P.
+    conservatively as 2/P. N mod p is exact for every N below 2^1024, the
+    float range; a larger N is rejected before any work.
     """
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
+    if N >= 2 ** 1024:
+        raise ValueError("N must be below 2^1024")
     if P < 100:
         raise ValueError(f"P must be >= 100, got {P}")
     ps = shared_table(P).primes(P).astype(np.int64)
-    divides = (N % ps) == 0
+    divides = _mod_primes(N, ps) == 0
     pm1 = ps.astype(np.float64) - 1.0
     f_div = float(np.prod(1.0 - 1.0 / pm1[divides] ** 2)) if divides.any() else 1.0
     f_rest = float(np.prod(1.0 + 1.0 / pm1[~divides] ** 3))
     return SingularSeriesResult(
         N=N, truncation_P=P, value=f_div * f_rest, tail_bound=2.0 / P
     )
+
+
+def _mod_primes(N: int, ps: np.ndarray) -> np.ndarray:
+    """N mod p for every p < 2^24 in the int64 array ps, exact for any N >= 0.
+
+    Horner's rule over the base-2^31 limbs of N: a residue below 2^24 times
+    2^31, plus a limb, stays below 2^56, inside int64.
+    """
+    r = np.zeros_like(ps)
+    for shift in range(N.bit_length() // 31 * 31, -1, -31):
+        r = ((r << 31) + ((N >> shift) & (2 ** 31 - 1))) % ps
+    return r
 
 
 @dataclass
@@ -484,14 +500,18 @@ def goldbach3_count(
 ) -> Goldbach3Result:
     """Ordered triples of floor-power primes summing to N, with the predicted count.
 
-    r[s] counts the pairs (p1, p2) with p1 + p2 = s, from one FFT
-    convolution certified by an a-priori rounding bound (see
-    ``_pair_sum_counts``; ArithmeticError if it cannot be certified), and
-    the exact count is the integer sum of r[N - p3]. Membership is decided
-    at the primes <= N only. About 0.3 s at N = 10^6, nearly all of it the
-    FFT (membership at the 78,498 primes takes ~5 ms; 2-core x86-64 VM).
-    Even N is degenerate: the prediction is exactly 0 (singular series), the
-    exact count is still reported.
+    The triples split by how many 2s they hold. For odd N, those of odd
+    primes p = 2k + 1 have k1 + k2 + k3 = M = (N - 3)/2: r[s] counts the
+    pairs k1 + k2 = s, from one FFT convolution at half the length certified
+    by an a-priori rounding bound (see ``_pair_sum_counts``; ArithmeticError
+    if it cannot be certified), and their count is the integer sum of
+    r[M - k3] over k3 <= M. Two 2s need N - 4 to be a member. For even N
+    every triple holds one 2, and an indicator lookup counts the odd pairs
+    summing to N - 2. Membership is decided at the primes <= N only. About
+    0.1 s at N = 10^6 with a warm table, most of it the FFT (membership at
+    the 78,498 primes takes ~5 ms; 2-core x86-64 VM). Even N is degenerate:
+    the prediction is exactly 0 (singular series), the exact count is still
+    reported.
     """
     lo, hi = GOLDBACH_N_RANGE
     if not lo <= N <= hi:
@@ -501,9 +521,24 @@ def goldbach3_count(
         if not 1.0 < c < 1.2:
             raise ValueError(f"each exponent must lie in (1, 6/5), got {c}")
     ps = shared_table(max(N, SINGULAR_SERIES_P)).primes(N)
-    members = {c: ps[_ps_member_at(ps, GammaExponent.from_c(c))] for c in set(cs)}
-    r = _pair_sum_counts(members[c1], members[c2], N)
-    exact = int(r[N - members[c3]].sum())
+    member = {}
+    for c in set(cs):
+        member[c] = np.zeros(N + 1, dtype=bool)
+        member[c][ps[_ps_member_at(ps, GammaExponent.from_c(c))]] = True
+    ind = [member[c] for c in cs]
+    others = ((1, 2), (0, 2), (0, 1))  # the two places other than the i-th
+    if N % 2:  # no 2 (p = 2k + 1 makes the sum k1 + k2 + k3 = M), or two 2s
+        M = (N - 3) // 2
+        k1, k2, k3 = (np.flatnonzero(m[1::2]) for m in ind)
+        exact = int(_pair_sum_counts(k1, k2, M)[M - k3[k3 <= M]].sum())
+        exact += sum(
+            int(ind[i][N - 4] & ind[j][2] & ind[k][2]) for i, (j, k) in enumerate(others)
+        )
+    else:  # one 2, and two odd primes summing to N - 2
+        exact = sum(
+            int(ind[i][2]) * int(np.count_nonzero(ind[j][: N - 1] & ind[k][N - 2 :: -1]))
+            for i, (j, k) in enumerate(others)
+        )
 
     ss = singular_series(N, SINGULAR_SERIES_P)
     gs = [GammaExponent.from_c(c).gamma for c in cs]

@@ -1,12 +1,12 @@
 """Segmented primality sieves: a streaming one and a cached table built from it.
 
 ``primality_segments`` walks 0..limit one segment at a time, holding one
-segment and the base primes <= sqrt(limit); the prime counts stream over
-it. ``shared_table`` fills one cached 1-byte primality array of exactly
-0..limit <= TABLE_LIMIT from those segments for code that needs random
-access: the Goldbach prime masks, the singular series and the Lambda arrays
-and prime lists of the exponential-sum code. ``mobius_array`` needs only
-the base primes.
+segment and the base primes <= sqrt(limit), or reading the cached table
+when that covers limit; the prime counts stream over it. ``shared_table``
+fills one cached 1-byte primality array of exactly 0..limit <= TABLE_LIMIT
+from those segments for code that needs random access: the Goldbach prime
+masks, the singular series and the Lambda arrays and prime lists of the
+exponential-sum code. ``mobius_array`` needs only the base primes.
 """
 
 from __future__ import annotations
@@ -39,12 +39,18 @@ def primality_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """Primality of 0..limit one segment at a time, as (lo, is_prime[lo:hi]) pairs.
 
     Segments are [k*_SEGMENT, (k+1)*_SEGMENT) clipped to limit, in increasing
-    order; each array is fresh and owned by the caller. Only the base primes
-    <= sqrt(limit) persist between segments. The limit is checked on the
-    call, before the first segment is sieved.
+    order. When the cached shared_table covers limit, they are read-only views
+    of it; otherwise each is sieved fresh, owned by the caller, and only the
+    base primes <= sqrt(limit) persist between segments. Either way no table
+    is built or grown. The limit is checked on the call, before the first
+    segment is sieved.
     """
     if not 2 <= limit <= MAX_LIMIT:
         raise ValueError(f"sieve limit must lie in [2, 2^34], got {limit}")
+    if _table is not None and _table.limit >= limit:
+        cached = _table.primality[: limit + 1]  # a new view: the table stays writeable
+        cached.flags.writeable = False
+        return ((lo, cached[lo : lo + _SEGMENT]) for lo in range(0, limit + 1, _SEGMENT))
     base = _small_primes(math.isqrt(limit))
 
     def segments():

@@ -285,6 +285,17 @@ class TestOtherSubcommands:
         assert rc == 0
         assert ",0.0," in out.strip().splitlines()[-1]
 
+    def test_singular_series_beyond_int64(self, capsys):
+        # 11 is the only prime <= 1000 dividing 10^19 + 1, so the truncated
+        # product is the one at N = 11
+        rows = []
+        for N in ("10000000000000000001", "11"):
+            rc, out, _ = run(capsys, "singular-series", "--N", N, "--P", "1000")
+            assert rc == 0
+            rows.append(out.strip().splitlines()[-1].split(","))
+        assert rows[0][0] == "10000000000000000001"
+        assert rows[0][1:] == rows[1][1:]
+
     def test_hb_verify_golden(self, capsys):
         rc, out, _ = run(capsys, "hb", "verify", "--x", "2000", "--J", "3")
         assert rc == 0

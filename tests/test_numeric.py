@@ -354,6 +354,86 @@ class TestFsumArrayEdges:
         assert calls == [a.size]
 
 
+def stream_case(n, cuts, seed, spikes):
+    """An array of n mixed-sign entries over 600 decades with spikes, cut into blocks."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-310, 290, n)
+    for i, v in spikes:
+        if i < n:
+            a[i] = v
+    edges = [0, *sorted(min(c, n) for c in cuts), n]
+    return a, [a[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+class TestFsumStream:
+    """The streamed sum against math.fsum of the concatenated blocks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, 5, _MIN - 1, _MIN, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5]),
+        # repeated cuts make empty blocks; cuts past n make empty trailing ones
+        cuts=st.lists(st.integers(0, 3 * _CHUNK + 5), max_size=12),
+        seed=st.integers(0, 2 ** 32 - 1),
+        spikes=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, _MIN - 1, _CHUNK - 1, _CHUNK, 2 * _CHUNK]),
+                st.sampled_from([1e16, 1.0, -1e16, 1e295, -1e295, 5e-324, -0.0]),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_equals_fsum_of_the_concatenation(self, n, cuts, seed, spikes):
+        a, blocks = stream_case(n, cuts, seed, spikes)
+        got = nc._fsum_stream(iter(blocks))
+        want = math.fsum(a)
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
+    def test_empty_stream_is_zero(self):
+        for blocks in ([], [np.zeros(0)] * 3):
+            got = nc._fsum_stream(iter(blocks))
+            assert (got, math.copysign(1.0, got)) == (0.0, 1.0)
+
+    def test_short_stream_goes_to_fsum(self, monkeypatch):
+        # below _FSUM_MIN entries the precondition is not needed: fsum decides
+        blocks = [np.array([math.inf, 1.0]), np.zeros(_MIN - 3)]
+        assert nc._fsum_stream(iter(blocks)) == math.inf
+        monkeypatch.setattr(math, "fsum", lambda _: "fsum")
+        assert nc._fsum_stream(iter([np.ones(_MIN - 1)])) == "fsum"
+        assert nc._fsum_stream(iter([np.ones(_MIN)])) == _MIN
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 ** 996, -(2.0 ** 996)])
+    def test_precondition_is_checked(self, bad):
+        a = np.ones(2 * _CHUNK)
+        a[_CHUNK + 3] = bad
+        with pytest.raises(ValueError, match="below 2\\^996"):
+            nc._fsum_stream(iter([a[:10], a[10:]]))
+        a[_CHUNK + 3] = np.nextafter(2.0 ** 996, 0.0) * math.copysign(1.0, bad)
+        assert nc._fsum_stream(iter([a[:10], a[10:]])) == math.fsum(a)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(0, 9 * _CHUNK), max_size=30),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_bins_fold_before_the_term_cap(self, cuts, seed):
+        # a stream of more than 2^26 entries is folded into the exact int; the
+        # cap is lowered here so that nine chunks fold several times
+        spikes = [(_CHUNK - 1, 1e16), (4 * _CHUNK, 1.0), (8 * _CHUNK + 2, -1e16)]
+        a, blocks = stream_case(9 * _CHUNK, cuts, seed, spikes)
+        folds = []
+        fold = nc._fold
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nc, "_FSUM_MAX", 2 * _CHUNK + 1)
+            mp.setattr(nc, "_fold", lambda bins: folds.append(1) or fold(bins))
+            assert nc._fsum_stream(iter(blocks)) == math.fsum(a)
+            # at most two chunks, with fewer entries than the cap, per fold
+            assert len(folds) >= 5
+            a[:] = 0.0  # the blocks are views of a
+            a[[_CHUNK - 1, 4 * _CHUNK, 8 * _CHUNK + 2]] = [1e16, 1.0, -1e16]
+            # per-fold rounding would give 0.0
+            assert nc._fsum_stream(iter(blocks)) == 1.0
+
+
 class TestGammaExponent:
     def test_roundtrip(self):
         g = nc.GammaExponent.from_c(1.1)

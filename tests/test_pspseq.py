@@ -277,6 +277,39 @@ class TestStreamingCount:
             assert sum(entries) == 2 * int(np.count_nonzero(ps % q == a))
 
 
+class TestWarmTable:
+    """A count whose x the cached table covers reads it, with the same report."""
+
+    @pytest.mark.parametrize(
+        "x", [sv._SEGMENT - 1, sv._SEGMENT, sv._SEGMENT + 1, 2 * sv._SEGMENT + 4321]
+    )
+    def test_reports_equal_with_empty_and_warm_cache(self, monkeypatch, x):
+        B = pq.BeattyParams.from_label("sqrt2", 0.3)
+        counts = (
+            lambda: pq.ps_prime_count(x, 1.1),
+            lambda: pq.ps_prime_count_ap(x, 1.3, 997, 3),
+            lambda: pq.ps_beatty_prime_count(x, 1.05, B),
+            lambda: pq.refined_main_term(x, 1.2, 4, 1),
+            lambda: pq.ap_main_term(x, 1.5, 3, 2),
+        )
+        small_primes = sv._small_primes
+
+        def no_sieve(n):
+            raise AssertionError("a warm count sieved")
+
+        monkeypatch.setattr(sv, "_table", None)
+        cold = [f() for f in counts]
+        assert sv._table is None  # counts never build a table
+        for limit in (x, x + 5000):  # the table at x, and above it
+            monkeypatch.setattr(sv, "_table", None)
+            monkeypatch.setattr(sv, "_small_primes", small_primes)
+            table = sv.shared_table(limit)
+            before = table.primality.copy()
+            monkeypatch.setattr(sv, "_small_primes", no_sieve)
+            assert [f() for f in counts] == cold
+            assert sv._table is table and np.array_equal(table.primality, before)
+
+
 class TestApCount:
     def test_q_one_degenerates(self):
         a = pq.ps_prime_count_ap(100, 1.1, 1, 0)
@@ -468,9 +501,26 @@ class TestSingularSeries:
             assert abs(a.value - b.value) <= a.tail_bound
             assert a.tail_bound == pytest.approx(2e-5)
 
+    @pytest.mark.parametrize(
+        "N", [2 ** 63 - 1, 2 ** 63 + 1, 10 ** 19 + 1, 3 ** 200, 2 ** 1024 - 1]
+    )
+    def test_residues_of_large_N_are_exact(self, table, N):
+        ps = table.primes(10 ** 5).astype(np.int64)
+        # 16777213 is the largest prime below 2^24, the largest P
+        top = np.array([2, 3, 16777213], dtype=np.int64)
+        for p in (ps, top):
+            assert pq._mod_primes(N, p).tolist() == [N % q for q in p.tolist()]
+        divides = np.array([N % q == 0 for q in ps.tolist()])
+        pm1 = ps.astype(np.float64) - 1.0
+        want = float(np.prod(1.0 - 1.0 / pm1[divides] ** 2)) if divides.any() else 1.0
+        want *= float(np.prod(1.0 + 1.0 / pm1[~divides] ** 3))
+        assert pq.singular_series(N, 10 ** 5).value == want
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             pq.singular_series(2, 10 ** 5)
+        with pytest.raises(ValueError, match="2\\^1024"):
+            pq.singular_series(2 ** 1024, 10 ** 5)
         with pytest.raises(ValueError):
             pq.singular_series(9, 50)
 
@@ -544,6 +594,34 @@ class TestPairSumCounts:
             pq._pair_sum_counts(p, p, 10)
 
 
+def full_length_goldbach(N, cs, table):
+    """Reference count: sum over p3 of the full-length pair counts at N - p3."""
+    ps = table.primes(N)
+    P1, P2, P3 = (ps[pq._ps_member_at(ps, GammaExponent.from_c(c))] for c in cs)
+    return int(blocked_pair_sum_counts(P1, P2, N)[N - P3].sum())
+
+
+_rng = random.Random(20111)
+_SPLIT_CASES = [
+    (10 ** 4, (1.01, 1.01, 1.01)),
+    (10 ** 4 + 1, (1.01, 1.01, 1.01)),
+    (10 ** 4, (1.01, 1.05, 1.1)),
+    (10 ** 4 + 1, (1.1, 1.05, 1.01)),
+    # 10007 and 10009 are primes: p3 = N - 2 has half-index M, p3 = N has
+    # M + 1 and must be dropped
+    (10009, (1.0 + 1e-9,) * 3),
+    (10009, (1.01, 1.02, 1.0 + 1e-9)),
+    # N - 4 = 10007 is prime: triples with two 2s
+    (10011, (1.0 + 1e-9, 1.01, 1.0 + 1e-9)),
+] + [
+    (
+        _rng.randrange(10 ** 4, 3 * 10 ** 4),
+        tuple(round(_rng.uniform(1.001, 1.19), 3) for _ in range(3)),
+    )
+    for _ in range(4)
+]
+
+
 class TestGoldbach3:
     def test_even_degenerate(self):
         r = pq.goldbach3_count(10 ** 4 + 2, 1.01, 1.01, 1.01)
@@ -578,6 +656,20 @@ class TestGoldbach3:
         # equal to the blocked pair loop's count at the same N
         r = pq.goldbach3_count(999999, 1.01, 1.01, 1.01)
         assert r.exact == 268313994
+
+    @pytest.mark.parametrize("N, cs", _SPLIT_CASES)
+    def test_split_equals_full_length_reference(self, table, N, cs):
+        assert pq.goldbach3_count(N, *cs).exact == full_length_goldbach(N, cs, table)
+
+    def test_odd_N_convolves_at_half_length(self, monkeypatch):
+        sizes = []
+        pair_counts = pq._pair_sum_counts
+        monkeypatch.setattr(
+            pq, "_pair_sum_counts", lambda a, b, n: sizes.append(n) or pair_counts(a, b, n)
+        )
+        pq.goldbach3_count(10009, 1.01, 1.01, 1.01)
+        pq.goldbach3_count(10010, 1.01, 1.01, 1.01)
+        assert sizes == [(10009 - 3) // 2]
 
     def test_mixed_exponents_run(self):
         r = pq.goldbach3_count(10 ** 4 + 1, 1.01, 1.05, 1.1)

@@ -113,12 +113,35 @@ class TestPrimalitySegments:
         [2, 3000]
         + [k * sv._SEGMENT + d for k in (1, 2) for d in (-1, 0, 1)],
     )
-    def test_segments_tile_the_table(self, limit):
-        segs = list(sv.primality_segments(limit))
-        assert [lo for lo, _ in segs] == list(range(0, limit + 1, sv._SEGMENT))
-        assert np.array_equal(
-            np.concatenate([s for _, s in segs]), eratosthenes(limit)
-        )
+    def test_segments_tile_the_table(self, monkeypatch, limit):
+        # both paths, whatever ran before: sieved with an empty cache, and
+        # read from a warm table at limit or above it
+        want = eratosthenes(limit)
+        for cached in (None, limit, limit + 7):
+            monkeypatch.setattr(sv, "_table", None)
+            table = cached and sv.shared_table(cached)
+            segs = list(sv.primality_segments(limit))
+            assert [lo for lo, _ in segs] == list(range(0, limit + 1, sv._SEGMENT))
+            assert np.array_equal(np.concatenate([s for _, s in segs]), want)
+            assert all(s.flags.writeable == (cached is None) for _, s in segs)
+            assert sv._table is table
+
+    def test_segments_from_the_table_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(sv, "_table", None)
+        table = sv.shared_table(3000)
+        for _, seg in sv.primality_segments(3000):
+            assert np.shares_memory(seg, table.primality)
+            with pytest.raises(ValueError, match="read-only"):
+                seg[5] = False
+        assert table.primality[5]
+
+    def test_smaller_table_is_neither_read_nor_grown(self, monkeypatch):
+        monkeypatch.setattr(sv, "_table", None)
+        table = sv.shared_table(3000)
+        (_, seg), = sv.primality_segments(3001)
+        assert seg.flags.writeable and not np.shares_memory(seg, table.primality)
+        assert np.array_equal(seg, eratosthenes(3001))
+        assert sv._table is table and table.limit == 3000
 
     def test_rejected_on_call(self):
         for limit in (1, (1 << 34) + 1):
