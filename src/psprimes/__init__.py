@@ -4,8 +4,8 @@ Library layers:
 
 - numeric: certified floors/powers, sawtooth, unit exponential, Gamma,
   exactly rounded array sums.
-- sieve: streaming primality segments for the prime counts, one cached
-  primality table (limit <= 2^24) and bulk Lambda/mu arrays.
+- sieve: a streaming prime sieve for the prime counts, one cached sorted
+  prime list (limit <= 2^24) and bulk Lambda/mu arrays.
 - pspseq: floor-power membership, prime counting (plain, progressions,
   Beatty intersections), ternary Goldbach counts, singular series.
 - exppairs: exact-rational exponent-pair calculus and admissibility regions.

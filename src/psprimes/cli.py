@@ -301,7 +301,9 @@ def _cmd_expsum_bilinear(args):
     g = GammaExponent.from_c(args.c)
     m_range = range(args.M + 1, 2 * args.M + 1)
     n_range = range(args.N + 1, 2 * args.N + 1)
-    check_bilinear_size(m_range, n_range)  # before the coefficient lists exist
+    h_weights = {args.h: args.delta}
+    # before the coefficient lists exist
+    check_bilinear_size(m_range, n_range, args.x, h_weights)
     a = [1.0] * len(m_range)
     b = [math.log(n) if args.bn == "log" else 1.0 for n in n_range]
     val = bilinear_sum(
@@ -314,7 +316,7 @@ def _cmd_expsum_bilinear(args):
         g=g,
         u=args.u,
         x=args.x,
-        h_weights={args.h: args.delta},
+        h_weights=h_weights,
     )
     return (
         ["kind", "x", "c", "alpha", "u", "M", "N", "h", "delta", "value"],

@@ -33,6 +33,9 @@ _MAX_XH = 10 ** 13
 # 1.1 GB with --bn log); at M = 2^24, N = 1, 1.2 s when no m*n lies in
 # (x, 2x] but 382 s and 1.6 GB when every m does (its per-m loop).
 _MAX_DIRECT_TERMS = 1 << 24
+# Largest number of rows (h, m) of bilinear_sum's Python loop, 20 to 30 us
+# each: 2^17 rows at N = 1 take ~4 s and 44 MB through the CLI on the same VM.
+_MAX_BILINEAR_ROWS = 1 << 17
 _MAX_VAALER_H = 10 ** 6  # expsum vaaler prints H + 1 rows: 8.7 s, 480 MB at 10^6
 
 
@@ -45,9 +48,27 @@ def _check_terms(what: str, n: int, limit: int) -> None:
         raise ResourceGuardError(f"{what} = {n} exceeds the limit {limit}")
 
 
-def check_bilinear_size(m_range: range, n_range: range) -> None:
-    """ResourceGuardError if bilinear_sum would visit more than 2^24 (m, n) pairs."""
+def check_bilinear_size(
+    m_range: range, n_range: range, x: int, h_weights: dict[int, float]
+) -> None:
+    """ResourceGuardError if bilinear_sum would visit too much.
+
+    The limits are 2^24 (m, n) pairs, and 2^17 rows of its loop: the m that
+    can put some m*n in (x, 2x], once per nonzero delta_h.
+    """
     _check_terms("M*N", len(m_range) * len(n_range), _MAX_DIRECT_TERMS)
+    nonzero_h = sum(d != 0.0 for d in h_weights.values())
+    rows = len(_bilinear_rows(m_range, n_range, x)) * nonzero_h
+    _check_terms("rows", rows, _MAX_BILINEAR_ROWS)
+
+
+def _bilinear_rows(m_range: range, n_range: range, x: int) -> range:
+    """Indices i of the m = m_range[i] that bilinear_sum's loop visits."""
+    n_lo, n_hi = sorted((n_range[0], n_range[-1])) if n_range else (0, 0)
+    if n_lo < 1 or m_range.step < 0:
+        return range(len(m_range))
+    # some m*n lies in (x, 2x] only if x // max(n) < m <= 2x // min(n)
+    return range(bisect_right(m_range, x // n_hi), bisect_right(m_range, 2 * x // n_lo))
 
 
 @dataclass(frozen=True)
@@ -121,11 +142,11 @@ def bilinear_sum(
 
     kind 'TypeI' admits b_n up to max(1, log(2N)) (smooth/log coefficients);
     'TypeII' requires |b_n| <= 1. Coefficient bound violations are rejected,
-    and so are more than _MAX_DIRECT_TERMS pairs (see check_bilinear_size).
+    and so are sizes beyond the limits of check_bilinear_size.
     """
     if kind not in ("TypeI", "TypeII"):
         raise ValueError(f"kind must be TypeI or TypeII, got {kind!r}")
-    check_bilinear_size(m_range, n_range)
+    check_bilinear_size(m_range, n_range, x, h_weights)
     a = np.asarray(a_coeffs, dtype=np.float64)
     b = np.asarray(b_coeffs, dtype=np.float64)
     if len(a) != len(m_range) or len(b) != len(n_range):
@@ -140,13 +161,6 @@ def bilinear_sum(
         raise ValueError("need |delta_h| <= 1")
 
     ns = np.fromiter(n_range, dtype=np.int64)
-    m_idx = range(len(m_range))
-    if ns.size and m_range.step > 0 and ns.min() >= 1:
-        # some m*n lies in (x, 2x] only if x // max(n) < m <= 2x // min(n)
-        m_idx = range(
-            bisect_right(m_range, x // int(ns.max())),
-            bisect_right(m_range, 2 * x // int(ns.min())),
-        )
     gam = g.gamma
     res: list[float] = []
     ims: list[float] = []
@@ -154,7 +168,7 @@ def bilinear_sum(
         delta = h_weights[h]
         if delta == 0.0:
             continue
-        for i in m_idx:
+        for i in _bilinear_rows(m_range, n_range, x):
             m = m_range[i]
             prod = m * ns
             mask = (prod > x) & (prod <= 2 * x)

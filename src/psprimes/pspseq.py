@@ -21,15 +21,14 @@ Beatty boundaries. ``ps_member_array`` and ``beatty_member_array`` are their
 range forms over 1..limit.
 
 The prime counts (plain, progression, Beatty) and their main terms stream
-over [0, x] in one pass of fixed-size blocks: primality comes from a
-segmented sieve over the base primes <= sqrt(x), membership is decided at
-the block's primes in the progression only (the Beatty test only at the
-floor-power members), and the main term is an exactly rounded sum fed block
-by block. Memory is O(segment + sqrt(x)) whatever x is; no table is built,
-but a cached table that covers x is read instead of sieving.
-Goldbach counts and the weights of ``bf_discrepancy`` decide membership at
-the primes of the shared primality table, which the singular series reads
-too.
+over the primes p <= x in the progression, in blocks of at most _BLOCK
+primes taken from ``sieve.prime_stream``: membership is decided at each
+block's primes (the Beatty test only at the floor-power members), and the
+main term is an exactly rounded sum fed block by block. Memory is
+O(segment + sqrt(x)) whatever x is; no table is built, but the stream
+slices a cached prime list that covers x instead of sieving. Goldbach
+counts and the weights of ``bf_discrepancy`` decide membership at the
+primes of the shared prime list, which the singular series reads too.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numeric import GammaExponent, _fsum_stream, _pow_parts_array, floor_neg_pow, gamma_fn
-from .sieve import primality_segments, shared_table
+from .sieve import prime_stream, shared_table
 
 MAX_AP_MODULUS = 10 ** 4
 GOLDBACH_N_RANGE = (10 ** 4, 10 ** 6)
@@ -121,30 +120,27 @@ def ps_expansion_residual_array(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
     return ind.astype(np.float64) - expansion
 
 
-# Integers per block of the counting sweep; sieve segments are split into
-# blocks this small, and membership is decided at each block's primes in one
-# kernel call (about 2*_BLOCK/log(x) entries, each with ten or so float
-# temporaries). Blocks of 2^14, 2^16 and 2^18 integers took 0.34, 0.32 and
-# 0.34 s for a count to 3*10^7 at c = 1.05, and 0.18, 0.12 and 0.12 s for
-# the progression 3 mod 997 (2-core x86-64 VM, numpy 2.4).
-_BLOCK = 1 << 16
+# Primes per block of the counting sweep: membership is decided at each
+# block's primes in one kernel call, each entry with ten or so float
+# temporaries, so the block sets the sweep's peak memory. With blocks of
+# 2^12, 2^13 and 2^14 primes a count to 3*10^7 at c = 1.05 took 0.12 to
+# 0.18 s in process either way (run-to-run noise), but `ps count` peaked at
+# 33.4, 33.8 and 34.8 MB RSS (2-core x86-64 VM, numpy 2.4).
+_BLOCK = 1 << 12
 
 
 def _sweep(
     x: int, q: int, a: int, g: GammaExponent | None = None, B: BeattyParams | None = None
 ) -> Iterator[tuple[np.ndarray, int]]:
-    """Per block of [0, x]: its primes p = a (mod q), and how many are members.
+    """Per block of the primes p = a (mod q) up to x: the block, and how many are members.
 
     Members are floor-power members for g (none without g), further
     restricted to the Beatty sequence for B; membership is decided at the
     primes only.
     """
-    for seg_lo, is_prime in primality_segments(x):
-        for lo in range(0, is_prime.size, _BLOCK):
-            first = lo + (a - seg_lo - lo) % q  # the block's first m = a (mod q)
-            ps = np.flatnonzero(is_prime[first : lo + _BLOCK : q])
-            ps *= q
-            ps += seg_lo + first
+    for stream_block in prime_stream(x, q, a):
+        for lo in range(0, stream_block.size, _BLOCK):
+            ps = stream_block[lo : lo + _BLOCK]
             members = 0
             if g is not None:
                 member = _ps_member_at(ps, g)
@@ -399,7 +395,7 @@ def singular_series(N: int, P: int) -> SingularSeriesResult:
         raise ValueError("N must be below 2^1024")
     if P < 100:
         raise ValueError(f"P must be >= 100, got {P}")
-    ps = shared_table(P).primes(P).astype(np.int64)
+    ps = shared_table(P).primes(P)
     divides = _mod_primes(N, ps) == 0
     pm1 = ps.astype(np.float64) - 1.0
     f_div = float(np.prod(1.0 - 1.0 / pm1[divides] ** 2)) if divides.any() else 1.0

@@ -1,12 +1,17 @@
-"""Segmented primality sieves: a streaming one and a cached table built from it.
+"""Segmented prime sieves: a streaming one and a cached prime list built from it.
 
-``primality_segments`` walks 0..limit one segment at a time, holding one
-segment and the base primes <= sqrt(limit), or reading the cached table
-when that covers limit; the prime counts stream over it. ``shared_table``
-fills one cached 1-byte primality array of exactly 0..limit <= TABLE_LIMIT
-from those segments for code that needs random access: the Goldbach prime
-masks, the singular series and the Lambda arrays and prime lists of the
-exponential-sum code. ``mobius_array`` needs only the base primes.
+This module alone knows how primes are stored. ``prime_stream`` yields the
+primes p <= x with p = a (mod q), block by block: it slices the cached list
+when that covers x, and otherwise sieves the odd integers of one segment at
+a time, holding one byte per odd integer of a segment and the base primes
+<= sqrt(x), and reads back only those in the progression; the prime counts
+stream over it.
+``shared_table`` concatenates that stream once into one cached, read-only,
+sorted int64 array of the primes <= limit <= TABLE_LIMIT, for code that
+needs random access: the Goldbach prime masks, the singular series and the
+Lambda arrays and prime lists of the exponential-sum code. ``mobius_array``
+needs only the base primes. Segmented sieving follows Bays and Hudson
+(BIT 17, 1977).
 """
 
 from __future__ import annotations
@@ -18,51 +23,68 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_LIMIT = 1 << 34
-# Largest shared_table limit (16 MB, ~0.4 s): covers Goldbach and the singular
-# series (10^6), hb verify (2x <= 2^23) and the 10^7 tables of library sessions.
+# Largest shared_table limit (1,077,871 primes, 8.6 MB, ~0.04 s): covers
+# Goldbach and the singular series (10^6), hb verify (2x <= 2^23) and the
+# 10^7 tables of library sessions.
 TABLE_LIMIT = 1 << 24
-_SEGMENT = 1 << 20  # entries per segment, sized for cache locality
+_SEGMENT = 1 << 20  # integers per sieved segment (even, so each starts at an even lo)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SieveTable:
+    """The primes <= limit as one sorted, read-only int64 array."""
+
     limit: int
-    primality: np.ndarray
+    prime_list: np.ndarray
 
     def primes(self, hi: int) -> np.ndarray:
+        """Read-only view of the primes <= hi, found by binary search."""
         if hi > self.limit:
             raise ValueError(f"query {hi} exceeds sieve limit {self.limit}")
-        return np.nonzero(self.primality[: hi + 1])[0]
+        return self.prime_list[: np.searchsorted(self.prime_list, hi, side="right")]
 
 
-def primality_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Primality of 0..limit one segment at a time, as (lo, is_prime[lo:hi]) pairs.
+def prime_stream(x: int, q: int = 1, a: int = 0) -> Iterator[np.ndarray]:
+    """The primes p <= x with p = a (mod q) in increasing order, as int64 blocks.
 
-    Segments are [k*_SEGMENT, (k+1)*_SEGMENT) clipped to limit, in increasing
-    order. When the cached shared_table covers limit, they are read-only views
-    of it; otherwise each is sieved fresh, owned by the caller, and only the
-    base primes <= sqrt(limit) persist between segments. Either way no table
-    is built or grown. The limit is checked on the call, before the first
-    segment is sieved.
+    Each block holds the primes of one segment [k*_SEGMENT, (k+1)*_SEGMENT)
+    of [0, x] (the prime 2 may come as a block of its own). When the cached
+    shared_table covers x, the blocks are read-only views of it for q = 1 and
+    filtered copies otherwise; else the odd integers of each segment are
+    sieved fresh, those = a (mod q) are read at stride lcm(2, q), and only the
+    base primes <= sqrt(x) persist between segments. Either way no table is
+    built or grown. x is checked on the call, before any block exists.
     """
-    if not 2 <= limit <= MAX_LIMIT:
-        raise ValueError(f"sieve limit must lie in [2, 2^34], got {limit}")
-    if _table is not None and _table.limit >= limit:
-        cached = _table.primality[: limit + 1]  # a new view: the table stays writeable
-        cached.flags.writeable = False
-        return ((lo, cached[lo : lo + _SEGMENT]) for lo in range(0, limit + 1, _SEGMENT))
-    base = _small_primes(math.isqrt(limit))
+    if not 2 <= x <= MAX_LIMIT:
+        raise ValueError(f"sieve limit must lie in [2, 2^34], got {x}")
+    if _table is not None and _table.limit >= x:
+        ps = _table.primes(x)
+        blocks = np.split(ps, np.searchsorted(ps, np.arange(_SEGMENT, x + 1, _SEGMENT)))
+        return iter(blocks) if q == 1 else (b[b % q == a % q] for b in blocks)
+    return _sieved(x, q, a % q)
 
-    def segments():
-        for lo in range(0, limit + 1, _SEGMENT):
-            hi = min(lo + _SEGMENT, limit + 1)
-            seg = np.ones(hi - lo, dtype=bool)
-            seg[: max(2 - lo, 0)] = False
-            for p in base:
-                seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
-            yield lo, seg
 
-    return segments()
+def _sieved(x: int, q: int, a: int) -> Iterator[np.ndarray]:
+    """prime_stream's blocks for 0 <= a < q, sieved segment by segment."""
+    if (2 - a) % q == 0:
+        yield np.array([2], dtype=np.int64)
+    step = q if q % 2 == 0 else 2 * q  # lcm(2, q): the odd m = a (mod q) are r mod step
+    r = a if a % 2 else a + q
+    if r % 2 == 0:  # q and a both even: no odd prime qualifies
+        return
+    base = _small_primes(math.isqrt(x))[1:]
+    for lo in range(0, x + 1, _SEGMENT):
+        odd = np.ones((min(lo + _SEGMENT, x + 1) - lo) // 2, dtype=bool)  # lo + 1 + 2i
+        if lo == 0:
+            odd[0] = False  # 1 is no prime
+        for p in base:  # strike the odd multiples of p from max(p^2, lo) on
+            m = max(p * p, -(-lo // p) * p)
+            odd[(m + p * (m % 2 == 0) - lo) // 2 :: p] = False
+        first = (r - lo) % step  # odd, so lo + first sits at index first // 2
+        ps = np.flatnonzero(odd[first // 2 :: step // 2])
+        ps *= step
+        ps += lo + first
+        yield ps
 
 
 def _small_primes(n: int) -> list[int]:
@@ -109,18 +131,18 @@ _table: SieveTable | None = None
 
 
 def shared_table(limit: int) -> SieveTable:
-    """Process-wide primality table of at least 0..limit, in one cached slot.
+    """Process-wide list of the primes <= limit or beyond, in one cached slot.
 
     A request at or below the cached limit returns the cached table; a larger
-    one builds exactly 0..limit and replaces it. Limits outside
-    [2, TABLE_LIMIT] raise ValueError before anything is allocated.
+    one concatenates prime_stream(limit) into a new exact table and replaces
+    it. Limits outside [2, TABLE_LIMIT] raise ValueError before anything is
+    allocated.
     """
     global _table
     if not 2 <= limit <= TABLE_LIMIT:
         raise ValueError(f"sieve table limit must lie in [2, 2^24], got {limit}")
     if _table is None or _table.limit < limit:
-        primality = np.empty(limit + 1, dtype=bool)
-        for lo, seg in primality_segments(limit):
-            primality[lo : lo + seg.size] = seg
-        _table = SieveTable(limit=limit, primality=primality)
+        ps = np.concatenate(list(prime_stream(limit)))
+        ps.flags.writeable = False
+        _table = SieveTable(limit=limit, prime_list=ps)
     return _table

@@ -328,10 +328,10 @@ class TestOtherSubcommands:
         from psprimes import sieve
 
         calls = []
-        segments = sieve.primality_segments
+        stream = sieve.prime_stream
         monkeypatch.setattr(sieve, "_table", None)
         monkeypatch.setattr(
-            sieve, "primality_segments", lambda limit: calls.append(limit) or segments(limit)
+            sieve, "prime_stream", lambda limit: calls.append(limit) or stream(limit)
         )
         rc, _, _ = run(capsys, "hb", "verify", "--x", "1000", "--J", "2")
         assert rc == 0
@@ -408,12 +408,15 @@ class TestOtherSubcommands:
             ["expsum", "vaaler", "--H", "10000000000"],
             ["expsum", "bilinear", "--kind", "TypeI", "--x", "30", "--c", "1.1",
              "--M", "10000000000", "--N", "5", "--h", "2"],
+            ["expsum", "bilinear", "--kind", "TypeI", "--c", "1.1", "--h", "1",
+             "--M", "16777216", "--N", "1", "--x", "33554432"],
         ],
-        ids=["vdc", "bprocess", "vaaler", "bilinear"],
+        ids=["vdc", "bprocess", "vaaler", "bilinear", "bilinear-rows"],
     )
     def test_oversized_direct_sum_exit_2(self, argv):
-        # 10^10 terms would need 75 GiB per float64 array: rejected before any
-        # array or coefficient list of that size exists
+        # 10^10 terms would need 75 GiB per float64 array, and 2^24 rows of the
+        # bilinear loop about 6 minutes: rejected before any array or
+        # coefficient list of that size exists
         proc = run_process(*argv, timeout=10)
         assert proc.returncode == 2
         assert "exceeds the limit" in proc.stderr

@@ -243,7 +243,7 @@ class TestDirectSumLimits:
         ex.vdc_bound_check(1.0, g, 0.0, 64)
         ex.b_process_compare(1.0, g, 64)
         ex.vaaler_coeffs(8)
-        ex.check_bilinear_size(range(8), range(8))
+        ex.check_bilinear_size(range(8), range(8), 30, {1: 1.0})
         with pytest.raises(ex.ResourceGuardError):
             ex.vdc_bound_check(1.0, g, 0.0, 65)
         with pytest.raises(ex.ResourceGuardError):
@@ -256,6 +256,42 @@ class TestDirectSumLimits:
                 "TypeII", [], [], range(8), range(9),
                 alpha=0.0, g=g, u=0.0, x=30, h_weights={1: 1.0},
             )
+
+    def test_bilinear_rows_limit(self, monkeypatch):
+        # rows are the m whose m*n can reach (x, 2x], once per nonzero delta_h
+        monkeypatch.setattr(ex, "_MAX_BILINEAR_ROWS", 8)
+        g = GammaExponent.from_c(1.1)
+        m_range, n_range = range(1, 101), range(10, 21)  # x = 500: m in (25, 100]
+        ex.check_bilinear_size(range(1, 9), range(1, 2), 4, {1: 1.0, 2: 0.0, 3: 1.0})
+        ex.check_bilinear_size(m_range, n_range, 40, {1: 1.0})  # m in (2, 8]
+        for x, h_weights in ((500, {1: 1.0}), (40, {1: 1.0, 2: 1.0, 3: -1.0})):
+            with pytest.raises(ex.ResourceGuardError, match="rows"):
+                # rejected before the (misaligned) coefficients are read
+                ex.bilinear_sum(
+                    "TypeI", [], [], m_range, n_range,
+                    alpha=0.0, g=g, u=0.0, x=x, h_weights=h_weights,
+                )
+
+    def test_bilinear_row_count_matches_the_loop(self):
+        # the rows counted are the rows the loop visits: the others add nothing
+        g = GammaExponent.from_c(1.3)
+        m_range, n_range = range(3, 60), range(7, 19)
+        a, b = np.linspace(-1, 1, len(m_range)), np.cos(np.arange(len(n_range)))
+        kw = dict(alpha=0.3, g=g, u=0.5, h_weights={2: 0.5})
+        for x in (10, 100, 500, 2000):
+            rows = ex._bilinear_rows(m_range, n_range, x)
+            visited = [i for i in range(len(m_range))
+                       if any(x < m_range[i] * n <= 2 * x for n in n_range)]
+            assert set(visited) <= set(rows)
+            got = ex.bilinear_sum("TypeII", a, b, m_range, n_range, x=x, **kw)
+            a_rows = np.where(np.isin(np.arange(len(m_range)), visited), a, 0.0)
+            assert got == ex.bilinear_sum("TypeII", a_rows, b, m_range, n_range, x=x, **kw)
+
+    def test_oversized_bilinear_rows_rejected_at_once(self):
+        big = range(2 ** 24 + 1, 2 ** 25 + 1)
+        with pytest.raises(ex.ResourceGuardError, match="rows = 16777216"):
+            ex.check_bilinear_size(big, range(2, 3), 2 ** 25, {1: 1.0})
+        ex.check_bilinear_size(big, range(2, 3), 2 ** 24, {1: 1.0})  # no m reaches (x, 2x]
 
 
 class TestBProcess:
@@ -391,7 +427,7 @@ class TestHeathBrown:
         # mu comes from the base primes <= sqrt(Z) alone
         calls = []
         monkeypatch.setattr(sv, "_table", None)
-        monkeypatch.setattr(sv, "primality_segments", lambda limit: calls.append(limit))
+        monkeypatch.setattr(sv, "prime_stream", lambda limit: calls.append(limit))
         lam = ex.hb_terms(ex.HbParams(J=3, x=1000, Z=50))
         assert calls == [] and sv._table is None
         assert lam[1009] == pytest.approx(math.log(1009), abs=1e-9)

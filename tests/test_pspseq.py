@@ -304,10 +304,11 @@ class TestWarmTable:
             monkeypatch.setattr(sv, "_table", None)
             monkeypatch.setattr(sv, "_small_primes", small_primes)
             table = sv.shared_table(limit)
-            before = table.primality.copy()
+            before = table.prime_list.copy()
             monkeypatch.setattr(sv, "_small_primes", no_sieve)
             assert [f() for f in counts] == cold
-            assert sv._table is table and np.array_equal(table.primality, before)
+            assert sv._table is table and np.array_equal(table.prime_list, before)
+            assert not table.prime_list.flags.writeable
 
 
 class TestApCount:
@@ -568,9 +569,10 @@ class TestPairSumCounts:
 
     def test_member_primes_distinct_exponents(self, table):
         N = 20011
-        primes = table.primality[: N + 1]
-        p1 = np.nonzero(pq.ps_member_array(N, GammaExponent.from_c(1.01)) & primes)[0]
-        p2 = np.nonzero(pq.ps_member_array(N, GammaExponent.from_c(1.1)) & primes)[0]
+        primes = table.primes(N)
+        assert np.array_equal(primes, np.flatnonzero(eratosthenes(N)))
+        p1 = primes[pq.ps_member_array(N, GammaExponent.from_c(1.01))[primes]]
+        p2 = primes[pq.ps_member_array(N, GammaExponent.from_c(1.1))[primes]]
         got = pq._pair_sum_counts(p1, p2, N)
         assert np.array_equal(got, blocked_pair_sum_counts(p1, p2, N))
 

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -58,14 +59,19 @@ class TestBuildTable:
         assert len(table.primes(10 ** 6)) == 78498
 
     def test_primality_matches_eratosthenes(self, table):
-        assert np.array_equal(table.primality, eratosthenes(table.limit))
+        ps = table.primes(table.limit)
+        assert ps.dtype == np.int64
+        assert np.array_equal(ps, np.flatnonzero(eratosthenes(table.limit)))
 
     def test_segmentation_is_invisible(self, table):
         # both sides of every segment edge, by trial division
         assert table.limit >= 2 * sv._SEGMENT
+        ps = table.primes(table.limit)
         for edge in range(0, table.limit + 1, sv._SEGMENT):
-            for n in range(max(edge - 40, 0), min(edge + 40, table.limit + 1)):
-                assert bool(table.primality[n]) == is_prime(n)
+            lo, hi = max(edge - 40, 0), min(edge + 40, table.limit + 1)
+            want = [n for n in range(lo, hi) if is_prime(n)]
+            assert list(ps[(ps >= lo) & (ps < hi)]) == want
+            assert list(table.primes(hi - 1)[-len(want):]) == want
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -82,8 +88,9 @@ class TestSharedTable:
     @pytest.mark.parametrize("n", [2, 3000, 10 ** 7, sv.TABLE_LIMIT])
     def test_exact_size(self, empty_cache, n):
         table = sv.shared_table(n)
-        assert table.limit == n and table.primality.size == n + 1
-        assert np.array_equal(table.primality[-3000:], eratosthenes(n)[-3000:])
+        want = np.flatnonzero(eratosthenes(n))
+        assert table.limit == n and np.array_equal(table.prime_list, want)
+        assert table.prime_list.dtype == np.int64 and not table.prime_list.flags.writeable
 
     def test_smaller_request_hits_larger_replaces(self, empty_cache):
         first = sv.shared_table(5000)
@@ -95,7 +102,7 @@ class TestSharedTable:
 
     def test_beyond_cap_rejected_before_allocating(self, empty_cache, monkeypatch):
         calls = []
-        monkeypatch.setattr(sv, "primality_segments", lambda limit: calls.append(limit))
+        monkeypatch.setattr(sv, "prime_stream", lambda limit: calls.append(limit))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"\[2, 2\^24\]"):
@@ -107,7 +114,22 @@ class TestSharedTable:
         assert peak < 1 << 20
 
 
+def stream(x, q=1, a=0):
+    return list(sv.prime_stream(x, q, a))
+
+
+def joined(blocks):
+    return np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+
+
+def oracle_progression(x, q, a):
+    ps = np.flatnonzero(eratosthenes(x))
+    return ps[ps % q == a % q]
+
+
 class TestPrimalitySegments:
+    """prime_stream: the blocks, the cache they read and the limit check."""
+
     @pytest.mark.parametrize(
         "limit",
         [2, 3000]
@@ -116,37 +138,94 @@ class TestPrimalitySegments:
     def test_segments_tile_the_table(self, monkeypatch, limit):
         # both paths, whatever ran before: sieved with an empty cache, and
         # read from a warm table at limit or above it
-        want = eratosthenes(limit)
+        want = np.flatnonzero(eratosthenes(limit))
         for cached in (None, limit, limit + 7):
             monkeypatch.setattr(sv, "_table", None)
             table = cached and sv.shared_table(cached)
-            segs = list(sv.primality_segments(limit))
-            assert [lo for lo, _ in segs] == list(range(0, limit + 1, sv._SEGMENT))
-            assert np.array_equal(np.concatenate([s for _, s in segs]), want)
-            assert all(s.flags.writeable == (cached is None) for _, s in segs)
+            blocks = [b for b in stream(limit) if b.size]
+            assert np.array_equal(np.concatenate(blocks), want)
+            # each block lies in one segment, and the blocks ascend
+            assert all(b[0] // sv._SEGMENT == b[-1] // sv._SEGMENT for b in blocks)
+            for b in blocks:
+                assert b.dtype == np.int64
+                assert b.flags.writeable == (cached is None)
+                assert cached is None or np.shares_memory(b, table.prime_list)
             assert sv._table is table
 
     def test_segments_from_the_table_are_read_only(self, monkeypatch):
         monkeypatch.setattr(sv, "_table", None)
         table = sv.shared_table(3000)
-        for _, seg in sv.primality_segments(3000):
-            assert np.shares_memory(seg, table.primality)
+        views = [table.primes(3000), table.primes(5), table.prime_list, *stream(3000)]
+        for view in views:
+            assert np.shares_memory(view, table.prime_list)
             with pytest.raises(ValueError, match="read-only"):
-                seg[5] = False
-        assert table.primality[5]
+                view[1] = 4
+        assert list(table.primes(12)) == [2, 3, 5, 7, 11]
 
     def test_smaller_table_is_neither_read_nor_grown(self, monkeypatch):
         monkeypatch.setattr(sv, "_table", None)
         table = sv.shared_table(3000)
-        (_, seg), = sv.primality_segments(3001)
-        assert seg.flags.writeable and not np.shares_memory(seg, table.primality)
-        assert np.array_equal(seg, eratosthenes(3001))
+        for q, a in ((1, 0), (7, 3)):
+            blocks = stream(3001, q, a)
+            assert not any(np.shares_memory(b, table.prime_list) for b in blocks)
+            assert np.array_equal(joined(blocks), oracle_progression(3001, q, a))
         assert sv._table is table and table.limit == 3000
 
-    def test_rejected_on_call(self):
-        for limit in (1, (1 << 34) + 1):
-            with pytest.raises(ValueError, match=r"\[2, 2\^34\]"):
-                sv.primality_segments(limit)
+    def test_rejected_on_call(self, monkeypatch):
+        # with an empty cache and with a warm one that could answer from its list
+        for cached in (None, 3000):
+            monkeypatch.setattr(sv, "_table", cached and sv.shared_table(cached))
+            for limit in (1, 0, (1 << 34) + 1):
+                with pytest.raises(ValueError, match=r"\[2, 2\^34\]"):
+                    sv.prime_stream(limit, 3, 2)
+
+
+class TestPrimeStream:
+    """The primes p <= x with p = a (mod q), against a whole-array sieve."""
+
+    EDGE_CASES = [
+        (2, 1, 0), (3, 1, 0), (2, 3, 2), (3, 4, 3), (2, 2, 0), (3, 4, 2),
+        (1000, 6, 4), (1000, 10, 12), (1000, 7, -5), (1000, 9973, 2),
+        (sv._SEGMENT - 1, 5, 2), (sv._SEGMENT, 6, 1), (sv._SEGMENT + 1, 4, 3),
+        (2 * sv._SEGMENT + 1, 3, 2), (2 * sv._SEGMENT + 3, 2, 1),
+    ]
+
+    @pytest.mark.parametrize("x, q, a", EDGE_CASES)
+    def test_edge_cases_cold_and_warm(self, monkeypatch, x, q, a):
+        # a warm stream neither sieves nor writes into the cached list
+        want = oracle_progression(x, q, a)
+        small_primes = sv._small_primes
+
+        def no_sieve(n):
+            raise AssertionError("a warm stream sieved")
+
+        for cached in (None, x, x + 5):
+            monkeypatch.setattr(sv, "_table", None)
+            monkeypatch.setattr(sv, "_small_primes", small_primes)
+            table = cached and sv.shared_table(cached)
+            if cached:
+                before = table.prime_list.copy()
+                monkeypatch.setattr(sv, "_small_primes", no_sieve)
+            assert np.array_equal(joined(stream(x, q, a)), want)
+            assert sv._table is table
+            assert not cached or np.array_equal(table.prime_list, before)
+
+    def test_random_progressions_cold_and_warm(self, monkeypatch):
+        rng = random.Random(20260)
+        top = 2 * sv._SEGMENT + 777
+        ps = np.flatnonzero(eratosthenes(top))
+        cases = [
+            (rng.choice([rng.randrange(2, 5000), rng.randrange(2, top + 1)]),
+             rng.choice([1, 2, rng.randrange(1, 60), rng.randrange(1, 10 ** 4)]),
+             rng.randrange(-10 ** 4, 10 ** 4))
+            for _ in range(120)
+        ]
+        for warm in (False, True):
+            monkeypatch.setattr(sv, "_table", sv.shared_table(top) if warm else None)
+            for x, q, a in cases:
+                want = ps[(ps <= x) & (ps % q == a % q)]
+                got = joined(stream(x, q, a))
+                assert np.array_equal(got, want), (warm, x, q, a)
 
 
 class TestArithmeticFunctions:
