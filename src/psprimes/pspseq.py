@@ -14,19 +14,19 @@ a-priori rounding bound (Percival, Math. Comp. 2003; stated at
 within 1/4 of an integer, else ArithmeticError; at N = 10^6 with every odd
 prime the bound is 6.2e-9.
 
-Membership is decided at the points that are read: ``_ps_member_at`` takes
-the certified ceilings of m^gamma and (m+1)^gamma for an array of m in one
-``_pow_parts_array`` call, and ``_beatty_member_at`` does the same for the
-Beatty boundaries. ``ps_member_array`` and ``beatty_member_array`` are their
-range forms over 1..limit.
+Membership is decided at the points that are read: ``_ps_member_at`` decides
+an array of m from one power t = m^(gamma-1) each, and only the few entries
+it cannot prove go to the certified ceilings of m^gamma and (m+1)^gamma
+(``_indicator_parts``); ``_beatty_member_at`` decides the Beatty boundaries.
+``ps_member_array`` and ``beatty_member_array`` are their range forms.
 
 The prime counts (plain, progression, Beatty) and their main terms stream
 over the primes p <= x in the progression, in blocks of at most _BLOCK
 primes taken from ``sieve.prime_stream``: membership is decided at each
-block's primes (the Beatty test only at the floor-power members), and the
-main term is an exactly rounded sum fed block by block. Memory is
-O(segment + sqrt(x)) whatever x is; no table is built, but the stream
-slices a cached prime list that covers x instead of sieving. Goldbach
+block's primes (the Beatty test only at the floor-power members) from the
+same t = p^(gamma-1) as the main term, an exactly rounded sum fed block by
+block. Memory is O(segment + sqrt(x)) whatever x is; no table is built, but
+the stream slices a cached prime list that covers x instead of sieving. Goldbach
 counts and the weights of ``bf_discrepancy`` decide membership at the
 primes of the shared prime list, which the singular series reads too.
 """
@@ -40,7 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numeric import GammaExponent, _fsum_stream, _pow_parts_array, floor_neg_pow, gamma_fn
+from .numeric import _ARRAY_GUARD_REL, GammaExponent, _fsum_stream, _pow_parts_array
+from .numeric import floor_neg_pow, gamma_fn
 from .sieve import prime_stream, shared_table
 
 MAX_AP_MODULUS = 10 ** 4
@@ -81,8 +82,38 @@ def _indicator_parts(ms: np.ndarray, gam: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _ps_member_at(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
-    """Boolean membership of each m >= 1 in the int64 array ms."""
-    return _indicator_parts(ms, g.gamma)[0] == 1
+    """Boolean membership of each m in the int64 array ms, 1 <= m < 2^53 - 1."""
+    if ms.size and (ms.min() < 1 or ms.max() >= (1 << 53) - 1):
+        raise ValueError("m must lie in [1, 2^53 - 1)")
+    mf = ms.astype(np.float64)
+    return _member_from_t(ms, mf, mf ** (g.gamma - 1.0), g.gamma)
+
+
+# m is a member iff d = ceil(m^gam) - m^gam < D = (m+1)^gam - m^gam. By the
+# mean value theorem and Bernoulli's inequality, lo < D < hi for hi = gam*t,
+# t = m^(gam-1), and lo = hi*(1 - (1-gam)/m). For 1 <= m < 2^53 the float m
+# is exact; the float t is trusted to t*_FLOAT_POW_REL, so y0 = m*t, rounded
+# once, is within (2^-47 + 2^-53)*y0 < tol/1.9 of m^gam, where tol =
+# y0*_ARRAY_GUARD_REL is exact. d = ceil(y0) - y0 is exact (Sterbenz: y0 >= 1).
+# Unless d <= tol or d >= 1 - tol, no integer lies that close to y0, so the
+# true d is within tol/1.9 of the float one. The float lo and hi, below 1, are
+# within the pow radius plus four roundings (2^-46.9 < tol/1.7) of the true
+# ones, and each compared bound is rounded once more (< tol/64). Hence
+# d < lo - 2*tol proves membership and d >= hi + 2*tol proves none; every
+# other entry is re-decided by _indicator_parts.
+def _member_from_t(ms: np.ndarray, mf: np.ndarray, t: np.ndarray, gam: float) -> np.ndarray:
+    """Membership of each m in ms from its float mf and t = mf ** (gam - 1.0)."""
+    y0 = mf * t
+    d = np.ceil(y0)
+    d -= y0
+    tol = y0 * _ARRAY_GUARD_REL
+    hi = gam * t
+    lo = hi * (1.0 - (1.0 - gam) / mf)
+    member = d < lo - 2.0 * tol
+    risky = ~((d > tol) & (d < 1.0 - tol) & (member | (d >= hi + 2.0 * tol)))
+    if risky.any():
+        member[risky] = _indicator_parts(ms[risky], gam)[0] == 1
+    return member
 
 
 def ps_member_array(limit: int, g: GammaExponent) -> np.ndarray:
@@ -121,75 +152,70 @@ def ps_expansion_residual_array(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
 
 
 # Primes per block of the counting sweep: membership is decided at each
-# block's primes in one kernel call, each entry with ten or so float
-# temporaries, so the block sets the sweep's peak memory. With blocks of
-# 2^12, 2^13 and 2^14 primes a count to 3*10^7 at c = 1.05 took 0.12 to
-# 0.18 s in process either way (run-to-run noise), but `ps count` peaked at
-# 33.4, 33.8 and 34.8 MB RSS (2-core x86-64 VM, numpy 2.4).
-_BLOCK = 1 << 12
+# block's primes in one kernel call, with about ten float temporaries per
+# entry. With blocks of 2^12, 2^13 and 2^14 primes, three warm counts to 10^7
+# took 57.8, 50.1 and 63.1 ms in process, and `ps count --x 30000000` peaked at
+# 32.8, 32.8 and 33.1 MB RSS (2-core x86-64 VM, numpy 2.4).
+_BLOCK = 1 << 13
 
 
 def _sweep(
-    x: int, q: int, a: int, g: GammaExponent | None = None, B: BeattyParams | None = None
+    x: int, q: int, a: int, gam: float, members: bool = False, B: BeattyParams | None = None
 ) -> Iterator[tuple[np.ndarray, int]]:
-    """Per block of the primes p = a (mod q) up to x: the block, and how many are members.
+    """Per block of the primes p = a (mod q) up to x: t = p^(gam-1), and how many are members.
 
-    Members are floor-power members for g (none without g), further
-    restricted to the Beatty sequence for B; membership is decided at the
-    primes only.
+    With ``members`` the floor-power members for gam are counted (none
+    otherwise), further restricted to the Beatty sequence for B; membership
+    is decided at the primes only, from the same t as the main term.
     """
     for stream_block in prime_stream(x, q, a):
         for lo in range(0, stream_block.size, _BLOCK):
             ps = stream_block[lo : lo + _BLOCK]
-            members = 0
-            if g is not None:
-                member = _ps_member_at(ps, g)
+            pf = ps.astype(np.float64)
+            t = pf ** (gam - 1.0)
+            k = 0
+            if members:
+                member = _member_from_t(ps, pf, t, gam)
                 if B is not None:
                     member[member] = _beatty_member_at(ps[member], B)
-                members = int(np.count_nonzero(member))
-            yield ps, members
+                k = int(np.count_nonzero(member))
+            yield t, k
 
 
 def _fsum_sweep(
     blocks: Iterable[tuple[np.ndarray, int]], term: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float, int, int]:
-    """(math.fsum of term(p) over all primes p, members, primes) of one sweep.
+    """(math.fsum of term(t) over all primes p, members, primes) of one sweep.
 
-    The exactly rounded sum streams the per-block terms through
-    ``_fsum_stream``, so it equals math.fsum of one whole-range array while
-    memory stays a few blocks. The terms are finite and below 2^996 in
-    magnitude, as its precondition asks.
+    The exactly rounded sum streams the per-block terms, each a function of
+    t = p^(gam-1), through ``_fsum_stream``, so it equals math.fsum of one
+    whole-range array while memory stays a few blocks. The terms are finite
+    and below 2^996 in magnitude, as its precondition asks.
     """
     members = primes = 0
 
     def terms() -> Iterator[np.ndarray]:
         nonlocal members, primes
-        for ps, k in blocks:
+        for t, k in blocks:
             members += k
-            primes += ps.size
-            yield term(ps.astype(np.float64))
+            primes += t.size
+            yield term(t)
 
     total = _fsum_stream(terms())
     return total, members, primes
 
 
-def _refined_sweep(
-    x: int, gam: float, q: int, a: int, g: GammaExponent | None = None
-) -> tuple[float, int]:
+def _refined_sweep(x: int, gam: float, q: int, a: int, members: bool = False) -> tuple[float, int]:
     """(refined main term, members) for the primes p = a (mod q) up to x."""
-    total, members, _ = _fsum_sweep(_sweep(x, q, a, g), lambda p: p ** (gam - 1.0))
-    return gam * total, members
+    total, k, _ = _fsum_sweep(_sweep(x, q, a, gam, members), lambda t: t)
+    return gam * total, k
 
 
-def _ap_sweep(
-    x: int, gam: float, q: int, a: int, g: GammaExponent | None = None
-) -> tuple[float, int]:
+def _ap_sweep(x: int, gam: float, q: int, a: int, members: bool = False) -> tuple[float, int]:
     """(progression main term, members) for the primes p = a (mod q) up to x."""
     xg1 = float(x) ** (gam - 1.0)
-    integral, members, n = _fsum_sweep(
-        _sweep(x, q, a, g), lambda p: (xg1 - p ** (gam - 1.0)) / (gam - 1.0)
-    )
-    return gam * xg1 * n + gam * (1.0 - gam) * integral, members
+    integral, k, n = _fsum_sweep(_sweep(x, q, a, gam, members), lambda t: (xg1 - t) / (gam - 1.0))
+    return gam * xg1 * n + gam * (1.0 - gam) * integral, k
 
 
 def refined_main_term(x: int, c: float, q: int = 1, a: int = 0) -> float:
@@ -208,7 +234,7 @@ def ps_prime_count(x: int, c: float) -> PsCountReport:
     is power-saving.
     """
     g = GammaExponent.from_c(c)
-    main, count = _refined_sweep(x, g.gamma, 1, 0, g)
+    main, count = _refined_sweep(x, g.gamma, 1, 0, True)
     return PsCountReport(
         x=x,
         c=c,
@@ -239,7 +265,7 @@ def ps_prime_count_ap(x: int, c: float, q: int, a: int) -> PsCountReport:
     if math.gcd(a, q) != 1:
         raise ValueError(f"require gcd(a, q) = 1, got a={a}, q={q}")
     g = GammaExponent.from_c(c)
-    main, count = _ap_sweep(x, g.gamma, q, a % q, g)
+    main, count = _ap_sweep(x, g.gamma, q, a % q, True)
     return PsCountReport(
         x=x,
         c=c,
@@ -362,7 +388,7 @@ def beatty_member_array(limit: int, B: BeattyParams) -> np.ndarray:
 def ps_beatty_prime_count(x: int, c: float, B: BeattyParams) -> PsCountReport:
     """Count primes <= x lying in both sequences, against x^gamma/(alpha*log x)."""
     g = GammaExponent.from_c(c)
-    count = sum(k for _, k in _sweep(x, 1, 0, g, B))
+    count = sum(k for _, k in _sweep(x, 1, 0, g.gamma, True, B))
     main = x ** g.gamma / (B.alpha * math.log(x))
     return PsCountReport(
         x=x,
@@ -505,7 +531,7 @@ def goldbach3_count(
     every triple holds one 2, and an indicator lookup counts the odd pairs
     summing to N - 2. Membership is decided at the primes <= N only. About
     0.1 s at N = 10^6 with a warm table, most of it the FFT (membership at
-    the 78,498 primes takes ~5 ms; 2-core x86-64 VM). Even N is degenerate:
+    the 78,498 primes takes 1 to 3 ms; 2-core x86-64 VM). Even N is degenerate:
     the prediction is exactly 0 (singular series), the exact count is still
     reported.
     """

@@ -171,8 +171,68 @@ class TestAdversarialFloors:
         ks = data.draw(st.lists(st.integers(2, int((TOP - 2) ** (1.0 / q))), max_size=8))
         ms = [k ** q + d for k in ks for d in (-2, -1, 0, 1)]
         ms += data.draw(st.lists(st.integers(TOP - (1 << 12), TOP - 1), max_size=6))
+        # m = floor(n^c) - 1, floor(n^c), floor(n^c) + 1, where d = ceil(m^gamma)
+        # - m^gamma sits next to (m+1)^gamma - m^gamma; the least m, where the
+        # bracket (1 - gamma)/m is widest; m near 2^34, and near 2^45 to 2^47,
+        # where the guard band outgrows that gap and every member is re-decided
+        ns = data.draw(
+            st.lists(st.builds(lambda u: int(2.0 ** u), st.floats(1.0, 52.9 * gamma)), max_size=6)
+        )
+        with mpmath.workprec(200):
+            ms += [
+                int(mpmath.floor(mpmath.power(n, 1 / mpmath.mpf(gamma)))) + d
+                for n in ns
+                for d in (-1, 0, 1)
+            ]
+        ms += [1, 2, 3, 5]
+        ms += data.draw(
+            st.lists(
+                st.one_of(
+                    st.integers((1 << 34) - (1 << 12), (1 << 34) + (1 << 12)),
+                    st.integers(1 << 45, 1 << 47),
+                ),
+                max_size=6,
+            )
+        )
         got = pspseq._ps_member_at(np.array(ms, dtype=np.int64), g)
         assert got.tolist() == [oracle_member(m, gamma) for m in ms]
+
+    @pytest.mark.parametrize("q, p", [(4, 3), (8, 5), (8, 7)])
+    def test_member_at_dyadic_powers_against_certified_kernel(self, q, p):
+        # gamma = p/q is exact in binary, so m^gamma is the integer k^p at m =
+        # k^q, and d sits on Delta at m = k^q - 1, for 2000 k up to 2^(53/q).
+        # Then m = floor(n^c) - 1, floor(n^c) and floor(n^c) + 1, exactly, for
+        # 10^4 n spread over 2^30 <= m <= 2^47, where the float error of d
+        # outgrows the bracket (1 - gamma)/m but not yet the gap
+        from psprimes import pspseq
+
+        gamma = p / q
+        ks = np.unique(np.geomspace(2, (TOP - 2) ** (1.0 / q), 2000).astype(np.int64))
+        ns = np.unique(np.geomspace(2 ** (30 * gamma), 2 ** (47 * gamma), 10 ** 4).astype(np.int64))
+        m0 = np.array([nc._iroot(n ** q, p)[0] for n in ns.tolist()], dtype=np.int64)
+        ms = np.concatenate([ks ** q - 1, ks ** q, ks ** q + 1, m0 - 1, m0, m0 + 1])
+        got = pspseq._ps_member_at(ms, nc.GammaExponent.from_gamma(gamma))
+        assert np.array_equal(got, pspseq._indicator_parts(ms, gamma)[0] == 1)
+
+    @pytest.mark.parametrize("c", [1.0 + 1e-9, 1.01, 1.05, 1.3, 1.7, 1.9, 1.999])
+    def test_member_at_primes_against_certified_kernel(self, table, monkeypatch, c):
+        # every prime <= 10^6 against the certified two-power decision, with
+        # the one-power test deciding all but a handful of them
+        from psprimes import pspseq
+
+        ps = table.primes(10 ** 6)
+        gamma = nc.GammaExponent.from_c(c).gamma
+        certified = pspseq._indicator_parts
+        want = certified(ps, gamma)[0] == 1
+        rechecked = []
+        monkeypatch.setattr(
+            pspseq,
+            "_indicator_parts",
+            lambda ms, gam: rechecked.append(ms.size) or certified(ms, gam),
+        )
+        got = pspseq._ps_member_at(ps, nc.GammaExponent.from_c(c))
+        assert np.array_equal(got, want)
+        assert sum(rechecked) <= 4
 
 
 class TestPsi:
@@ -432,6 +492,109 @@ class TestFsumStream:
             a[[_CHUNK - 1, 4 * _CHUNK, 8 * _CHUNK + 2]] = [1e16, 1.0, -1e16]
             # per-fold rounding would give 0.0
             assert nc._fsum_stream(iter(blocks)) == 1.0
+
+
+@st.composite
+def summation_case(draw):
+    """The cases of TestFsumArray and TestFsumStream: (the array, its blocks or None)."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        spikes = [1e16, 1.0, -1e16, 1e300, -1e300, 5e-324, -0.0]
+        for i in draw(st.lists(st.integers(0, 3 * _CHUNK + 5), max_size=8)):
+            if i < n:
+                a[i] = draw(st.sampled_from(spikes))
+        return a, None
+    return stream_case(
+        draw(st.sampled_from([0, 1, 5, _MIN - 1, _MIN, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5])),
+        draw(st.lists(st.integers(0, 3 * _CHUNK + 5), max_size=12)),
+        draw(st.integers(0, 2 ** 32 - 1)),
+        draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([0, 1, _MIN - 1, _CHUNK - 1, _CHUNK, 2 * _CHUNK]),
+                    st.sampled_from([1e16, 1.0, -1e16, 1e295, -1e295, 5e-324, -0.0]),
+                ),
+                max_size=6,
+            )
+        ),
+    )
+
+
+def signed(v):
+    return v, math.copysign(1.0, v)
+
+
+class TestExtraction:
+    """The ExtractVector passes of _fsum_stream, with the bins as their tail."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=summation_case(), passes=st.sampled_from([0, 64]))
+    def test_pure_binning_and_pure_extraction_equal_fsum(self, case, passes):
+        a, blocks = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nc, "_EXTRACT_PASSES", passes)
+            got = nc.fsum_array(a) if blocks is None else nc._fsum_stream(iter(blocks))
+            assert signed(got) == signed(math.fsum(a))
+
+    @pytest.mark.parametrize("c", [1.0 + 1e-9, 1.05, 1.5, 1.9])
+    def test_main_terms_are_never_binned(self, monkeypatch, c):
+        def binned(*_):
+            raise AssertionError("a main term reached the bins")
+
+        gam = 1.0 / c
+        ps = np.arange(2, 10 ** 6, dtype=np.float64)
+        xg1 = 1e6 ** (gam - 1.0)
+        terms = [ps ** (gam - 1.0), ps[:-1000] ** (gam - 1.0) * np.cos(ps[:-1000])]
+        terms.append((xg1 - terms[0]) / (gam - 1.0))
+        want = [math.fsum(t) for t in terms]
+        monkeypatch.setattr(np, "bincount", binned)
+        monkeypatch.setattr(nc, "_fold", binned)
+        assert [nc._fsum_stream(np.array_split(t, 40)) for t in terms] == want
+
+    def test_cancellation_across_passes_in_one_chunk(self):
+        # 1e16 + 1 - 1e16 spans two passes, and the tiny entries, left to the
+        # bins, still move the rounding of the 1.0
+        rng = np.random.default_rng(5)
+        a = rng.uniform(1.0, 2.0, _CHUNK) * 2.0 ** -66
+        a[[3, 700, _CHUNK - 1]] = [1e16, 1.0, -1e16]
+        want = math.fsum(a)
+        assert want == 1.0 + 2.0 ** -52
+        assert nc.fsum_array(a) == want
+        a[700] = 0.0
+        assert nc.fsum_array(a) == math.fsum(a) > 0.0
+
+    @pytest.mark.parametrize("passes", [1, 2, 64])
+    def test_full_chunk_at_the_sigma_bound(self, monkeypatch, passes):
+        # n = _FSUM_CHUNK entries just below 2^e: their extracted sum reaches
+        # (2^_EXTRACT_BITS - 2) * 2^e, the most that sigma = 2^(e + bits) allows
+        assert _CHUNK + 2 <= 1 << nc._EXTRACT_BITS
+        monkeypatch.setattr(nc, "_EXTRACT_PASSES", passes)
+        top = np.nextafter(1.0, 0.0)
+        rng = np.random.default_rng(passes)
+        for a in (
+            np.full(_CHUNK, top),
+            np.full(_CHUNK, -top),
+            np.where(rng.random(_CHUNK) < 0.9, top, -0.75) * rng.choice([1.0, 1 - 2 ** -52], _CHUNK),
+            np.concatenate([np.full(_CHUNK - 1, -top), [2.0 ** -70]]),
+        ):
+            assert a.size == _CHUNK
+            assert signed(nc._fsum_stream([a])) == signed(math.fsum(a))
+
+    @pytest.mark.parametrize("passes", [0, 2, 64])
+    @pytest.mark.parametrize("top", [2.0 ** -1022, 2.0 ** -1040, 2.0 ** -1060, 5e-324])
+    def test_subnormal_only_chunks(self, monkeypatch, passes, top):
+        # sigma = 2^(e + _EXTRACT_BITS) leaves the normal range below 2^-1037:
+        # those chunks go to the bins whatever the pass cap
+        monkeypatch.setattr(nc, "_EXTRACT_PASSES", passes)
+        rng = np.random.default_rng(int(-math.log2(top)))
+        k = int(top / 5e-324)
+        a = rng.integers(-k + 1, k, _CHUNK) * 5e-324  # exact multiples of 2^-1074
+        a[::5] = np.nextafter(top, 0.0)
+        assert np.all(np.abs(a) < 2.0 ** -1022)
+        assert signed(nc._fsum_stream([a])) == signed(math.fsum(a))
+        assert signed(nc._fsum_stream([a, -a])) == (0.0, 1.0)
 
 
 class TestGammaExponent:

@@ -260,21 +260,30 @@ class TestStreamingCount:
         assert np.array_equal(pq._beatty_member_at(ms, B), pq.beatty_member_array(hi, B)[ms])
 
     def test_membership_is_decided_at_primes_only(self, monkeypatch):
-        # a timing-free guard against per-integer work: the kernel sees m and
-        # m + 1 for each prime in the progression, and nothing else
-        entries = []
-        kernel = pq._pow_parts_array
+        # a timing-free guard against per-integer work: the one-power kernel
+        # sees each prime in the progression once, in order, and nothing else;
+        # the certified kernel sees only the few entries it re-decides, as m
+        # and m + 1
+        seen, rechecked = [], []
+        kernel, certified = pq._member_from_t, pq._pow_parts_array
         monkeypatch.setattr(
-            pq, "_pow_parts_array", lambda ns, e: entries.append(len(ns)) or kernel(ns, e)
+            pq, "_member_from_t", lambda ms, *args: seen.append(ms.copy()) or kernel(ms, *args)
+        )
+        monkeypatch.setattr(
+            pq, "_pow_parts_array", lambda ns, e: rechecked.append(len(ns)) or certified(ns, e)
         )
         x = sv._SEGMENT + 12345
         ps = np.flatnonzero(eratosthenes(x))
-        pq.ps_prime_count(x, 1.3)
-        assert sum(entries) == 2 * ps.size
-        for q, a in ((3, 2), (7919, 5)):
-            entries.clear()
-            pq.ps_prime_count_ap(x, 1.3, q, a)
-            assert sum(entries) == 2 * int(np.count_nonzero(ps % q == a))
+        for count, want in (
+            (lambda: pq.ps_prime_count(x, 1.3), ps),
+            (lambda: pq.ps_prime_count_ap(x, 1.3, 3, 2), ps[ps % 3 == 2]),
+            (lambda: pq.ps_prime_count_ap(x, 1.3, 7919, 5), ps[ps % 7919 == 5]),
+        ):
+            seen.clear()
+            rechecked.clear()
+            count()
+            assert np.array_equal(np.concatenate(seen), want)
+            assert sum(rechecked) <= 8 and sum(rechecked) % 2 == 0
 
 
 class TestWarmTable:
