@@ -238,10 +238,12 @@ _EXTRACT_BITS = (_FSUM_CHUNK + 1).bit_length()
 # terms in 0.41, 0.46, 0.12, 0.19 and 0.19 ms, 664,579 random entries over 60
 # decades in 9.7, 11.6, 12.9, 18.6 and 21.0 ms (2-core x86-64 VM, numpy 2.4).
 _EXTRACT_PASSES = 2
-# Below this many entries math.fsum over a list is faster. On the same VM, list
-# fsum against extraction: 28 -> 36 us at 512 normal entries, 30 -> 26 us at
-# 768, 38 -> 30 us at 1024 and 85 -> 32 us at 2048.
-_FSUM_MIN = 1 << 10
+# Below this many entries the sum goes to math.fsum over a list. On the same
+# VM, list fsum against extraction: 28 -> 36 us at 512 normal entries, 30 -> 26
+# us at 768, 38 -> 30 us at 1024 and 85 -> 32 us at 2048, so extraction now
+# wins from about 768; the hand-over stays at 2^11, which names the edge cases
+# of tests/test_numeric.py, for at most 50 us per sum.
+_FSUM_MIN = 1 << 11
 # A bin sums 27-bit halves in float64, which is exact below 2^26 terms.
 _FSUM_MAX = 1 << 26
 # Fewer than 2^26 entries below 2^996 in magnitude keep every partial sum below

@@ -259,6 +259,30 @@ class TestStreamingCount:
         assert np.array_equal(pq._ps_member_at(ms, g), pq.ps_member_array(hi, g)[ms])
         assert np.array_equal(pq._beatty_member_at(ms, B), pq.beatty_member_array(hi, B)[ms])
 
+    @pytest.mark.parametrize("c", [1.0 + 1e-9, 1.05, 1.5, 1.9])
+    def test_summed_terms_are_the_plain_powers(self, monkeypatch, c):
+        # the one power per prime that membership reads is the main term's
+        # p ** (gamma - 1), bit for bit, in both main-term forms
+        blocks = []
+        stream = pq._fsum_stream
+
+        def spy(terms):
+            for t in terms:
+                blocks.append(t.copy())
+                yield t
+
+        monkeypatch.setattr(pq, "_fsum_stream", lambda terms: stream(spy(terms)))
+        x = 10 ** 6
+        ps = np.flatnonzero(eratosthenes(x)).astype(np.float64)
+        gam = GammaExponent.from_c(c).gamma
+        pq.ps_prime_count(x, c)
+        assert np.concatenate(blocks).tobytes() == (ps ** (gam - 1.0)).tobytes()
+        blocks.clear()
+        pq.ps_prime_count_ap(x, c, 3, 2)
+        xg1 = float(x) ** (gam - 1.0)
+        want = (xg1 - ps[ps % 3 == 2] ** (gam - 1.0)) / (gam - 1.0)
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+
     def test_membership_is_decided_at_primes_only(self, monkeypatch):
         # a timing-free guard against per-integer work: the one-power kernel
         # sees each prime in the progression once, in order, and nothing else;
