@@ -242,7 +242,7 @@ _EXTRACT_PASSES = 2
 # VM, list fsum against extraction: 28 -> 36 us at 512 normal entries, 30 -> 26
 # us at 768, 38 -> 30 us at 1024 and 85 -> 32 us at 2048, so extraction now
 # wins from about 768; the hand-over stays at 2^11, which names the edge cases
-# of tests/test_numeric.py, for at most 50 us per sum.
+# of tests/test_numeric.py, at a cost of up to about 55 us per sum.
 _FSUM_MIN = 1 << 11
 # A bin sums 27-bit halves in float64, which is exact below 2^26 terms.
 _FSUM_MAX = 1 << 26

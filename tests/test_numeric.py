@@ -576,7 +576,8 @@ class TestExtraction:
         for a in (
             np.full(_CHUNK, top),
             np.full(_CHUNK, -top),
-            np.where(rng.random(_CHUNK) < 0.9, top, -0.75) * rng.choice([1.0, 1 - 2 ** -52], _CHUNK),
+            np.where(rng.random(_CHUNK) < 0.9, top, -0.75)
+            * rng.choice([1.0, 1 - 2 ** -52], _CHUNK),
             np.concatenate([np.full(_CHUNK - 1, -top), [2.0 ** -70]]),
         ):
             assert a.size == _CHUNK
