@@ -2,7 +2,7 @@
 
 Library layers:
 
-- numeric: certified floors/powers, sawtooth, unit exponential, Gamma,
+- numeric: certified floors/powers, unit exponential, Gamma,
   exactly rounded array sums.
 - sieve: a streaming prime sieve for the prime counts, one cached sorted
   prime list (limit <= 2^24) and bulk Lambda/mu arrays.
@@ -20,9 +20,7 @@ from .numeric import (
     PrecisionError,
     floor_neg_pow,
     floor_pow,
-    floor_pow_array,
     gamma_fn,
-    psi,
     unit_exp,
 )
 from .sieve import (

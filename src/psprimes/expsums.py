@@ -7,7 +7,7 @@ combinatorial von Mangoldt decomposition, and the weighted-versus-classical
 prime-sum discrepancy with its alpha scans.
 
 Every reduction is an exactly rounded sum (``numeric.fsum_array``: exact
-extraction, then binning of what remains, equal to math.fsum), so every
+extraction, repeated until nothing remains, equal to math.fsum), so every
 result is deterministic. The Dirichlet convolutions of the von Mangoldt
 decomposition take O(sqrt(n)) slice operations and add the terms of each
 entry in the order of a plain divisor loop, so they are bit-identical to it.

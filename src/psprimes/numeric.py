@@ -11,7 +11,7 @@ A floor that is off by one corrupts every downstream membership count,
 which is why nothing here trusts a bare float comparison near an
 integer boundary.
 
-Exact sums (``fsum_array``) extract error-free first and bin only the rest.
+Exact sums (``fsum_array``) run error-free extraction until nothing remains.
 """
 
 from __future__ import annotations
@@ -140,20 +140,14 @@ def floor_neg_pow(n: int, e: float) -> int:
     return -fl if exact else -fl - 1
 
 
-def floor_pow_array(ns: np.ndarray, e: float) -> np.ndarray:
-    """Vectorised floor(n**e) with the same certification guarantee as floor_pow.
+def _pow_parts_array(ns: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised (floor, frac) of n**e, floors certified as by floor_pow.
 
     Entries whose float64 fractional part falls inside the guard band are
     re-decided one by one through the certified scalar path. Bases outside
     [1, 2^53), or a power that may reach 2^63 (its float64 value within the
     guard band of 2^63 or above), raise ValueError up front.
     """
-    fl, _ = _pow_parts_array(ns, e)
-    return fl
-
-
-def _pow_parts_array(ns: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised (floor, frac) of n**e with guarded near-integer escalation."""
     ns = np.asarray(ns, dtype=np.int64)
     if not 0.0 < e < 4.0:
         raise ValueError(f"exponent must lie in (0, 4), got {e}")
@@ -176,11 +170,6 @@ def _pow_parts_array(ns: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
             out[i] = f
             frac[i] = fr
     return out, frac
-
-
-def psi(t: float) -> float:
-    """Sawtooth {t} - 1/2, in [-1/2, 1/2)."""
-    return (t - math.floor(t)) - 0.5
 
 
 def unit_exp(t: float) -> complex:
@@ -232,68 +221,58 @@ def gamma_fn(s: float) -> float:
 _FSUM_CHUNK = 1 << 14
 # sigma = 2^(e + _EXTRACT_BITS) for a chunk below 2^e, with 2^_EXTRACT_BITS >= n + 2.
 _EXTRACT_BITS = (_FSUM_CHUNK + 1).bit_length()
-# ExtractVector passes per chunk, each leaving a remainder 38 binades lower,
-# before it is binned. With 0 to 4 passes, 664,579 terms p^(gamma-1) summed in
-# 12.5, 12.8, 4.5, 4.2 and 4.6 ms (binning alone: 9.6 to 10.5), 23,000 w*cos
-# terms in 0.41, 0.46, 0.12, 0.19 and 0.19 ms, 664,579 random entries over 60
-# decades in 9.7, 11.6, 12.9, 18.6 and 21.0 ms (2-core x86-64 VM, numpy 2.4).
-_EXTRACT_PASSES = 2
 # Below this many entries the sum goes to math.fsum over a list. On the same
 # VM, list fsum against extraction: 28 -> 36 us at 512 normal entries, 30 -> 26
 # us at 768, 38 -> 30 us at 1024 and 85 -> 32 us at 2048, so extraction now
 # wins from about 768; the hand-over stays at 2^11, which names the edge cases
 # of tests/test_numeric.py, at a cost of up to about 55 us per sum.
 _FSUM_MIN = 1 << 11
-# A bin sums 27-bit halves in float64, which is exact below 2^26 terms.
-_FSUM_MAX = 1 << 26
-# Fewer than 2^26 entries below 2^996 in magnitude keep every partial sum below
-# 2^1022, so neither math.fsum nor the final division can overflow. An array
-# with a larger or a non-finite entry is left to math.fsum itself.
+# Entries below 2^996 keep sigma at most 2^1011, so no pass can overflow, and
+# the exact int total needs no cap on the entries: an exact sum beyond the
+# float range raises OverflowError from the final division, as math.fsum does.
+# An array with a larger or a non-finite entry is left to math.fsum itself.
 _FSUM_BIG = 2.0 ** 996
-_MANT_BITS = (1 << 52) - 1
-_LOW_BITS = (1 << 27) - 1
 
 
 def fsum_array(a: np.ndarray) -> float:
     """Exactly rounded sum of a 1-D float64 array: math.fsum of its elements.
 
-    The one-array call of ``_fsum_stream``. An array outside its precondition,
-    or of _FSUM_MAX entries or more, is left to math.fsum.
+    The one-array call of ``_fsum_stream``. An array outside its precondition
+    is left to math.fsum.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.size < _FSUM_MAX:
-        try:
-            return _fsum_stream([a])
-        except ValueError:  # an entry is not finite or reaches 2^996
-            pass
-    return _fsum_chunked(a)
+    try:
+        return _fsum_stream([a])
+    except ValueError:  # an entry is not finite or reaches 2^996
+        return _fsum_chunked(a)
 
 
 def _fsum_stream(blocks: Iterable[np.ndarray]) -> float:
     """Exactly rounded sum of a stream of 1-D float64 arrays: math.fsum of them all.
 
-    Blocks are buffered until about _FSUM_CHUNK entries. Each chunk r runs up
-    to _EXTRACT_PASSES passes of ExtractVector (Rump, Ogita and Oishi,
-    "Accurate floating-point summation part I: faithful rounding", SIAM J.
-    Sci. Comput. 31(1), 2008): for max|r| < 2^e and a normal sigma =
-    2^(e + _EXTRACT_BITS), q = (sigma + r) - sigma and r - q are exact and the
-    float sum of q is exact in any order; it goes to an exact Python int in
-    units of 2^-1074. A nonzero remainder is binned as in Neal's small
-    superaccumulator (arXiv:1505.05571): the 27-bit low and the signed high
-    half of each signed 53-bit integer mantissa are binned by exponent field
-    with np.bincount, exactly, and folded into the int before _FSUM_MAX
-    entries are in the bins. One int/int true division rounds the int, as
-    math.fsum does (+0.0 for an exact zero sum). Fewer than _FSUM_MIN entries
-    go to math.fsum; an empty stream gives 0.0. Precondition: every entry is
-    finite and below 2^996 in magnitude (ValueError otherwise).
+    Blocks are buffered until about _FSUM_CHUNK entries. Each chunk r runs
+    passes of ExtractVector (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008)
+    until its remainder is zero. For max|r| < 2^e and sigma =
+    2^max(e + _EXTRACT_BITS, -1022), q = (sigma + r) - sigma and r - q are
+    exact and the float sum of q is exact in any order; it goes to an exact
+    Python int in units of 2^-1074. A pass with sigma = 2^(e + _EXTRACT_BITS)
+    leaves |r - q| <= 2^(e + _EXTRACT_BITS - 53), at least 37 binades lower.
+    Once e + _EXTRACT_BITS < -1022, every entry is a multiple of 2^-1074 below
+    2^-1037, where sigma = 2^-1022 spaces the floats near sigma + r 2^-1074
+    apart as well: q = r, and the remainder is zero. From below 2^996 a chunk
+    therefore ends after at most 56 passes. One int/int true division rounds
+    the int, as math.fsum does (+0.0 for an exact zero sum). Fewer than
+    _FSUM_MIN entries go to math.fsum; an empty stream gives 0.0.
+    Precondition: every entry is finite and below 2^996 in magnitude
+    (ValueError otherwise).
     """
-    bins = np.zeros((2, 2048))  # the low and the high halves per exponent field
-    total = binned = 0  # the exact sum in units of 2^-1074; entries in the bins
+    total = 0  # the exact sum in units of 2^-1074
     pending: list[np.ndarray] = []
     size = entries = 0  # entries in pending, and in the whole stream
 
     def flush() -> None:
-        nonlocal total, binned, size
+        nonlocal total, size
         a = pending[0] if len(pending) == 1 else np.concatenate(pending)
         pending.clear()
         size = 0
@@ -302,31 +281,15 @@ def _fsum_stream(blocks: Iterable[np.ndarray]) -> float:
             top = max(r.max(), -r.min())
             if not top < _FSUM_BIG:  # also for nan
                 raise ValueError("fsum terms must be finite and below 2^996 in magnitude")
-            for _ in range(_EXTRACT_PASSES):
+            while top != 0.0:
                 e = math.frexp(top)[1] + _EXTRACT_BITS  # top < 2^(e - _EXTRACT_BITS)
-                if top == 0.0 or e < -1022:  # sigma = 2^e must be normal
-                    break
-                sigma = math.ldexp(1.0, e)
+                sigma = math.ldexp(1.0, max(e, -1022))
                 q = r + sigma
                 q -= sigma
                 num, den = float(q.sum()).as_integer_ratio()
                 total += (num << 1074) // den
                 r = r - q
                 top = max(r.max(), -r.min())
-            if top == 0.0:
-                continue
-            c = r[r != 0.0].view(np.int64)
-            if binned + c.size >= _FSUM_MAX:
-                total += _fold(bins)
-                bins.fill(0.0)
-                binned = 0
-            field = (c >> 52) & 2047
-            # subnormals (field 0) have no implicit bit and the scale of field 1
-            mant = (c & _MANT_BITS) | (np.minimum(field, 1) << 52)
-            mant *= (c >> 63) | 1  # the sign bit: -1 or +1
-            bins[0] += np.bincount(field, mant & _LOW_BITS, 2048)
-            bins[1] += np.bincount(field, mant >> 27, 2048)
-            binned += c.size
 
     for block in blocks:
         pending.append(block)
@@ -338,18 +301,7 @@ def _fsum_stream(blocks: Iterable[np.ndarray]) -> float:
         return math.fsum(chain.from_iterable(b.tolist() for b in pending))
     if size:
         flush()
-    if binned:
-        total += _fold(bins)
     return total / (1 << 1074)
-
-
-def _fold(bins: np.ndarray) -> int:
-    """The exact sum in the bins of _fsum_stream, in units of 2^-1074."""
-    used = np.flatnonzero(bins.any(axis=0))
-    lows, highs = bins[:, used].astype(np.int64).tolist()
-    return sum(
-        (lo + (hi << 27)) << max(f - 1, 0) for f, lo, hi in zip(used.tolist(), lows, highs)
-    )
 
 
 def _fsum_chunked(a: np.ndarray) -> float:

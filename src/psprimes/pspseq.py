@@ -306,6 +306,8 @@ class BeattyParams:
     @classmethod
     def from_label(cls, label: str, beta: float) -> "BeattyParams":
         vals = {"sqrt2": math.sqrt(2.0), "phi": (1.0 + math.sqrt(5.0)) / 2.0}
+        if label not in vals:
+            raise ValueError(f"unknown alpha_label {label!r}")
         return cls(alpha=vals[label], beta=beta, alpha_label=label)
 
     def _alpha_mp(self):
@@ -332,15 +334,9 @@ _BEATTY_GUARD_REL = 2.0 ** -47
 
 def beatty_member(m: int, B: BeattyParams) -> bool:
     """True iff [(m-beta)/alpha, (m+1-beta)/alpha) contains an integer n >= 1."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    lo = (m - B.beta) / B.alpha
-    hi = (m + 1 - B.beta) / B.alpha
-    tol = (abs(lo) + abs(hi) + 1.0) * _BEATTY_GUARD_REL
-    if min(abs(lo - round(lo)), abs(hi - round(hi))) < tol:
-        return _beatty_member_exact(m, B)
-    n0 = math.ceil(lo)
-    return n0 >= 1 and n0 < hi
+    if not 1 <= m < 1 << 63:
+        raise ValueError(f"m must lie in [1, 2^63), got {m}")
+    return bool(_beatty_member_at(np.array([m], dtype=np.int64), B)[0])
 
 
 def _beatty_member_exact(m: int, B: BeattyParams) -> bool:

@@ -54,7 +54,7 @@ class TestFloorPow:
     def test_array_matches_scalar(self):
         ns = np.arange(1, 5001, dtype=np.int64)
         for e in (0.5, 1.05, 1.5, 2.0 / 3.0, 3.2):
-            arr = nc.floor_pow_array(ns, e)
+            arr = nc._pow_parts_array(ns, e)[0]
             idx = random.Random(7).sample(range(len(ns)), 80)
             for i in idx:
                 assert arr[i] == nc.floor_pow(int(ns[i]), e)
@@ -65,10 +65,10 @@ class TestFloorPow:
             warnings.simplefilter("error")
             for n in (2 ** 53 - 4097, 2 ** 42):  # 2^42 gives exactly 2^63
                 with pytest.raises(ValueError, match="int64"):
-                    nc.floor_pow_array(np.array([1, n]), 1.5)
+                    nc._pow_parts_array(np.array([1, n]), 1.5)
             # (2^42 - 1)^1.5 lies just below 2^63 and is still accepted
             top = 2 ** 42 - 1
-            assert nc.floor_pow_array(np.array([top]), 1.5)[0] == nc.floor_pow(top, 1.5)
+            assert nc._pow_parts_array(np.array([top]), 1.5)[0][0] == nc.floor_pow(top, 1.5)
 
 
 def oracle_pow_parts(n, e):
@@ -154,7 +154,7 @@ class TestAdversarialFloors:
         if q is not None:
             ks = data.draw(st.lists(st.integers(2, int((TOP - 1) ** (1.0 / q))), max_size=10))
             ns += [k ** q + d for k in ks for d in (-1, 0, 1)]
-        got = nc.floor_pow_array(np.array(ns, dtype=np.int64), e)
+        got = nc._pow_parts_array(np.array(ns, dtype=np.int64), e)[0]
         assert got.tolist() == [oracle_pow_parts(n, e)[0] for n in ns]
 
     @settings(max_examples=60, deadline=None)
@@ -233,26 +233,6 @@ class TestAdversarialFloors:
         got = pspseq._ps_member_at(ps, nc.GammaExponent.from_c(c))
         assert np.array_equal(got, want)
         assert sum(rechecked) <= 4
-
-
-class TestPsi:
-    def test_examples(self):
-        assert nc.psi(0.25) == -0.25
-        assert nc.psi(7.0) == -0.5
-        assert nc.psi(0.9) == pytest.approx(0.4, abs=1e-15)
-
-    def test_range(self):
-        rng = random.Random(3)
-        for _ in range(2000):
-            t = rng.uniform(-1e6, 1e6)
-            v = nc.psi(t)
-            assert -0.5 <= v < 0.5
-
-    def test_period_one_exact(self):
-        rng = random.Random(4)
-        for _ in range(2000):
-            t = rng.uniform(-1e3, 1e3)
-            assert nc.psi(t + 1.0) == nc.psi(t)
 
 
 class TestUnitExp:
@@ -343,7 +323,7 @@ _MIN = nc._FSUM_MIN
 
 
 class TestFsumArrayEdges:
-    """fsum_array against math.fsum where the binning must step aside or be exact."""
+    """fsum_array against math.fsum where the extraction must step aside or be exact."""
 
     @pytest.mark.parametrize(
         "special",
@@ -399,19 +379,6 @@ class TestFsumArrayEdges:
 
         monkeypatch.setattr(math, "fsum", no_fsum)
         assert nc.fsum_array(a) == want
-
-    def test_term_cap_falls_back_to_fsum(self, monkeypatch):
-        # arrays of 2^26 entries or more would overflow the exact bins; the
-        # cap is lowered here instead of allocating such an array
-        a = np.zeros(3 * _CHUNK)
-        a[_CHUNK - 2 : _CHUNK + 1] = [1e16, 1.0, -1e16]
-        calls = []
-        chunked = nc._fsum_chunked
-        monkeypatch.setattr(nc, "_FSUM_MAX", a.size)
-        monkeypatch.setattr(nc, "_fsum_chunked", lambda arr: calls.append(arr.size) or chunked(arr))
-        assert nc.fsum_array(a) == math.fsum(a) == 1.0
-        assert nc.fsum_array(a[:-1]) == 1.0  # one entry below the cap: binned
-        assert calls == [a.size]
 
 
 def stream_case(n, cuts, seed, spikes):
@@ -475,23 +442,14 @@ class TestFsumStream:
         cuts=st.lists(st.integers(0, 9 * _CHUNK), max_size=30),
         seed=st.integers(0, 2 ** 32 - 1),
     )
-    def test_bins_fold_before_the_term_cap(self, cuts, seed):
-        # a stream of more than 2^26 entries is folded into the exact int; the
-        # cap is lowered here so that nine chunks fold several times
+    def test_cancellation_across_nine_chunks(self, cuts, seed):
         spikes = [(_CHUNK - 1, 1e16), (4 * _CHUNK, 1.0), (8 * _CHUNK + 2, -1e16)]
         a, blocks = stream_case(9 * _CHUNK, cuts, seed, spikes)
-        folds = []
-        fold = nc._fold
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nc, "_FSUM_MAX", 2 * _CHUNK + 1)
-            mp.setattr(nc, "_fold", lambda bins: folds.append(1) or fold(bins))
-            assert nc._fsum_stream(iter(blocks)) == math.fsum(a)
-            # at most two chunks, with fewer entries than the cap, per fold
-            assert len(folds) >= 5
-            a[:] = 0.0  # the blocks are views of a
-            a[[_CHUNK - 1, 4 * _CHUNK, 8 * _CHUNK + 2]] = [1e16, 1.0, -1e16]
-            # per-fold rounding would give 0.0
-            assert nc._fsum_stream(iter(blocks)) == 1.0
+        assert nc._fsum_stream(iter(blocks)) == math.fsum(a)
+        a[:] = 0.0  # the blocks are views of a
+        a[[_CHUNK - 1, 4 * _CHUNK, 8 * _CHUNK + 2]] = [1e16, 1.0, -1e16]
+        # per-chunk rounding would give 0.0
+        assert nc._fsum_stream(iter(blocks)) == 1.0
 
 
 @st.composite
@@ -527,35 +485,40 @@ def signed(v):
 
 
 class TestExtraction:
-    """The ExtractVector passes of _fsum_stream, with the bins as their tail."""
+    """The ExtractVector passes of _fsum_stream, run until nothing remains."""
 
     @settings(max_examples=60, deadline=None)
-    @given(case=summation_case(), passes=st.sampled_from([0, 64]))
-    def test_pure_binning_and_pure_extraction_equal_fsum(self, case, passes):
+    @given(case=summation_case())
+    def test_extraction_equals_fsum(self, case):
         a, blocks = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nc, "_EXTRACT_PASSES", passes)
-            got = nc.fsum_array(a) if blocks is None else nc._fsum_stream(iter(blocks))
-            assert signed(got) == signed(math.fsum(a))
+        got = nc.fsum_array(a) if blocks is None else nc._fsum_stream(iter(blocks))
+        assert signed(got) == signed(math.fsum(a))
 
     @pytest.mark.parametrize("c", [1.0 + 1e-9, 1.05, 1.5, 1.9])
-    def test_main_terms_are_never_binned(self, monkeypatch, c):
-        def binned(*_):
-            raise AssertionError("a main term reached the bins")
-
+    def test_main_terms_are_never_binned(self, c):
         gam = 1.0 / c
         ps = np.arange(2, 10 ** 6, dtype=np.float64)
         xg1 = 1e6 ** (gam - 1.0)
         terms = [ps ** (gam - 1.0), ps[:-1000] ** (gam - 1.0) * np.cos(ps[:-1000])]
         terms.append((xg1 - terms[0]) / (gam - 1.0))
         want = [math.fsum(t) for t in terms]
-        monkeypatch.setattr(np, "bincount", binned)
-        monkeypatch.setattr(nc, "_fold", binned)
         assert [nc._fsum_stream(np.array_split(t, 40)) for t in terms] == want
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
+    def test_bf_scan_terms(self, alpha):
+        # at alpha = 1/4, 1/2 and 3/4 one part is rounding noise of about
+        # 1e-16*w; at 1/4 and 3/4 both parts take three passes
+        from psprimes import expsums, sieve
+
+        w = expsums._bf_weight_vector(2 ** 15, 1.3)
+        ps = sieve.shared_table(2 ** 15).primes(2 ** 15).astype(np.float64)
+        for part in nc.unit_exp_parts(alpha * ps):
+            terms = w * part
+            assert signed(nc.fsum_array(terms)) == signed(math.fsum(terms))
+
     def test_cancellation_across_passes_in_one_chunk(self):
-        # 1e16 + 1 - 1e16 spans two passes, and the tiny entries, left to the
-        # bins, still move the rounding of the 1.0
+        # 1e16 + 1 - 1e16 spans two passes, and the tiny entries, taken by a
+        # later pass, still move the rounding of the 1.0
         rng = np.random.default_rng(5)
         a = rng.uniform(1.0, 2.0, _CHUNK) * 2.0 ** -66
         a[[3, 700, _CHUNK - 1]] = [1e16, 1.0, -1e16]
@@ -565,30 +528,29 @@ class TestExtraction:
         a[700] = 0.0
         assert nc.fsum_array(a) == math.fsum(a) > 0.0
 
-    @pytest.mark.parametrize("passes", [1, 2, 64])
-    def test_full_chunk_at_the_sigma_bound(self, monkeypatch, passes):
+    def test_full_chunk_at_the_sigma_bound(self):
         # n = _FSUM_CHUNK entries just below 2^e: their extracted sum reaches
         # (2^_EXTRACT_BITS - 2) * 2^e, the most that sigma = 2^(e + bits) allows
         assert _CHUNK + 2 <= 1 << nc._EXTRACT_BITS
-        monkeypatch.setattr(nc, "_EXTRACT_PASSES", passes)
         top = np.nextafter(1.0, 0.0)
-        rng = np.random.default_rng(passes)
+        rngs = [np.random.default_rng(seed) for seed in (1, 2, 64)]
         for a in (
             np.full(_CHUNK, top),
             np.full(_CHUNK, -top),
-            np.where(rng.random(_CHUNK) < 0.9, top, -0.75)
-            * rng.choice([1.0, 1 - 2 ** -52], _CHUNK),
+            *(
+                np.where(rng.random(_CHUNK) < 0.9, top, -0.75)
+                * rng.choice([1.0, 1 - 2 ** -52], _CHUNK)
+                for rng in rngs
+            ),
             np.concatenate([np.full(_CHUNK - 1, -top), [2.0 ** -70]]),
         ):
             assert a.size == _CHUNK
             assert signed(nc._fsum_stream([a])) == signed(math.fsum(a))
 
-    @pytest.mark.parametrize("passes", [0, 2, 64])
     @pytest.mark.parametrize("top", [2.0 ** -1022, 2.0 ** -1040, 2.0 ** -1060, 5e-324])
-    def test_subnormal_only_chunks(self, monkeypatch, passes, top):
-        # sigma = 2^(e + _EXTRACT_BITS) leaves the normal range below 2^-1037:
-        # those chunks go to the bins whatever the pass cap
-        monkeypatch.setattr(nc, "_EXTRACT_PASSES", passes)
+    def test_subnormal_only_chunks(self, top):
+        # below 2^-1037 sigma = 2^(e + _EXTRACT_BITS) would leave the normal
+        # range: sigma = 2^-1022 takes every remaining entry exactly
         rng = np.random.default_rng(int(-math.log2(top)))
         k = int(top / 5e-324)
         a = rng.integers(-k + 1, k, _CHUNK) * 5e-324  # exact multiples of 2^-1074
@@ -596,6 +558,21 @@ class TestExtraction:
         assert np.all(np.abs(a) < 2.0 ** -1022)
         assert signed(nc._fsum_stream([a])) == signed(math.fsum(a))
         assert signed(nc._fsum_stream([a, -a])) == (0.0, 1.0)
+
+    def test_widest_chunk_ends_within_56_passes(self, monkeypatch):
+        # entries from 2^-1074 to 2^995: each pass drops the remainder at least
+        # 37 binades, and the pass with sigma = 2^-1022 takes the rest
+        rng = np.random.default_rng(0)
+        a = np.ldexp(rng.uniform(0.5, 1.0, _CHUNK), rng.integers(-1074, 996, _CHUNK))
+        a[rng.random(_CHUNK) < 0.5] *= -1.0
+        a[:2] = [5e-324, np.nextafter(2.0 ** 996, 0.0)]
+        want = math.fsum(a)
+        sigmas = []
+        ldexp = math.ldexp
+        monkeypatch.setattr(math, "ldexp", lambda x, e: sigmas.append(e) or ldexp(x, e))
+        assert signed(nc._fsum_stream([a])) == signed(want)
+        assert sigmas[-1] == -1022
+        assert len(sigmas) <= 56
 
 
 class TestGammaExponent:

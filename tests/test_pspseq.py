@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from psprimes import pspseq as pq
 from psprimes import sieve as sv
-from psprimes.numeric import GammaExponent, _pow_parts_array, floor_pow, floor_pow_array
+from psprimes.numeric import GammaExponent, _pow_parts_array, floor_pow
 
 
 def brute_member_set(limit, c):
     """Independent generation oracle: collect floor(n^c) up to limit."""
     gamma = 1.0 / c
     n_max = int(math.ceil((limit + 1) ** gamma)) + 2
-    vals = floor_pow_array(np.arange(1, n_max + 1, dtype=np.int64), c)
+    vals = _pow_parts_array(np.arange(1, n_max + 1, dtype=np.int64), c)[0]
     out = np.zeros(limit + 1, dtype=bool)
     vals = vals[(vals >= 1) & (vals <= limit)]
     out[vals] = True
@@ -444,6 +444,16 @@ class TestBeatty:
             pq.BeattyParams(alpha=1.0 + 1e-13, beta=0.0)
         with pytest.raises(ValueError):
             pq.BeattyParams(alpha=0.8, beta=0.0)
+
+    def test_rejections_up_front(self):
+        for label in ("e", "pi", None):
+            with pytest.raises(ValueError, match="unknown alpha_label"):
+                pq.BeattyParams.from_label(label, 0.0)
+        B = pq.BeattyParams.from_label("sqrt2", 0.0)
+        for m in (0, -1, 2 ** 63):
+            with pytest.raises(ValueError, match="2\\^63"):
+                pq.beatty_member(m, B)
+        assert pq.beatty_member(2 ** 63 - 1, B) in (False, True)
 
     def test_brute_force_agreement_to_one_million(self):
         for label, beta in (("sqrt2", 0.0), ("phi", 0.3)):
