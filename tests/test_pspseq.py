@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from psprimes import pspseq as pq
 from psprimes import sieve as sv
-from psprimes.numeric import GammaExponent, _pow_parts_array, floor_pow
+from psprimes.numeric import GammaExponent, _pow_parts_array
 
 
 def brute_member_set(limit, c):
@@ -453,7 +453,8 @@ class TestBeatty:
         for m in (0, -1, 2 ** 63):
             with pytest.raises(ValueError, match="2\\^63"):
                 pq.beatty_member(m, B)
-        assert pq.beatty_member(2 ** 63 - 1, B) in (False, True)
+        top = 2 ** 63 - 1
+        assert pq.beatty_member(top, B) == pq._beatty_member_exact(top, B)
 
     def test_brute_force_agreement_to_one_million(self):
         for label, beta in (("sqrt2", 0.0), ("phi", 0.3)):
