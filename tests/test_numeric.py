@@ -528,36 +528,39 @@ class TestExtraction:
         a[700] = 0.0
         assert nc.fsum_array(a) == math.fsum(a) > 0.0
 
-    def test_full_chunk_at_the_sigma_bound(self):
+    @pytest.mark.parametrize("seed", [1, 2, 64])
+    def test_full_chunk_at_the_sigma_bound(self, seed):
         # n = _FSUM_CHUNK entries just below 2^e: their extracted sum reaches
         # (2^_EXTRACT_BITS - 2) * 2^e, the most that sigma = 2^(e + bits) allows
         assert _CHUNK + 2 <= 1 << nc._EXTRACT_BITS
         top = np.nextafter(1.0, 0.0)
-        rngs = [np.random.default_rng(seed) for seed in (1, 2, 64)]
+        rng = np.random.default_rng(seed)
         for a in (
             np.full(_CHUNK, top),
             np.full(_CHUNK, -top),
-            *(
-                np.where(rng.random(_CHUNK) < 0.9, top, -0.75)
-                * rng.choice([1.0, 1 - 2 ** -52], _CHUNK)
-                for rng in rngs
-            ),
+            np.where(rng.random(_CHUNK) < 0.9, top, -0.75)
+            * rng.choice([1.0, 1 - 2 ** -52], _CHUNK),
             np.concatenate([np.full(_CHUNK - 1, -top), [2.0 ** -70]]),
         ):
             assert a.size == _CHUNK
             assert signed(nc._fsum_stream([a])) == signed(math.fsum(a))
 
+    @pytest.mark.parametrize("cut", [0, 2, 64])
     @pytest.mark.parametrize("top", [2.0 ** -1022, 2.0 ** -1040, 2.0 ** -1060, 5e-324])
-    def test_subnormal_only_chunks(self, top):
+    def test_subnormal_only_chunks(self, top, cut):
         # below 2^-1037 sigma = 2^(e + _EXTRACT_BITS) would leave the normal
-        # range: sigma = 2^-1022 takes every remaining entry exactly
+        # range: sigma = 2^-1022 takes every remaining entry exactly. The
+        # stream is also handed over cut at `cut` entries, which the buffer
+        # joins back into one chunk.
         rng = np.random.default_rng(int(-math.log2(top)))
         k = int(top / 5e-324)
         a = rng.integers(-k + 1, k, _CHUNK) * 5e-324  # exact multiples of 2^-1074
         a[::5] = np.nextafter(top, 0.0)
         assert np.all(np.abs(a) < 2.0 ** -1022)
-        assert signed(nc._fsum_stream([a])) == signed(math.fsum(a))
-        assert signed(nc._fsum_stream([a, -a])) == (0.0, 1.0)
+        want = signed(math.fsum(a))
+        assert signed(nc._fsum_stream([a])) == want
+        assert signed(nc._fsum_stream([a[:cut], a[cut:]])) == want
+        assert signed(nc._fsum_stream([a[:cut], a[cut:], -a])) == (0.0, 1.0)
 
     def test_widest_chunk_ends_within_56_passes(self, monkeypatch):
         # entries from 2^-1074 to 2^995: each pass drops the remainder at least
