@@ -2,8 +2,8 @@
 
 Library layers:
 
-- numeric: certified floors/powers, unit exponential, Gamma,
-  exactly rounded array sums.
+- numeric: certified floors/powers, unit exponential, exactly rounded
+  array sums.
 - sieve: a streaming prime sieve for the prime counts, one cached sorted
   prime list (limit <= 2^24) and bulk Lambda/mu arrays.
 - pspseq: floor-power membership, prime counting (plain, progressions,
@@ -20,7 +20,6 @@ from .numeric import (
     PrecisionError,
     floor_neg_pow,
     floor_pow,
-    gamma_fn,
     unit_exp,
 )
 from .sieve import (

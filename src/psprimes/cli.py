@@ -68,6 +68,7 @@ from .expsums import (
 )
 from .numeric import GammaExponent
 from .pspseq import (
+    LABELLED_ALPHAS,
     BeattyParams,
     goldbach3_count,
     ps_beatty_prime_count,
@@ -115,10 +116,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_real(text: str) -> float:
     """A finite float from a decimal, 'p/q', 'sqrt2' or 'phi'; ValueError otherwise."""
     t = text.strip().lower()
-    if t == "sqrt2":
-        return math.sqrt(2.0)
-    if t == "phi":
-        return (1.0 + math.sqrt(5.0)) / 2.0
+    if t in LABELLED_ALPHAS:
+        return LABELLED_ALPHAS[t]
     try:
         val = float(parse_rational(t)) if "/" in t else float(t)
     except OverflowError:
@@ -126,11 +125,6 @@ def parse_real(text: str) -> float:
     if not math.isfinite(val):
         raise ValueError(f"{text!r} is not a finite real")
     return val
-
-
-def _real_label(text: str) -> str | None:
-    t = text.strip().lower()
-    return t if t in ("sqrt2", "phi") else None
 
 
 def _fmt(v) -> str:
@@ -257,10 +251,10 @@ def _cmd_ps_ap(args):
 
 
 def _cmd_ps_beatty(args):
-    label = _real_label(args.alpha_raw)
+    label = args.alpha_raw.strip().lower()
     B = (
         BeattyParams.from_label(label, args.beta)
-        if label
+        if label in LABELLED_ALPHAS
         else BeattyParams(alpha=args.alpha, beta=args.beta)
     )
     rep = ps_beatty_prime_count(args.x, args.c, B)

@@ -8,9 +8,11 @@ prime-sum discrepancy with its alpha scans.
 
 Every reduction is an exactly rounded sum (``numeric.fsum_array``: exact
 extraction, repeated until nothing remains, equal to math.fsum), so every
-result is deterministic. The Dirichlet convolutions of the von Mangoldt
-decomposition take O(sqrt(n)) slice operations and add the terms of each
-entry in the order of a plain divisor loop, so they are bit-identical to it.
+result is deterministic. The von Mangoldt decomposition builds its
+coefficients exactly in int64 and takes one float step, a convolution with
+log. Its Dirichlet convolutions take O(sqrt(n)) slice operations and add the
+terms of each entry in the order of a plain divisor loop, so the float one is
+bit-identical to that loop.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import GammaExponent, fsum_array, unit_exp, unit_exp_parts
+from .numeric import GammaExponent, _iroot, fsum_array, unit_exp, unit_exp_parts
 from .pspseq import _ps_member_at
 from .sieve import lambda_array, mobius_array, shared_table
 
@@ -353,10 +355,10 @@ def _stationary_point(gam: float, h: float, nu: float, a: float, b: float) -> fl
     return x
 
 
-# Largest x hb_terms accepts. At its peak it holds six float64 arrays of
-# length 2x, and its peak memory grows by about 105 bytes per unit of x.
-# Through `hb verify` at J = 3 (2-core x86-64 VM, Python 3.11): 1.3 s and
-# 122 MB at x = 10^6, 9.7 s and 446 MB at the limit.
+# Largest x hb_terms accepts. At its peak it holds five int64 arrays of
+# length 2x (a Horner step of _hb_coefficients), and its peak memory grows by
+# about 75 bytes per unit of x. Through `hb verify` at J = 3 (2-core x86-64
+# VM, Python 3.11): 0.8 s and 91 MB at x = 10^6, 4.4 s and 317 MB at the limit.
 _MAX_HB_X = 1 << 22
 
 
@@ -382,17 +384,17 @@ class HbParams:
 def _dirichlet(f: np.ndarray, g: np.ndarray, hi: int) -> np.ndarray:
     """Dirichlet convolution (f*g)(n) for n <= hi; f, g indexed from 0.
 
-    Each out[n] adds f[d]*g[n/d] over the divisors d of n in ascending order,
-    in O(sqrt(hi)) slice operations: one slice per d <= s = isqrt(hi), then
-    one strided slice per cofactor k <= hi/(s + 1) over the d > s, with k
-    descending so that d still ascends. Terms with f[d] = 0 are added too:
-    adding +-0 to an accumulator that starts at +0.0 never changes its bits.
+    The output has dtype np.result_type(f, g). Each out[n] adds f[d]*g[n/d]
+    over the divisors d of n in ascending order, in O(sqrt(hi)) slice
+    operations: one slice per d <= s = isqrt(hi), then one strided slice per
+    cofactor k <= hi/(s + 1) over the d > s, with k descending so that d
+    still ascends. Terms with f[d] = 0 are added too: adding +-0 to an
+    accumulator that starts at +0.0 never changes its bits.
     """
-    out = np.zeros(hi + 1, dtype=np.float64)
     nz = np.flatnonzero(f[: hi + 1])
-    if nz.size == 0:
-        return out
-    top = int(nz[-1])  # the last d with f[d] != 0
+    top = int(nz[-1]) if nz.size else 0  # the last d with f[d] != 0
+    del nz  # as long as f when f is dense: it would add to the peak
+    out = np.zeros(hi + 1, dtype=np.result_type(f, g))
     s = math.isqrt(hi)
     for d in range(1, min(s, top) + 1):
         out[d :: d] += f[d] * g[1 : hi // d + 1]
@@ -403,50 +405,61 @@ def _dirichlet(f: np.ndarray, g: np.ndarray, hi: int) -> np.ndarray:
     return out
 
 
+def _hb_coefficients(params: HbParams) -> np.ndarray:
+    """A = sum over j of c_j mu_Z^(*j) * 1^(*(j-1)) on [0, 2x], exactly, as int64.
+
+    Here c_j = (-1)^(j-1) C(J,j) and mu_Z is mu restricted to [1, Z]. With
+    U = mu_Z * 1, A = mu_Z * (sum of c_j U^(*(j-1))), built by Horner's rule
+    in J convolutions. A = mu on [1, Z^J]: A * 1 = delta - (delta - U)^(*J),
+    and delta - U vanishes on [1, Z], so its J-fold power vanishes on
+    [1, Z^J]. Every partial sum is at most 2^J d_(2J-1)(n) in absolute value,
+    and for n <= 2^23 and J = 4 that is below 16 * 2.2e8 < 2^32, far inside int64.
+    """
+    hi = 2 * params.x
+    mu = mobius_array(min(params.Z, hi))  # mu is read on [1, min(Z, 2x)] only
+    mu_z = np.zeros(hi + 1, dtype=np.int64)
+    mu_z[1 : mu.size] = mu[1:]
+    u = _dirichlet(mu_z, np.broadcast_to(np.int64(1), (hi + 1,)), hi)  # 1 without an array
+    c = [(-1) ** (j - 1) * math.comb(params.J, j) for j in range(1, params.J + 1)]
+    a = c[-1] * mu_z
+    for cj in reversed(c[:-1]):
+        a = _dirichlet(a, u, hi)
+        a += cj * mu_z
+    return a
+
+
 def hb_terms(params: HbParams) -> np.ndarray:
     """The alternating convolution identity for Lambda, as one array on [0, 2x].
 
-    Term j is (-1)^(j-1) C(J,j) (mu restricted to [1,Z])^(*j) * log * 1^(*(j-1));
-    their sum reproduces Lambda exactly for n <= Z^J, hence on all of (x, 2x].
-    Each term is added to the total and dropped. x above _MAX_HB_X raises
-    ResourceGuardError before any array is allocated.
+    Lambda = A * log with A = sum over j of (-1)^(j-1) C(J,j) (mu restricted
+    to [1,Z])^(*j) * 1^(*(j-1)), for n <= Z^J, hence on all of (x, 2x]. A is
+    built exactly in integers (_hb_coefficients); the one float step is
+    A * log. x above _MAX_HB_X raises ResourceGuardError before any array is
+    allocated.
+
+    Since A = mu on [1, 2x], each term A(d) log(n/d) is 0 or +-log(n/d), with
+    the rounding of np.log alone (within 2^-52, relative); adding the d(n)
+    terms adds at most d(n) - 1 roundings of 2^-53. So the error at n is at
+    most about d(n)^2 * 2^-53 * log(2x): for n <= 2^23, where d(n) <= 432,
+    below 3.4e-10, under the 1e-9 tolerance of `hb verify`.
     """
     if params.x > _MAX_HB_X:
         raise ResourceGuardError(
             f"x = {params.x} exceeds the Heath-Brown limit 2^22; "
-            "memory grows by about 105 bytes per unit of x"
+            "memory grows by about 75 bytes per unit of x"
         )
+    a = _hb_coefficients(params)
     hi = 2 * params.x
-    cut = min(params.Z, hi)  # mu is read on [1, cut] only
-    mu = mobius_array(cut)
-    g1 = np.zeros(hi + 1, dtype=np.float64)
-    g1[1 : mu.size] = mu[1:]
-
-    l_j = np.zeros(hi + 1, dtype=np.float64)  # log * 1^(*(j-1)), built incrementally
-    l_j[1:] = np.log(np.arange(1, hi + 1, dtype=np.float64))
-
-    total = np.zeros(hi + 1, dtype=np.float64)
-    g_j = g1
-    ones = np.broadcast_to(1.0, (hi + 1,))  # the constant 1, without an array
-    for j in range(1, params.J + 1):
-        if j > 1:
-            g_j = _dirichlet(g_j, g1, hi)
-            l_j = _dirichlet(l_j, ones, hi)
-        term = _dirichlet(g_j, l_j, hi)
-        term *= (-1.0) ** (j - 1) * math.comb(params.J, j)
-        total += term
-        del term  # the next term is built without this one alive
-    return total
+    log = np.zeros(hi + 1, dtype=np.float64)
+    log[1:] = np.log(np.arange(1, hi + 1, dtype=np.float64))
+    return _dirichlet(a, log, hi)
 
 
 def min_valid_cutoff(x: int, J: int) -> int:
     """Smallest Z with Z^J >= 2x."""
-    z = round((2 * x) ** (1.0 / J))
-    while z ** J < 2 * x:
-        z += 1
-    while z > 2 and (z - 1) ** J >= 2 * x:
-        z -= 1
-    return z
+    if J < 1:
+        raise ValueError(f"J must be >= 1, got {J}")
+    return _iroot(2 * x - 1, J)[0] + 1
 
 
 def bf_discrepancy(nmax: int, c: float, alpha: float) -> float:

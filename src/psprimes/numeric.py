@@ -185,37 +185,6 @@ def unit_exp_parts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(r), np.sin(r)
 
 
-# Lanczos approximation, g = 7, 9 terms: the classic double-precision
-# coefficient set, giving ~1e-13 relative error on (0, 142).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(s: float) -> float:
-    """Gamma(s) for s > 0 via the Lanczos approximation, relative error <= 1e-12."""
-    if not (s > 0.0 and math.isfinite(s)):
-        raise ValueError(f"gamma_fn requires s > 0, got {s}")
-    if s < 0.5:
-        # reflection keeps the series argument away from the poles
-        return math.pi / (math.sin(math.pi * s) * gamma_fn(1.0 - s))
-    z = s - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
 # Each chunk of _FSUM_CHUNK entries is summed apart: its temporaries stay in
 # cache, and the extra memory is a few chunks however many the terms.
 _FSUM_CHUNK = 1 << 14

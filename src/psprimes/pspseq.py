@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numeric import _ARRAY_GUARD_REL, GammaExponent, _fsum_stream, _pow_parts_array
-from .numeric import floor_neg_pow, gamma_fn
+from .numeric import floor_neg_pow
 from .sieve import prime_stream, shared_table
 
 MAX_AP_MODULUS = 10 ** 4
@@ -277,6 +277,11 @@ def ps_prime_count_ap(x: int, c: float, q: int, a: int) -> PsCountReport:
     )
 
 
+# The irrationals known by name: the CLI reads them as reals, and the exact
+# Beatty rechecks use their closed forms (BeattyParams._alpha_mp).
+LABELLED_ALPHAS = {"sqrt2": math.sqrt(2.0), "phi": (1.0 + math.sqrt(5.0)) / 2.0}
+
+
 @dataclass(frozen=True)
 class BeattyParams:
     """Parameters of the inhomogeneous floor sequence (floor(alpha*n + beta)).
@@ -292,7 +297,7 @@ class BeattyParams:
     alpha_label: str | None = None
 
     def __post_init__(self) -> None:
-        if self.alpha_label not in (None, "sqrt2", "phi"):
+        if self.alpha_label is not None and self.alpha_label not in LABELLED_ALPHAS:
             raise ValueError(f"unknown alpha_label {self.alpha_label!r}")
         if not self.alpha > 1.0:
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
@@ -305,10 +310,9 @@ class BeattyParams:
 
     @classmethod
     def from_label(cls, label: str, beta: float) -> "BeattyParams":
-        vals = {"sqrt2": math.sqrt(2.0), "phi": (1.0 + math.sqrt(5.0)) / 2.0}
-        if label not in vals:
+        if label not in LABELLED_ALPHAS:
             raise ValueError(f"unknown alpha_label {label!r}")
-        return cls(alpha=vals[label], beta=beta, alpha_label=label)
+        return cls(alpha=LABELLED_ALPHAS[label], beta=beta, alpha_label=label)
 
     def _alpha_mp(self):
         import mpmath  # only the exact Beatty rechecks need it
@@ -561,8 +565,8 @@ def goldbach3_count(
     ss = singular_series(N, SINGULAR_SERIES_P)
     gs = [GammaExponent.from_c(c).gamma for c in cs]
     coeff = (
-        gs[0] * gs[1] * gs[2] * gamma_fn(gs[0]) * gamma_fn(gs[1]) * gamma_fn(gs[2])
-    ) / gamma_fn(gs[0] + gs[1] + gs[2])
+        gs[0] * gs[1] * gs[2] * math.gamma(gs[0]) * math.gamma(gs[1]) * math.gamma(gs[2])
+    ) / math.gamma(gs[0] + gs[1] + gs[2])
     predicted = coeff * ss.value * N ** (sum(gs) - 1.0) / math.log(N) ** 3
     return Goldbach3Result(
         N=N,

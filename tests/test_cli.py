@@ -315,9 +315,20 @@ class TestOtherSubcommands:
         assert dict(zip(header.split(","), row.split(",")))["mismatches"] == "0"
         assert hwm < 60 * 1024  # kilobytes on Linux
 
+    def test_hb_verify_exact_at_j4(self, capsys):
+        # the identity holds; a float chain of 3J - 2 convolutions missed the
+        # 1e-9 tolerance at 52 n here (max_abs_diff 3.7e-9)
+        rc, out, _ = run(capsys, "hb", "verify", "--x", "1000000", "--J", "4")
+        assert rc == 0
+        header, row = out.strip().splitlines()[-2:]
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert cols["mismatches"] == "0"
+        assert float(cols["max_abs_diff"]) < 1e-12
+
     def test_hb_verify_peak_memory(self):
-        # hb_terms keeps one running total, not all J terms: 122 MB on x86-64
-        # Linux with Python 3.11, against 168 MB when it kept every term
+        # hb_terms builds its coefficients in integers and ends with one float
+        # convolution: 92 MB on x86-64 Linux with Python 3.11, against 122 MB
+        # for a float chain with one running total and 168 MB with every term
         proc, hwm = run_process_hwm("hb", "verify", "--x", "1000000", "--J", "3", timeout=60)
         assert proc.returncode == 0, proc.stderr
         header, row = proc.stdout.strip().splitlines()[-2:]
@@ -336,6 +347,13 @@ class TestOtherSubcommands:
         rc, _, _ = run(capsys, "hb", "verify", "--x", "1000", "--J", "2")
         assert rc == 0
         assert calls == [2000]
+
+    @pytest.mark.parametrize("x, J", [("-3", "2"), ("5", "0"), ("2", "-1")])
+    def test_hb_verify_bad_shape_exit_2(self, capsys, x, J):
+        # a negative x once reached exit 1 through a complex float root
+        rc, out, err = run(capsys, "hb", "verify", "--x", x, "--J", J)
+        assert rc == 2
+        assert out == "" and err.startswith("infeasible or precondition failure:")
 
     def test_hb_verify_beyond_work_limit_exit_2(self):
         proc = run_process("hb", "verify", "--x", str(2 ** 22 + 1), "--J", "2", timeout=10)

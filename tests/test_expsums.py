@@ -344,7 +344,7 @@ class TestBProcess:
 
 def loop_dirichlet(f, g, hi):
     """The plain divisor loop: one slice per nonzero f[d], d ascending (oracle)."""
-    out = np.zeros(hi + 1, dtype=np.float64)
+    out = np.zeros(hi + 1, dtype=np.result_type(f, g))
     for d in np.nonzero(f[: hi + 1])[0]:
         if d == 0:
             continue
@@ -352,25 +352,29 @@ def loop_dirichlet(f, g, hi):
     return out
 
 
-def loop_hb_terms(params):
-    """hb_terms written with plain per-divisor loops (oracle)."""
+def loop_hb_coefficients(params):
+    """sum over j of c_j mu_Z^(*j) * 1^(*(j-1)), term by term, in integers (oracle)."""
     hi = 2 * params.x
     mu = sv.mobius_array(min(params.Z, hi))
-    g1 = np.zeros(hi + 1, dtype=np.float64)
-    g1[1 : mu.size] = mu[1:]
-    l_j = np.zeros(hi + 1, dtype=np.float64)
-    l_j[1:] = np.log(np.arange(1, hi + 1, dtype=np.float64))
-    terms, g_j = [], None
+    mu_z = np.zeros(hi + 1, dtype=np.int64)
+    mu_z[1 : mu.size] = mu[1:]
+    ones = np.ones(hi + 1, dtype=np.int64)
+    total = np.zeros(hi + 1, dtype=np.int64)
+    mu_j = mu_z  # mu_Z^(*j)
+    ones_j = np.zeros(hi + 1, dtype=np.int64)  # 1^(*(j-1)), delta at j = 1
+    ones_j[1] = 1
     for j in range(1, params.J + 1):
-        g_j = g1 if g_j is None else loop_dirichlet(g_j, g1, hi)
         if j > 1:
-            l_prev = l_j
-            l_j = np.zeros(hi + 1, dtype=np.float64)
-            for d in range(1, hi + 1):
-                if l_prev[d]:
-                    l_j[d :: d] += l_prev[d]
-        terms.append((-1.0) ** (j - 1) * math.comb(params.J, j) * loop_dirichlet(g_j, l_j, hi))
-    return terms
+            mu_j = loop_dirichlet(mu_j, mu_z, hi)
+            ones_j = loop_dirichlet(ones_j, ones, hi)
+        total += (-1) ** (j - 1) * math.comb(params.J, j) * loop_dirichlet(mu_j, ones_j, hi)
+    return total
+
+
+def log_array(hi):
+    out = np.zeros(hi + 1)
+    out[1:] = np.log(np.arange(1, hi + 1, dtype=np.float64))
+    return out
 
 
 def assert_same_bits(got, want):
@@ -400,6 +404,12 @@ class TestDirichletMatchesLoop:
         f = rng.integers(-1, 2, 3001).astype(np.float64)
         g = rng.integers(-2, 3, 3001).astype(np.float64)
         assert_same_bits(ex._dirichlet(f, g, 3000), loop_dirichlet(f, g, 3000))
+        # the same values in int64 stay int64, and equal the float sums
+        fi, gi = f.astype(np.int64), g.astype(np.int64)
+        got = ex._dirichlet(fi, gi, 3000)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, loop_dirichlet(fi, gi, 3000))
+        assert np.array_equal(got, ex._dirichlet(f, g, 3000))
 
     @pytest.mark.parametrize(
         "J,x,Z",
@@ -408,10 +418,23 @@ class TestDirichletMatchesLoop:
     )
     def test_hb_terms(self, J, x, Z):
         params = ex.HbParams(J=J, x=x, Z=Z or ex.min_valid_cutoff(x, J))
-        total = np.zeros(2 * x + 1)
-        for ref in loop_hb_terms(params):
-            total += ref
-        assert_same_bits(ex.hb_terms(params), total)
+        a = ex._hb_coefficients(params)
+        assert a.dtype == np.int64
+        assert np.array_equal(a, loop_hb_coefficients(params))
+        assert a[0] == 0 and np.array_equal(a[1:], sv.mobius_array(2 * x)[1:])
+        assert_same_bits(ex.hb_terms(params), loop_dirichlet(a, log_array(2 * x), 2 * x))
+
+    @pytest.mark.parametrize("J", [1, 2, 3, 4])
+    def test_hb_terms_takes_at_most_j_plus_one_convolutions(self, J, monkeypatch):
+        calls = []
+        dirichlet = ex._dirichlet
+        monkeypatch.setattr(
+            ex, "_dirichlet", lambda f, g, hi: calls.append(hi) or dirichlet(f, g, hi)
+        )
+        x = 5000
+        lam = ex.hb_terms(ex.HbParams(J=J, x=x, Z=ex.min_valid_cutoff(x, J)))
+        assert 1 <= len(calls) <= J + 1
+        assert int(np.count_nonzero(np.abs(lam[1:] - sv.lambda_array(2 * x)[1:]) > 1e-12)) == 0
 
 
 class TestHeathBrown:
@@ -440,6 +463,13 @@ class TestHeathBrown:
             want = lam[10 ** 4 + 1 : 2 * 10 ** 4 + 1]
             assert int(np.count_nonzero(np.abs(got - want) > 1e-9)) == 0
 
+    @pytest.mark.parametrize("J", [2, 3, 4])
+    def test_coefficients_at_an_exact_power(self, J):
+        # Z^J = 2x with mu(Z) != 0: A(2x) = mu(2x) needs mu read up to Z itself
+        x = 6 ** J // 2
+        a = ex._hb_coefficients(ex.HbParams(J=J, x=x, Z=6))
+        assert np.array_equal(a[1:], sv.mobius_array(2 * x)[1:])
+
     def test_invalid_cutoff_rejected(self):
         with pytest.raises(ValueError):
             ex.HbParams(J=2, x=10 ** 4, Z=100)  # 100^2 < 2*10^4
@@ -450,6 +480,20 @@ class TestHeathBrown:
         assert ex.min_valid_cutoff(10 ** 4, 2) ** 2 >= 2 * 10 ** 4
         assert (ex.min_valid_cutoff(10 ** 4, 2) - 1) ** 2 < 2 * 10 ** 4
         assert ex.min_valid_cutoff(10 ** 4, 3) ** 3 >= 2 * 10 ** 4
+        # exact powers: Z^J = 2x itself
+        assert ex.min_valid_cutoff(32, 3) == 4
+        assert ex.min_valid_cutoff(8, 4) == 2
+        assert ex.min_valid_cutoff(2 ** 99, 4) == 2 ** 25
+        for J in range(1, 5):
+            for x in range(1, 3000):
+                Z = ex.min_valid_cutoff(x, J)
+                assert (Z - 1) ** J < 2 * x <= Z ** J
+        # beyond the float range, where (2x)^(1/J) overflows as a float
+        x = 10 ** 400 + 7
+        Z = ex.min_valid_cutoff(x, 3)
+        assert (Z - 1) ** 3 < 2 * x <= Z ** 3
+        with pytest.raises(ValueError):
+            ex.min_valid_cutoff(100, 0)
 
 
 class TestBalogFriedlander:

@@ -254,23 +254,6 @@ class TestUnitExp:
             assert abs(nc.unit_exp(t) * nc.unit_exp(-t) - 1.0) <= 1e-13
 
 
-class TestGamma:
-    def test_trivial_values(self):
-        assert nc.gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert nc.gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-        # frozen from a 50-digit series oracle
-        assert nc.gamma_fn(0.95) == pytest.approx(1.0314533171290322, rel=1e-12)
-
-    def test_grid_against_libm(self):
-        for s in np.linspace(0.05, 20.0, 400):
-            assert nc.gamma_fn(float(s)) == pytest.approx(math.gamma(s), rel=1e-12)
-
-    def test_rejections(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(ValueError):
-                nc.gamma_fn(bad)
-
-
 _CHUNK = nc._FSUM_CHUNK
 # the chunk edges of the largest size below
 _EDGES = [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK]
