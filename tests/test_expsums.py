@@ -371,12 +371,6 @@ def loop_hb_coefficients(params):
     return total
 
 
-def log_array(hi):
-    out = np.zeros(hi + 1)
-    out[1:] = np.log(np.arange(1, hi + 1, dtype=np.float64))
-    return out
-
-
 def assert_same_bits(got, want):
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -422,7 +416,9 @@ class TestDirichletMatchesLoop:
         assert a.dtype == np.int64
         assert np.array_equal(a, loop_hb_coefficients(params))
         assert a[0] == 0 and np.array_equal(a[1:], sv.mobius_array(2 * x)[1:])
-        assert_same_bits(ex.hb_terms(params), loop_dirichlet(a, log_array(2 * x), 2 * x))
+        log = np.zeros(2 * x + 1)
+        log[1:] = np.log(np.arange(1, 2 * x + 1, dtype=np.float64))
+        assert_same_bits(ex.hb_terms(params), loop_dirichlet(a, log, 2 * x))
 
     @pytest.mark.parametrize("J", [1, 2, 3, 4])
     def test_hb_terms_takes_at_most_j_plus_one_convolutions(self, J, monkeypatch):
