@@ -43,6 +43,7 @@ import numpy as np
 from . import __version__
 from .exppairs import (
     ExponentPair,
+    OBJECTIVES,
     SEED_PAIRS,
     delta_feasible,
     format_rational,
@@ -170,11 +171,15 @@ def _write(args, columns, rows, extra_meta=None):
         sys.stdout.write(text)
 
 
+def _seed_pair(name: str) -> ExponentPair:
+    if name not in SEED_PAIRS:
+        raise UsageError(f"unknown seed {name!r}; choose from {sorted(SEED_PAIRS)}")
+    return SEED_PAIRS[name]
+
+
 def _pair_from_args(args) -> ExponentPair:
     if args.seed:
-        if args.seed not in SEED_PAIRS:
-            raise UsageError(f"unknown seed {args.seed!r}; choose from {sorted(SEED_PAIRS)}")
-        return SEED_PAIRS[args.seed]
+        return _seed_pair(args.seed)
     if args.k is None or args.l is None:
         raise UsageError("provide either --seed or both --k and --l")
     return ExponentPair(args.k, args.l, f"({args.k},{args.l})")
@@ -215,12 +220,7 @@ def _cmd_exppair_eval(args):
 
 
 def _cmd_exppair_search(args):
-    seeds = []
-    for name in args.seeds.split(","):
-        name = name.strip()
-        if name not in SEED_PAIRS:
-            raise UsageError(f"unknown seed {name!r}; choose from {sorted(SEED_PAIRS)}")
-        seeds.append(SEED_PAIRS[name])
+    seeds = [_seed_pair(name.strip()) for name in args.seeds.split(",")]
     res = search_pairs(seeds, args.max_word_len, args.objective, gamma=args.gamma)
     rows = [
         [word, k, l, value, word == res.best.word]
@@ -420,19 +420,15 @@ def build_parser() -> _Parser:
     ev.add_argument("--gamma", type=parse_rational, default=None)
     ev.add_argument("--delta", type=parse_rational, default=Fraction(0))
     common(ev)
-    ev.set_defaults(func=_cmd_exppair_eval, group="exppair")
+    ev.set_defaults(func=_cmd_exppair_eval)
 
     se = exppair.add_parser("search")
     se.add_argument("--seeds", default="trivial,bourgain")
     se.add_argument("--max-word-len", dest="max_word_len", type=int, default=6)
-    se.add_argument(
-        "--objective",
-        choices=("gamma_threshold", "type1_gamma_bound", "max_delta"),
-        default="gamma_threshold",
-    )
+    se.add_argument("--objective", choices=OBJECTIVES, default="gamma_threshold")
     se.add_argument("--gamma", type=parse_rational, default=None)
     common(se)
-    se.set_defaults(func=_cmd_exppair_search, group="exppair")
+    se.set_defaults(func=_cmd_exppair_search)
 
     ps = sub.add_parser("ps").add_subparsers(dest="cmd", required=True)
     for name, fn in (("count", _cmd_ps_count), ("ap", _cmd_ps_ap), ("beatty", _cmd_ps_beatty)):
@@ -446,7 +442,7 @@ def build_parser() -> _Parser:
             spx.add_argument("--alpha", dest="alpha_raw", required=True)
             spx.add_argument("--beta", type=parse_real, default=0.0)
         common(spx)
-        spx.set_defaults(func=fn, group="ps")
+        spx.set_defaults(func=fn)
 
     gb = sub.add_parser("goldbach3")
     gb.add_argument("--N", type=int, required=True)
@@ -454,13 +450,13 @@ def build_parser() -> _Parser:
     gb.add_argument("--c2", type=parse_real, default=None)
     gb.add_argument("--c3", type=parse_real, default=None)
     common(gb)
-    gb.set_defaults(func=_cmd_goldbach3, group="goldbach3", cmd="")
+    gb.set_defaults(func=_cmd_goldbach3, cmd="")
 
     ss = sub.add_parser("singular-series")
     ss.add_argument("--N", type=int, required=True)
     ss.add_argument("--P", type=int, default=10 ** 6)
     common(ss)
-    ss.set_defaults(func=_cmd_singular, group="singular-series", cmd="")
+    ss.set_defaults(func=_cmd_singular, cmd="")
 
     exps = sub.add_parser("expsum").add_subparsers(dest="cmd", required=True)
     th = exps.add_parser("theorem")
@@ -471,7 +467,7 @@ def build_parser() -> _Parser:
     th.add_argument("--H", type=int, required=True)
     th.add_argument("--scaled", action="store_true")
     common(th)
-    th.set_defaults(func=_cmd_expsum_theorem, group="expsum")
+    th.set_defaults(func=_cmd_expsum_theorem)
 
     bi = exps.add_parser("bilinear")
     bi.add_argument("--kind", choices=("TypeI", "TypeII"), required=True)
@@ -485,7 +481,7 @@ def build_parser() -> _Parser:
     bi.add_argument("--delta", type=parse_real, default=1.0)
     bi.add_argument("--bn", choices=("one", "log"), default="one")
     common(bi)
-    bi.set_defaults(func=_cmd_expsum_bilinear, group="expsum")
+    bi.set_defaults(func=_cmd_expsum_bilinear)
 
     vd = exps.add_parser("vdc")
     vd.add_argument("--h", type=parse_real, required=True)
@@ -493,7 +489,7 @@ def build_parser() -> _Parser:
     vd.add_argument("--alpha", type=parse_real, default=0.0)
     vd.add_argument("--N", type=int, required=True)
     common(vd)
-    vd.set_defaults(func=_cmd_expsum_vdc, group="expsum")
+    vd.set_defaults(func=_cmd_expsum_vdc)
 
     bp = exps.add_parser("bprocess")
     bp.add_argument("--h", type=parse_real, required=True)
@@ -502,12 +498,12 @@ def build_parser() -> _Parser:
     bp.add_argument("--a", type=parse_real, default=None)
     bp.add_argument("--b", type=parse_real, default=None)
     common(bp)
-    bp.set_defaults(func=_cmd_expsum_bprocess, group="expsum")
+    bp.set_defaults(func=_cmd_expsum_bprocess)
 
     vl = exps.add_parser("vaaler")
     vl.add_argument("--H", type=int, required=True)
     common(vl)
-    vl.set_defaults(func=_cmd_expsum_vaaler, group="expsum")
+    vl.set_defaults(func=_cmd_expsum_vaaler)
 
     hb = sub.add_parser("hb").add_subparsers(dest="cmd", required=True)
     hv = hb.add_parser("verify")
@@ -515,7 +511,7 @@ def build_parser() -> _Parser:
     hv.add_argument("--J", type=int, required=True)
     hv.add_argument("--Z", type=int, default=None)
     common(hv)
-    hv.set_defaults(func=_cmd_hb_verify, group="hb")
+    hv.set_defaults(func=_cmd_hb_verify)
 
     bf = sub.add_parser("bf").add_subparsers(dest="cmd", required=True)
     bs = bf.add_parser("scan")
@@ -523,7 +519,7 @@ def build_parser() -> _Parser:
     bs.add_argument("--c", type=parse_real, required=True)
     bs.add_argument("--grid-size", dest="grid_size", type=int, default=200)
     common(bs)
-    bs.set_defaults(func=_cmd_bf_scan, group="bf")
+    bs.set_defaults(func=_cmd_bf_scan)
 
     return top
 

@@ -93,7 +93,13 @@ class ExpSumSpec:
 
 
 def _weighted_parts(weights, phase: np.ndarray) -> tuple[float, float]:
-    """Exactly rounded (re, im) of sum of weights * e(phase); weights may be a scalar."""
+    """Exactly rounded (re, im) of sum of weights * e(phase); weights may be a scalar.
+
+    From 2^52 on, float64 spacing is a whole turn and e(phase) would read 1,
+    so a phase that is not finite or reaches 2^52 raises ValueError.
+    """
+    if not max(phase.max(initial=0.0), -phase.min(initial=0.0)) < 2.0 ** 52:  # also nan
+        raise ValueError("phases must be finite and below 2^52 in magnitude")
     cos, sin = unit_exp_parts(phase)
     cos *= weights  # in place, with the bits of weights * cos
     sin *= weights
@@ -409,19 +415,21 @@ def _hb_coefficients(params: HbParams) -> np.ndarray:
     """A = sum over j of c_j mu_Z^(*j) * 1^(*(j-1)) on [0, 2x], exactly, as int64.
 
     Here c_j = (-1)^(j-1) C(J,j) and mu_Z is mu restricted to [1, Z]. With
-    U = mu_Z * 1, A = mu_Z * (sum of c_j U^(*(j-1))), built by Horner's rule
-    in J convolutions. A = mu on [1, Z^J]: A * 1 = delta - (delta - U)^(*J),
-    and delta - U vanishes on [1, Z], so its J-fold power vanishes on
-    [1, Z^J]. Every partial sum is at most 2^J d_(2J-1)(n) in absolute value,
-    and for n <= 2^23 and J = 4 that is below 16 * 2.2e8 < 2^32, far inside int64.
+    U = mu_Z * 1, A = mu_Z * (sum of c_j U^(*(j-1))), built by Horner's rule;
+    U is built only for J >= 2, so hb_terms takes J + 1 convolutions then and
+    one at J = 1. A = mu on [1, Z^J]: A * 1 = delta - (delta - U)^(*J), and
+    delta - U vanishes on [1, Z], so its J-fold power vanishes on [1, Z^J].
+    Every partial sum is at most 2^J d_(2J-1)(n) in absolute value, and for
+    n <= 2^23 and J = 4 that is below 16 * 2.2e8 < 2^32, far inside int64.
     """
     hi = 2 * params.x
     mu = mobius_array(min(params.Z, hi))  # mu is read on [1, min(Z, 2x)] only
     mu_z = np.zeros(hi + 1, dtype=np.int64)
     mu_z[1 : mu.size] = mu[1:]
-    u = _dirichlet(mu_z, np.broadcast_to(np.int64(1), (hi + 1,)), hi)  # 1 without an array
     c = [(-1) ** (j - 1) * math.comb(params.J, j) for j in range(1, params.J + 1)]
     a = c[-1] * mu_z
+    if params.J > 1:
+        u = _dirichlet(mu_z, np.broadcast_to(np.int64(1), (hi + 1,)), hi)  # 1 without an array
     for cj in reversed(c[:-1]):
         a = _dirichlet(a, u, hi)
         a += cj * mu_z

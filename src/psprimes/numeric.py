@@ -11,16 +11,17 @@ A floor that is off by one corrupts every downstream membership count,
 which is why nothing here trusts a bare float comparison near an
 integer boundary.
 
-Exact sums (``fsum_array``) run error-free extraction until nothing remains.
+Exact sums run error-free extraction until nothing remains: ``_exact_sum``
+takes one array into an exact integer, callers add the integers of their
+blocks, and ``_round_exact`` rounds the total once; ``fsum_array`` does both
+for one array.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -185,102 +186,76 @@ def unit_exp_parts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(r), np.sin(r)
 
 
-# Each chunk of _FSUM_CHUNK entries is summed apart: its temporaries stay in
-# cache, and the extra memory is a few chunks however many the terms.
+# Each chunk of _FSUM_CHUNK entries is extracted apart: its temporaries stay
+# in cache, and the extra memory is a few chunks however many the terms.
 _FSUM_CHUNK = 1 << 14
 # sigma = 2^(e + _EXTRACT_BITS) for a chunk below 2^e, with 2^_EXTRACT_BITS >= n + 2.
 _EXTRACT_BITS = (_FSUM_CHUNK + 1).bit_length()
-# Below this many entries the sum goes to math.fsum over a list. On the same
-# VM, list fsum against extraction: 28 -> 36 us at 512 normal entries, 30 -> 26
-# us at 768, 38 -> 30 us at 1024 and 85 -> 32 us at 2048, so extraction now
-# wins from about 768; the hand-over stays at 2^11, which names the edge cases
-# of tests/test_numeric.py, at a cost of up to about 55 us per sum.
+# fsum_array sends arrays of fewer entries to math.fsum over a list. On the
+# same VM, list fsum against extraction: 28 -> 36 us at 512 normal entries,
+# 30 -> 26 us at 768, 38 -> 30 us at 1024 and 85 -> 32 us at 2048, so
+# extraction wins from about 768; the hand-over stays at 2^11, which names the
+# edge cases of tests/test_numeric.py, at a cost of up to about 55 us per sum.
 _FSUM_MIN = 1 << 11
 # Entries below 2^996 keep sigma at most 2^1011, so no pass can overflow, and
 # the exact int total needs no cap on the entries: an exact sum beyond the
 # float range raises OverflowError from the final division, as math.fsum does.
-# An array with a larger or a non-finite entry is left to math.fsum itself.
+# fsum_array leaves an array with a larger or a non-finite entry to math.fsum.
 _FSUM_BIG = 2.0 ** 996
 
 
 def fsum_array(a: np.ndarray) -> float:
     """Exactly rounded sum of a 1-D float64 array: math.fsum of its elements.
 
-    The one-array call of ``_fsum_stream``. An array outside its precondition
-    is left to math.fsum.
+    Fewer than _FSUM_MIN entries, or an array outside ``_exact_sum``'s
+    precondition, go to math.fsum itself.
     """
     a = np.asarray(a, dtype=np.float64)
+    if a.size < _FSUM_MIN:
+        return math.fsum(a.tolist())
     try:
-        return _fsum_stream([a])
+        return _round_exact(_exact_sum(a))
     except ValueError:  # an entry is not finite or reaches 2^996
-        return _fsum_chunked(a)
+        return math.fsum(a)
 
 
-def _fsum_stream(blocks: Iterable[np.ndarray]) -> float:
-    """Exactly rounded sum of a stream of 1-D float64 arrays: math.fsum of them all.
+def _exact_sum(a: np.ndarray) -> int:
+    """The exact sum of a 1-D float64 array, as a Python int in units of 2^-1074.
 
-    Blocks are buffered until about _FSUM_CHUNK entries. Each chunk r runs
-    passes of ExtractVector (Rump, Ogita and Oishi, "Accurate floating-point
-    summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008)
-    until its remainder is zero. For max|r| < 2^e and sigma =
-    2^max(e + _EXTRACT_BITS, -1022), q = (sigma + r) - sigma and r - q are
-    exact and the float sum of q is exact in any order; it goes to an exact
-    Python int in units of 2^-1074. A pass with sigma = 2^(e + _EXTRACT_BITS)
-    leaves |r - q| <= 2^(e + _EXTRACT_BITS - 53), at least 37 binades lower.
-    Once e + _EXTRACT_BITS < -1022, every entry is a multiple of 2^-1074 below
-    2^-1037, where sigma = 2^-1022 spaces the floats near sigma + r 2^-1074
-    apart as well: q = r, and the remainder is zero. From below 2^996 a chunk
-    therefore ends after at most 56 passes. One int/int true division rounds
-    the int, as math.fsum does (+0.0 for an exact zero sum). Fewer than
-    _FSUM_MIN entries go to math.fsum; an empty stream gives 0.0.
+    Each chunk r of at most _FSUM_CHUNK entries runs passes of ExtractVector
+    (Rump, Ogita and Oishi, "Accurate floating-point summation part I:
+    faithful rounding", SIAM J. Sci. Comput. 31(1), 2008) until its remainder
+    is zero. For max|r| < 2^e and sigma = 2^max(e + _EXTRACT_BITS, -1022),
+    q = (sigma + r) - sigma and r - q are exact and the float sum of q is
+    exact in any order; it goes into the int. A pass with sigma =
+    2^(e + _EXTRACT_BITS) leaves |r - q| <= 2^(e + _EXTRACT_BITS - 53), at
+    least 37 binades lower. Once e + _EXTRACT_BITS < -1022, every entry is a
+    multiple of 2^-1074 below 2^-1037, where sigma = 2^-1022 spaces the floats
+    near sigma + r 2^-1074 apart as well: q = r, and the remainder is zero.
+    From below 2^996 a chunk therefore ends after at most 56 passes. Exact
+    totals of several arrays add as ints, and ``_round_exact`` rounds their
+    sum once, to math.fsum of all their entries; an empty array gives 0.
     Precondition: every entry is finite and below 2^996 in magnitude
     (ValueError otherwise).
     """
-    total = 0  # the exact sum in units of 2^-1074
-    pending: list[np.ndarray] = []
-    size = entries = 0  # entries in pending, and in the whole stream
-
-    def flush() -> None:
-        nonlocal total, size
-        a = pending[0] if len(pending) == 1 else np.concatenate(pending)
-        pending.clear()
-        size = 0
-        for i in range(0, a.size, _FSUM_CHUNK):
-            r = a[i : i + _FSUM_CHUNK]
+    total = 0
+    for i in range(0, a.size, _FSUM_CHUNK):
+        r = a[i : i + _FSUM_CHUNK]
+        top = max(r.max(), -r.min())
+        if not top < _FSUM_BIG:  # also for nan
+            raise ValueError("fsum terms must be finite and below 2^996 in magnitude")
+        while top != 0.0:
+            e = math.frexp(top)[1] + _EXTRACT_BITS  # top < 2^(e - _EXTRACT_BITS)
+            sigma = math.ldexp(1.0, max(e, -1022))
+            q = r + sigma
+            q -= sigma
+            num, den = float(q.sum()).as_integer_ratio()
+            total += (num << 1074) // den
+            r = r - q
             top = max(r.max(), -r.min())
-            if not top < _FSUM_BIG:  # also for nan
-                raise ValueError("fsum terms must be finite and below 2^996 in magnitude")
-            while top != 0.0:
-                e = math.frexp(top)[1] + _EXTRACT_BITS  # top < 2^(e - _EXTRACT_BITS)
-                sigma = math.ldexp(1.0, max(e, -1022))
-                q = r + sigma
-                q -= sigma
-                num, den = float(q.sum()).as_integer_ratio()
-                total += (num << 1074) // den
-                r = r - q
-                top = max(r.max(), -r.min())
+    return total
 
-    for block in blocks:
-        pending.append(block)
-        size += block.size
-        entries += block.size
-        if size >= _FSUM_CHUNK:
-            flush()
-    if entries < _FSUM_MIN:  # nothing is summed yet: _FSUM_MIN <= _FSUM_CHUNK
-        return math.fsum(chain.from_iterable(b.tolist() for b in pending))
-    if size:
-        flush()
+
+def _round_exact(total: int) -> float:
+    """An exact sum in units of 2^-1074, rounded as math.fsum rounds (+0.0 for 0)."""
     return total / (1 << 1074)
-
-
-def _fsum_chunked(a: np.ndarray) -> float:
-    """math.fsum of a's elements, handed over as lists of one chunk each.
-
-    fsum reads plain floats faster than numpy scalars, and a whole-array list
-    would take four times the array's bytes.
-    """
-    return math.fsum(
-        chain.from_iterable(
-            a[i : i + _FSUM_CHUNK].tolist() for i in range(0, a.size, _FSUM_CHUNK)
-        )
-    )

@@ -24,23 +24,25 @@ The prime counts (plain, progression, Beatty) and their main terms stream
 over the primes p <= x in the progression, in blocks of at most _BLOCK
 primes taken from ``sieve.prime_stream``: membership is decided at each
 block's primes (the Beatty test only at the floor-power members) from the
-same t = p^(gamma-1) as the main term, an exactly rounded sum fed block by
-block. Memory is O(segment + sqrt(x)) whatever x is; no table is built, but
-the stream slices a cached prime list that covers x instead of sieving. Goldbach
-counts and the weights of ``bf_discrepancy`` decide membership at the
-primes of the shared prime list, which the singular series reads too.
+same t = p^(gamma-1) as the main term. Each block's main-term terms are
+extracted into an exact integer, the integers are added, and the total is
+rounded once. Memory is O(segment + sqrt(x)) whatever x is; no table is
+built, but the stream slices a cached prime list that covers x instead of
+sieving. Goldbach counts and the weights of ``bf_discrepancy`` decide
+membership at the primes of the shared prime list, which the singular series
+reads too.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .numeric import _ARRAY_GUARD_REL, GammaExponent, _fsum_stream, _pow_parts_array
+from .numeric import _ARRAY_GUARD_REL, GammaExponent, _exact_sum, _pow_parts_array, _round_exact
 from .numeric import floor_neg_pow
 from .sieve import prime_stream, shared_table
 
@@ -160,61 +162,41 @@ _BLOCK = 1 << 13
 
 
 def _sweep(
-    x: int, q: int, a: int, gam: float, members: bool = False, B: BeattyParams | None = None
-) -> Iterator[tuple[np.ndarray, int]]:
-    """Per block of the primes p = a (mod q) up to x: t = p^(gam-1), and how many are members.
+    x: int, q: int, a: int, gam: float, term: Callable | None = None, B: BeattyParams | None = None
+) -> tuple[float, int, int]:
+    """(math.fsum of term(t), members, primes) over the primes p = a (mod q) up to x.
 
-    With ``members`` the floor-power members for gam are counted (none
-    otherwise), further restricted to the Beatty sequence for B; membership
-    is decided at the primes only, from the same t as the main term.
+    Here t = p^(gam-1), one power per prime. Membership (floor-power for gam,
+    then Beatty for B) is decided at the primes only, from the same t. Each
+    block's terms, finite and below 2^996, go into an exact int
+    (``_exact_sum``) and the total is rounded once; without a term it is 0.0.
     """
+    total = members = primes = 0
     for stream_block in prime_stream(x, q, a):
         for lo in range(0, stream_block.size, _BLOCK):
             ps = stream_block[lo : lo + _BLOCK]
             pf = ps.astype(np.float64)
             t = pf ** (gam - 1.0)
-            k = 0
-            if members:
-                member = _member_from_t(ps, pf, t, gam)
-                if B is not None:
-                    member[member] = _beatty_member_at(ps[member], B)
-                k = int(np.count_nonzero(member))
-            yield t, k
+            member = _member_from_t(ps, pf, t, gam)
+            if B is not None:
+                member[member] = _beatty_member_at(ps[member], B)
+            members += int(np.count_nonzero(member))
+            primes += ps.size
+            if term is not None:
+                total += _exact_sum(term(t))
+    return _round_exact(total), members, primes
 
 
-def _fsum_sweep(
-    blocks: Iterable[tuple[np.ndarray, int]], term: Callable[[np.ndarray], np.ndarray]
-) -> tuple[float, int, int]:
-    """(math.fsum of term(t) over all primes p, members, primes) of one sweep.
-
-    The exactly rounded sum streams the per-block terms, each a function of
-    t = p^(gam-1), through ``_fsum_stream``, so it equals math.fsum of one
-    whole-range array while memory stays a few blocks. The terms are finite
-    and below 2^996 in magnitude, as its precondition asks.
-    """
-    members = primes = 0
-
-    def terms() -> Iterator[np.ndarray]:
-        nonlocal members, primes
-        for t, k in blocks:
-            members += k
-            primes += t.size
-            yield term(t)
-
-    total = _fsum_stream(terms())
-    return total, members, primes
-
-
-def _refined_sweep(x: int, gam: float, q: int, a: int, members: bool = False) -> tuple[float, int]:
+def _refined_sweep(x: int, gam: float, q: int, a: int) -> tuple[float, int]:
     """(refined main term, members) for the primes p = a (mod q) up to x."""
-    total, k, _ = _fsum_sweep(_sweep(x, q, a, gam, members), lambda t: t)
+    total, k, _ = _sweep(x, q, a, gam, lambda t: t)
     return gam * total, k
 
 
-def _ap_sweep(x: int, gam: float, q: int, a: int, members: bool = False) -> tuple[float, int]:
+def _ap_sweep(x: int, gam: float, q: int, a: int) -> tuple[float, int]:
     """(progression main term, members) for the primes p = a (mod q) up to x."""
     xg1 = float(x) ** (gam - 1.0)
-    integral, k, n = _fsum_sweep(_sweep(x, q, a, gam, members), lambda t: (xg1 - t) / (gam - 1.0))
+    integral, k, n = _sweep(x, q, a, gam, lambda t: (xg1 - t) / (gam - 1.0))
     return gam * xg1 * n + gam * (1.0 - gam) * integral, k
 
 
@@ -234,7 +216,7 @@ def ps_prime_count(x: int, c: float) -> PsCountReport:
     is power-saving.
     """
     g = GammaExponent.from_c(c)
-    main, count = _refined_sweep(x, g.gamma, 1, 0, True)
+    main, count = _refined_sweep(x, g.gamma, 1, 0)
     return PsCountReport(
         x=x,
         c=c,
@@ -265,7 +247,7 @@ def ps_prime_count_ap(x: int, c: float, q: int, a: int) -> PsCountReport:
     if math.gcd(a, q) != 1:
         raise ValueError(f"require gcd(a, q) = 1, got a={a}, q={q}")
     g = GammaExponent.from_c(c)
-    main, count = _ap_sweep(x, g.gamma, q, a % q, True)
+    main, count = _ap_sweep(x, g.gamma, q, a % q)
     return PsCountReport(
         x=x,
         c=c,
@@ -388,7 +370,7 @@ def beatty_member_array(limit: int, B: BeattyParams) -> np.ndarray:
 def ps_beatty_prime_count(x: int, c: float, B: BeattyParams) -> PsCountReport:
     """Count primes <= x lying in both sequences, against x^gamma/(alpha*log x)."""
     g = GammaExponent.from_c(c)
-    count = sum(k for _, k in _sweep(x, 1, 0, g.gamma, True, B))
+    count = _sweep(x, 1, 0, g.gamma, B=B)[1]
     main = x ** g.gamma / (B.alpha * math.log(x))
     return PsCountReport(
         x=x,

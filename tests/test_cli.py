@@ -447,7 +447,29 @@ class TestOtherSubcommands:
         assert "# max_discrepancy=" in out
 
 
+def readme_commands():
+    """The psprimes lines of README's CLI block, each with and without its [optional] flags."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [l.split("#", 1)[0].split() for l in block.splitlines() if l.startswith("psprimes ")]
+    out = []
+    for words in lines:
+        plain = [w for w in words[1:] if not w.startswith("[")]
+        out.append(plain)
+        if len(plain) < len(words) - 1:
+            out.append([w.strip("[]") for w in words[1:]])
+    return out
+
+
 class TestCliPlumbing:
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_commands_run(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        if argv[:2] == ["hb", "verify"]:
+            header, row = out.splitlines()[-2:]
+            assert dict(zip(header.split(","), row.split(",")))["mismatches"] == "0"
+
     def test_unknown_subcommand_exit_64(self, capsys):
         rc, _, _ = run(capsys, "nonsense")
         assert rc == 64
@@ -561,11 +583,19 @@ class TestUsageErrors:
         assert rc == 64
         assert out == "" and err.startswith("usage error:")
 
+    # The last four give phases past 2^52 (inf for alpha = 1e308), where
+    # float64 spacing is a whole turn: they once printed nan, or lhs = N.
     @pytest.mark.parametrize(
         "argv",
         [["hb", "verify", "--x", "1" + "0" * 400, "--J", "2"],
-         ["singular-series", "--N", "1" + "0" * 400, "--P", "1000"]],
-        ids=["hb-x", "singular-N"],
+         ["singular-series", "--N", "1" + "0" * 400, "--P", "1000"],
+         ["expsum", "theorem", "--x", "1000", "--c", "1.1", "--H", "2", "--alpha", "1e308"],
+         ["expsum", "bilinear", "--kind", "TypeI", "--x", "100", "--c", "1.1", "--M", "10",
+          "--N", "10", "--h", "1", "--alpha", "1e308"],
+         ["expsum", "vdc", "--h", "1e308", "--c", "1.1", "--N", "1000"],
+         ["expsum", "vdc", "--h", "1e300", "--c", "1.1", "--N", "100000"]],
+        ids=["hb-x", "singular-N", "theorem-phase", "bilinear-phase", "vdc-phase-inf",
+             "vdc-phase-1e300"],
     )
     def test_integer_beyond_float_range_exit_2(self, capsys, argv):
         rc, out, err = run(capsys, *argv)

@@ -375,8 +375,13 @@ def stream_case(n, cuts, seed, spikes):
     return a, [a[lo:hi] for lo, hi in zip(edges, edges[1:])]
 
 
+def stream_sum(blocks):
+    """The sum of the per-block exact totals, rounded once."""
+    return nc._round_exact(sum(nc._exact_sum(b) for b in blocks))
+
+
 class TestFsumStream:
-    """The streamed sum against math.fsum of the concatenated blocks."""
+    """Per-block exact totals, added and rounded once, against math.fsum of them all."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -394,31 +399,29 @@ class TestFsumStream:
     )
     def test_equals_fsum_of_the_concatenation(self, n, cuts, seed, spikes):
         a, blocks = stream_case(n, cuts, seed, spikes)
-        got = nc._fsum_stream(iter(blocks))
+        got = stream_sum(blocks)
         want = math.fsum(a)
         assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
     def test_empty_stream_is_zero(self):
         for blocks in ([], [np.zeros(0)] * 3):
-            got = nc._fsum_stream(iter(blocks))
+            got = stream_sum(blocks)
             assert (got, math.copysign(1.0, got)) == (0.0, 1.0)
 
     def test_short_stream_goes_to_fsum(self, monkeypatch):
-        # below _FSUM_MIN entries the precondition is not needed: fsum decides
-        blocks = [np.array([math.inf, 1.0]), np.zeros(_MIN - 3)]
-        assert nc._fsum_stream(iter(blocks)) == math.inf
+        # fsum_array sends fewer than _FSUM_MIN entries to math.fsum
         monkeypatch.setattr(math, "fsum", lambda _: "fsum")
-        assert nc._fsum_stream(iter([np.ones(_MIN - 1)])) == "fsum"
-        assert nc._fsum_stream(iter([np.ones(_MIN)])) == _MIN
+        assert nc.fsum_array(np.ones(_MIN - 1)) == "fsum"
+        assert nc.fsum_array(np.ones(_MIN)) == _MIN
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 ** 996, -(2.0 ** 996)])
     def test_precondition_is_checked(self, bad):
         a = np.ones(2 * _CHUNK)
         a[_CHUNK + 3] = bad
         with pytest.raises(ValueError, match="below 2\\^996"):
-            nc._fsum_stream(iter([a[:10], a[10:]]))
+            stream_sum([a[:10], a[10:]])
         a[_CHUNK + 3] = np.nextafter(2.0 ** 996, 0.0) * math.copysign(1.0, bad)
-        assert nc._fsum_stream(iter([a[:10], a[10:]])) == math.fsum(a)
+        assert stream_sum([a[:10], a[10:]]) == math.fsum(a)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -428,11 +431,11 @@ class TestFsumStream:
     def test_cancellation_across_nine_chunks(self, cuts, seed):
         spikes = [(_CHUNK - 1, 1e16), (4 * _CHUNK, 1.0), (8 * _CHUNK + 2, -1e16)]
         a, blocks = stream_case(9 * _CHUNK, cuts, seed, spikes)
-        assert nc._fsum_stream(iter(blocks)) == math.fsum(a)
+        assert stream_sum(blocks) == math.fsum(a)
         a[:] = 0.0  # the blocks are views of a
         a[[_CHUNK - 1, 4 * _CHUNK, 8 * _CHUNK + 2]] = [1e16, 1.0, -1e16]
-        # per-chunk rounding would give 0.0
-        assert nc._fsum_stream(iter(blocks)) == 1.0
+        # per-block rounding would give 0.0
+        assert stream_sum(blocks) == 1.0
 
 
 @st.composite
@@ -468,13 +471,13 @@ def signed(v):
 
 
 class TestExtraction:
-    """The ExtractVector passes of _fsum_stream, run until nothing remains."""
+    """The ExtractVector passes of _exact_sum, run until nothing remains."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=summation_case())
     def test_extraction_equals_fsum(self, case):
         a, blocks = case
-        got = nc.fsum_array(a) if blocks is None else nc._fsum_stream(iter(blocks))
+        got = nc.fsum_array(a) if blocks is None else stream_sum(blocks)
         assert signed(got) == signed(math.fsum(a))
 
     @pytest.mark.parametrize("c", [1.0 + 1e-9, 1.05, 1.5, 1.9])
@@ -485,7 +488,7 @@ class TestExtraction:
         terms = [ps ** (gam - 1.0), ps[:-1000] ** (gam - 1.0) * np.cos(ps[:-1000])]
         terms.append((xg1 - terms[0]) / (gam - 1.0))
         want = [math.fsum(t) for t in terms]
-        assert [nc._fsum_stream(np.array_split(t, 40)) for t in terms] == want
+        assert [stream_sum(np.array_split(t, 40)) for t in terms] == want
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
     def test_bf_scan_terms(self, alpha):
@@ -526,24 +529,23 @@ class TestExtraction:
             np.concatenate([np.full(_CHUNK - 1, -top), [2.0 ** -70]]),
         ):
             assert a.size == _CHUNK
-            assert signed(nc._fsum_stream([a])) == signed(math.fsum(a))
+            assert signed(stream_sum([a])) == signed(math.fsum(a))
 
     @pytest.mark.parametrize("cut", [0, 2, 64])
     @pytest.mark.parametrize("top", [2.0 ** -1022, 2.0 ** -1040, 2.0 ** -1060, 5e-324])
     def test_subnormal_only_chunks(self, top, cut):
         # below 2^-1037 sigma = 2^(e + _EXTRACT_BITS) would leave the normal
         # range: sigma = 2^-1022 takes every remaining entry exactly. The
-        # stream is also handed over cut at `cut` entries, which the buffer
-        # joins back into one chunk.
+        # array is also cut at `cut` entries, and each part extracted apart.
         rng = np.random.default_rng(int(-math.log2(top)))
         k = int(top / 5e-324)
         a = rng.integers(-k + 1, k, _CHUNK) * 5e-324  # exact multiples of 2^-1074
         a[::5] = np.nextafter(top, 0.0)
         assert np.all(np.abs(a) < 2.0 ** -1022)
         want = signed(math.fsum(a))
-        assert signed(nc._fsum_stream([a])) == want
-        assert signed(nc._fsum_stream([a[:cut], a[cut:]])) == want
-        assert signed(nc._fsum_stream([a[:cut], a[cut:], -a])) == (0.0, 1.0)
+        assert signed(stream_sum([a])) == want
+        assert signed(stream_sum([a[:cut], a[cut:]])) == want
+        assert signed(stream_sum([a[:cut], a[cut:], -a])) == (0.0, 1.0)
 
     def test_widest_chunk_ends_within_56_passes(self, monkeypatch):
         # entries from 2^-1074 to 2^995: each pass drops the remainder at least
@@ -556,7 +558,7 @@ class TestExtraction:
         sigmas = []
         ldexp = math.ldexp
         monkeypatch.setattr(math, "ldexp", lambda x, e: sigmas.append(e) or ldexp(x, e))
-        assert signed(nc._fsum_stream([a])) == signed(want)
+        assert signed(stream_sum([a])) == signed(want)
         assert sigmas[-1] == -1022
         assert len(sigmas) <= 56
 

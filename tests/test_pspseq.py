@@ -264,14 +264,10 @@ class TestStreamingCount:
         # the one power per prime that membership reads is the main term's
         # p ** (gamma - 1), bit for bit, in both main-term forms
         blocks = []
-        stream = pq._fsum_stream
-
-        def spy(terms):
-            for t in terms:
-                blocks.append(t.copy())
-                yield t
-
-        monkeypatch.setattr(pq, "_fsum_stream", lambda terms: stream(spy(terms)))
+        exact_sum = pq._exact_sum
+        monkeypatch.setattr(
+            pq, "_exact_sum", lambda terms: blocks.append(terms.copy()) or exact_sum(terms)
+        )
         x = 10 ** 6
         ps = np.flatnonzero(eratosthenes(x)).astype(np.float64)
         gam = GammaExponent.from_c(c).gamma
@@ -313,14 +309,18 @@ class TestStreamingCount:
 class TestWarmTable:
     """A count whose x the cached table covers reads it, with the same report."""
 
+    # x = 3000 streams fewer than 2^11 primes; at q = 9973 and x = 3*10^6 a
+    # block holds a few primes
     @pytest.mark.parametrize(
-        "x", [sv._SEGMENT - 1, sv._SEGMENT, sv._SEGMENT + 1, 2 * sv._SEGMENT + 4321]
+        "x",
+        [sv._SEGMENT - 1, sv._SEGMENT, sv._SEGMENT + 1, 2 * sv._SEGMENT + 4321, 3000, 3 * 10 ** 6],
     )
     def test_reports_equal_with_empty_and_warm_cache(self, monkeypatch, x):
         B = pq.BeattyParams.from_label("sqrt2", 0.3)
         counts = (
             lambda: pq.ps_prime_count(x, 1.1),
             lambda: pq.ps_prime_count_ap(x, 1.3, 997, 3),
+            lambda: pq.ps_prime_count_ap(x, 1.1, 9973, 5),
             lambda: pq.ps_beatty_prime_count(x, 1.05, B),
             lambda: pq.refined_main_term(x, 1.2, 4, 1),
             lambda: pq.ap_main_term(x, 1.5, 3, 2),
