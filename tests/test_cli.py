@@ -583,7 +583,7 @@ class TestUsageErrors:
         assert rc == 64
         assert out == "" and err.startswith("usage error:")
 
-    # The last four give phases past 2^52 (inf for alpha = 1e308), where
+    # The last five give phases past 2^52 (inf for alpha = 1e308), where
     # float64 spacing is a whole turn: they once printed nan, or lhs = N.
     @pytest.mark.parametrize(
         "argv",
@@ -593,9 +593,10 @@ class TestUsageErrors:
          ["expsum", "bilinear", "--kind", "TypeI", "--x", "100", "--c", "1.1", "--M", "10",
           "--N", "10", "--h", "1", "--alpha", "1e308"],
          ["expsum", "vdc", "--h", "1e308", "--c", "1.1", "--N", "1000"],
-         ["expsum", "vdc", "--h", "1e300", "--c", "1.1", "--N", "100000"]],
+         ["expsum", "vdc", "--h", "1e300", "--c", "1.1", "--N", "100000"],
+         ["expsum", "vdc", "--h", str(2 ** 52), "--c", "1.1", "--N", "1"]],
         ids=["hb-x", "singular-N", "theorem-phase", "bilinear-phase", "vdc-phase-inf",
-             "vdc-phase-1e300"],
+             "vdc-phase-1e300", "vdc-phase-2^52"],
     )
     def test_integer_beyond_float_range_exit_2(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
