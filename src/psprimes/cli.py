@@ -90,25 +90,7 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that raises UsageError and records its long flags.
-
-    ``flags`` maps each long flag, spelled as a config key, to its
-    (dest, type, choices) so config lines are converted and checked exactly
-    like the flag would be.
-    """
-
-    def __init__(self, *args, **kwargs):
-        self.flags: dict[str, tuple[str, object, object]] = {}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.default is not argparse.SUPPRESS:
-            for opt in action.option_strings:
-                if opt.startswith("--"):
-                    key = opt[2:].replace("-", "_")
-                    self.flags[key] = (action.dest, action.type, action.choices)
-        return action
+    """ArgumentParser that raises UsageError instead of exiting."""
 
     def error(self, message):  # argparse would call sys.exit(2)
         raise UsageError(message)
@@ -171,6 +153,11 @@ def _write(args, columns, rows, extra_meta=None):
         sys.stdout.write(text)
 
 
+def _one(row: dict, extra=None):
+    """A single named row as the (columns, rows, extra) a handler returns."""
+    return list(row), [list(row.values())], extra
+
+
 def _seed_pair(name: str) -> ExponentPair:
     if name not in SEED_PAIRS:
         raise UsageError(f"unknown seed {name!r}; choose from {sorted(SEED_PAIRS)}")
@@ -188,35 +175,22 @@ def _pair_from_args(args) -> ExponentPair:
 def _cmd_exppair_eval(args):
     p = _pair_from_args(args)
     thr = gamma_threshold(p)
-    row = [p.word, p.k, p.l, thr, 1 / thr]
-    cols = ["word", "k", "l", "threshold", "c_upper"]
+    row = {"word": p.word, "k": p.k, "l": p.l, "threshold": thr, "c_upper": 1 / thr}
     if args.gamma is not None:
         t1 = type1_constraints(p, args.gamma, args.delta)
         t2 = type2_range(args.gamma, args.delta)
-        md = (
-            max_delta(p, args.gamma)
-            if delta_feasible(p, args.gamma, Fraction(0))
-            else None
+        row.update(
+            gamma=args.gamma,
+            delta=args.delta,
+            type1_gamma_lower=t1.gamma_lower,
+            type1_n_lower=str(t1.n_lower_exponents[0]),
+            type2_n_lower=str(t2.n_lower_exponents[0]),
+            type2_n_upper=str(t2.n_upper_exponent),
+            max_delta=(
+                max_delta(p, args.gamma) if delta_feasible(p, args.gamma, Fraction(0)) else None
+            ),
         )
-        cols += [
-            "gamma",
-            "delta",
-            "type1_gamma_lower",
-            "type1_n_lower",
-            "type2_n_lower",
-            "type2_n_upper",
-            "max_delta",
-        ]
-        row += [
-            args.gamma,
-            args.delta,
-            t1.gamma_lower,
-            str(t1.n_lower_exponents[0]),
-            str(t2.n_lower_exponents[0]),
-            str(t2.n_upper_exponent),
-            md,
-        ]
-    return cols, [row], None
+    return _one(row)
 
 
 def _cmd_exppair_search(args):
@@ -233,24 +207,25 @@ def _cmd_exppair_search(args):
     )
 
 
-def _count_row(rep):
-    return [rep.x, rep.c, rep.q, rep.a, rep.count, rep.main_term, rep.ratio]
-
-
-_COUNT_COLS = ["x", "c", "q", "a", "count", "main_term", "ratio"]
+def _count_row(rep, extra=None):
+    cols = ("x", "c", "q", "a", "count", "main_term", "ratio")
+    return _one({k: getattr(rep, k) for k in cols}, extra)
 
 
 def _cmd_ps_count(args):
     rep = ps_prime_count(args.x, args.c)
-    return _COUNT_COLS, [_count_row(rep)], {"headline_term": rep.headline_term}
+    return _count_row(rep, {"headline_term": rep.headline_term})
 
 
 def _cmd_ps_ap(args):
-    rep = ps_prime_count_ap(args.x, args.c, args.q, args.a)
-    return _COUNT_COLS, [_count_row(rep)], None
+    return _count_row(ps_prime_count_ap(args.x, args.c, args.q, args.a))
 
 
 def _cmd_ps_beatty(args):
+    try:
+        args.alpha = parse_real(args.alpha_raw)
+    except ValueError as exc:
+        raise UsageError(f"bad value for --alpha: {exc}") from None
     label = args.alpha_raw.strip().lower()
     B = (
         BeattyParams.from_label(label, args.beta)
@@ -258,37 +233,32 @@ def _cmd_ps_beatty(args):
         else BeattyParams(alpha=args.alpha, beta=args.beta)
     )
     rep = ps_beatty_prime_count(args.x, args.c, B)
-    return _COUNT_COLS, [_count_row(rep)], {"alpha": B.alpha, "beta": B.beta}
+    return _count_row(rep, {"alpha": B.alpha, "beta": B.beta})
 
 
 def _cmd_goldbach3(args):
+    args.c2 = args.c1 if args.c2 is None else args.c2
+    args.c3 = args.c1 if args.c3 is None else args.c3
     r = goldbach3_count(args.N, args.c1, args.c2, args.c3)
-    ratio = r.exact / r.predicted if r.predicted > 0 else None
-    row = [r.N, *r.c, r.exact, r.predicted, ratio, r.singular_value, r.degenerate]
-    return (
-        ["N", "c1", "c2", "c3", "exact", "predicted", "ratio", "singular", "degenerate"],
-        [row],
-        None,
-    )
+    return _one({
+        "N": r.N, "c1": r.c[0], "c2": r.c[1], "c3": r.c[2], "exact": r.exact,
+        "predicted": r.predicted, "ratio": r.exact / r.predicted if r.predicted > 0 else None,
+        "singular": r.singular_value, "degenerate": r.degenerate,
+    })
 
 
 def _cmd_singular(args):
     r = singular_series(args.N, args.P)
-    return (
-        ["N", "P", "value", "tail_bound"],
-        [[r.N, r.truncation_P, r.value, r.tail_bound]],
-        None,
-    )
+    return _one({"N": r.N, "P": r.truncation_P, "value": r.value, "tail_bound": r.tail_bound})
 
 
 def _cmd_expsum_theorem(args):
     spec = ExpSumSpec(alpha=args.alpha, g=GammaExponent.from_c(args.c), u=args.u, x=args.x, H=args.H)
     val = theorem_sum(spec, scaled=args.scaled)
-    return (
-        ["x", "H", "alpha", "u", "c", "value", "value_over_x"],
-        [[args.x, args.H, args.alpha, args.u, args.c, val, val / args.x]],
-        None,
-    )
+    return _one({
+        "x": args.x, "H": args.H, "alpha": args.alpha, "u": args.u, "c": args.c,
+        "value": val, "value_over_x": val / args.x,
+    })
 
 
 def _cmd_expsum_bilinear(args):
@@ -312,20 +282,18 @@ def _cmd_expsum_bilinear(args):
         x=args.x,
         h_weights=h_weights,
     )
-    return (
-        ["kind", "x", "c", "alpha", "u", "M", "N", "h", "delta", "value"],
-        [[args.kind, args.x, args.c, args.alpha, args.u, args.M, args.N, args.h, args.delta, val]],
-        None,
-    )
+    return _one({
+        "kind": args.kind, "x": args.x, "c": args.c, "alpha": args.alpha, "u": args.u,
+        "M": args.M, "N": args.N, "h": args.h, "delta": args.delta, "value": val,
+    })
 
 
 def _cmd_expsum_vdc(args):
     r = vdc_bound_check(args.h, GammaExponent.from_c(args.c), args.alpha, args.N)
-    return (
-        ["h", "c", "alpha", "N", "lhs", "rhs_unit", "empirical_C"],
-        [[args.h, args.c, args.alpha, args.N, r.lhs, r.rhs_unit, r.empirical_c]],
-        None,
-    )
+    return _one({
+        "h": args.h, "c": args.c, "alpha": args.alpha, "N": args.N,
+        "lhs": r.lhs, "rhs_unit": r.rhs_unit, "empirical_C": r.empirical_c,
+    })
 
 
 def _cmd_expsum_bprocess(args):
@@ -336,38 +304,12 @@ def _cmd_expsum_bprocess(args):
         interval = (args.a, args.b)
     r = b_process_compare(args.h, GammaExponent.from_c(args.c), args.N, interval)
     a_val, b_val = interval if interval else (args.N + 1, 2 * args.N)
-    row = [
-        args.h,
-        args.c,
-        args.N,
-        a_val,
-        b_val,
-        r.direct.real,
-        r.direct.imag,
-        r.stationary.real,
-        r.stationary.imag,
-        r.error,
-        r.bound,
-        r.degenerate,
-    ]
-    return (
-        [
-            "h",
-            "c",
-            "N",
-            "a",
-            "b",
-            "direct_re",
-            "direct_im",
-            "stationary_re",
-            "stationary_im",
-            "error",
-            "bound",
-            "degenerate",
-        ],
-        [row],
-        None,
-    )
+    return _one({
+        "h": args.h, "c": args.c, "N": args.N, "a": a_val, "b": b_val,
+        "direct_re": r.direct.real, "direct_im": r.direct.imag,
+        "stationary_re": r.stationary.real, "stationary_im": r.stationary.imag,
+        "error": r.error, "bound": r.bound, "degenerate": r.degenerate,
+    })
 
 
 def _cmd_expsum_vaaler(args):
@@ -386,9 +328,10 @@ def _cmd_hb_verify(args):
     rec = hb_terms(params)[args.x + 1 :]
     ref = lambda_array(2 * args.x)[args.x + 1 :]
     diff = np.abs(rec - ref)
-    mismatches = int(np.count_nonzero(diff > 1e-9))
-    row = [args.x, args.J, Z, rec.size, mismatches, float(diff.max())]
-    return ["x", "J", "Z", "checked", "mismatches", "max_abs_diff"], [row], None
+    return _one({
+        "x": args.x, "J": args.J, "Z": Z, "checked": rec.size,
+        "mismatches": int(np.count_nonzero(diff > 1e-9)), "max_abs_diff": float(diff.max()),
+    })
 
 
 def _cmd_bf_scan(args):
@@ -401,134 +344,93 @@ def _cmd_bf_scan(args):
     )
 
 
+# Flag specs (argparse keyword arguments), shared where commands share a flag.
+_INT = {"type": int, "required": True}
+_REAL = {"type": parse_real, "required": True}
+_REAL_0 = {"type": parse_real, "default": 0.0}
+_REAL_OPT = {"type": parse_real, "default": None}
+_RATIONAL = {"type": parse_rational, "default": None}
+_XC = {"--x": _INT, "--c": _REAL}
+_PHASE = {"--alpha": _REAL_0, "--u": _REAL_0}
+_COMMON = {
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--output": {"default": None, "help": "write to a file instead of stdout"},
+    "--config": {"default": None, "help": "flat key=value file overriding flags"},
+}
+
+# One entry per subcommand, in --help order: name, handler, flags before _COMMON.
+_COMMANDS = (
+    ("exppair eval", _cmd_exppair_eval, {
+        "--k": _RATIONAL, "--l": _RATIONAL,
+        "--seed": {"default": None, "help": "named seed: trivial or bourgain"},
+        "--gamma": _RATIONAL, "--delta": {"type": parse_rational, "default": Fraction(0)},
+    }),
+    ("exppair search", _cmd_exppair_search, {
+        "--seeds": {"default": "trivial,bourgain"},
+        "--max-word-len": {"type": int, "default": 6},
+        "--objective": {"choices": OBJECTIVES, "default": "gamma_threshold"},
+        "--gamma": _RATIONAL,
+    }),
+    ("ps count", _cmd_ps_count, _XC),
+    ("ps ap", _cmd_ps_ap, {**_XC, "--q": _INT, "--a": _INT}),
+    ("ps beatty", _cmd_ps_beatty, {
+        **_XC, "--alpha": {"dest": "alpha_raw", "required": True}, "--beta": _REAL_0,
+    }),
+    ("goldbach3", _cmd_goldbach3, {
+        "--N": _INT, "--c1": _REAL, "--c2": _REAL_OPT, "--c3": _REAL_OPT,
+    }),
+    ("singular-series", _cmd_singular, {"--N": _INT, "--P": {"type": int, "default": 10 ** 6}}),
+    ("expsum theorem", _cmd_expsum_theorem, {
+        **_XC, **_PHASE, "--H": _INT, "--scaled": {"action": "store_true"},
+    }),
+    ("expsum bilinear", _cmd_expsum_bilinear, {
+        "--kind": {"choices": ("TypeI", "TypeII"), "required": True}, **_XC, **_PHASE,
+        "--M": _INT, "--N": _INT, "--h": _INT, "--delta": {"type": parse_real, "default": 1.0},
+        "--bn": {"choices": ("one", "log"), "default": "one"},
+    }),
+    ("expsum vdc", _cmd_expsum_vdc, {"--h": _REAL, "--c": _REAL, "--alpha": _REAL_0, "--N": _INT}),
+    ("expsum bprocess", _cmd_expsum_bprocess, {
+        "--h": _REAL, "--c": _REAL, "--N": _INT, "--a": _REAL_OPT, "--b": _REAL_OPT,
+    }),
+    ("expsum vaaler", _cmd_expsum_vaaler, {"--H": _INT}),
+    ("hb verify", _cmd_hb_verify, {
+        "--x": _INT, "--J": _INT, "--Z": {"type": int, "default": None},
+    }),
+    ("bf scan", _cmd_bf_scan, {
+        "--N": _INT, "--c": _REAL, "--grid-size": {"type": int, "default": 200},
+    }),
+)
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="psprimes", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=f"psprimes {__version__}")
     sub = top.add_subparsers(dest="group", required=True)
-
-    def common(sp):
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--output", default=None, help="write to a file instead of stdout")
-        sp.add_argument("--config", default=None, help="flat key=value file overriding flags")
-        sp.set_defaults(config_flags=sp.flags)
-
-    exppair = sub.add_parser("exppair").add_subparsers(dest="cmd", required=True)
-    ev = exppair.add_parser("eval")
-    ev.add_argument("--k", type=parse_rational, default=None)
-    ev.add_argument("--l", type=parse_rational, default=None)
-    ev.add_argument("--seed", default=None, help="named seed: trivial or bourgain")
-    ev.add_argument("--gamma", type=parse_rational, default=None)
-    ev.add_argument("--delta", type=parse_rational, default=Fraction(0))
-    common(ev)
-    ev.set_defaults(func=_cmd_exppair_eval)
-
-    se = exppair.add_parser("search")
-    se.add_argument("--seeds", default="trivial,bourgain")
-    se.add_argument("--max-word-len", dest="max_word_len", type=int, default=6)
-    se.add_argument("--objective", choices=OBJECTIVES, default="gamma_threshold")
-    se.add_argument("--gamma", type=parse_rational, default=None)
-    common(se)
-    se.set_defaults(func=_cmd_exppair_search)
-
-    ps = sub.add_parser("ps").add_subparsers(dest="cmd", required=True)
-    for name, fn in (("count", _cmd_ps_count), ("ap", _cmd_ps_ap), ("beatty", _cmd_ps_beatty)):
-        spx = ps.add_parser(name)
-        spx.add_argument("--x", type=int, required=True)
-        spx.add_argument("--c", type=parse_real, required=True)
-        if name == "ap":
-            spx.add_argument("--q", type=int, required=True)
-            spx.add_argument("--a", type=int, required=True)
-        if name == "beatty":
-            spx.add_argument("--alpha", dest="alpha_raw", required=True)
-            spx.add_argument("--beta", type=parse_real, default=0.0)
-        common(spx)
-        spx.set_defaults(func=fn)
-
-    gb = sub.add_parser("goldbach3")
-    gb.add_argument("--N", type=int, required=True)
-    gb.add_argument("--c1", type=parse_real, required=True)
-    gb.add_argument("--c2", type=parse_real, default=None)
-    gb.add_argument("--c3", type=parse_real, default=None)
-    common(gb)
-    gb.set_defaults(func=_cmd_goldbach3, cmd="")
-
-    ss = sub.add_parser("singular-series")
-    ss.add_argument("--N", type=int, required=True)
-    ss.add_argument("--P", type=int, default=10 ** 6)
-    common(ss)
-    ss.set_defaults(func=_cmd_singular, cmd="")
-
-    exps = sub.add_parser("expsum").add_subparsers(dest="cmd", required=True)
-    th = exps.add_parser("theorem")
-    th.add_argument("--x", type=int, required=True)
-    th.add_argument("--c", type=parse_real, required=True)
-    th.add_argument("--alpha", type=parse_real, default=0.0)
-    th.add_argument("--u", type=parse_real, default=0.0)
-    th.add_argument("--H", type=int, required=True)
-    th.add_argument("--scaled", action="store_true")
-    common(th)
-    th.set_defaults(func=_cmd_expsum_theorem)
-
-    bi = exps.add_parser("bilinear")
-    bi.add_argument("--kind", choices=("TypeI", "TypeII"), required=True)
-    bi.add_argument("--x", type=int, required=True)
-    bi.add_argument("--c", type=parse_real, required=True)
-    bi.add_argument("--alpha", type=parse_real, default=0.0)
-    bi.add_argument("--u", type=parse_real, default=0.0)
-    bi.add_argument("--M", type=int, required=True)
-    bi.add_argument("--N", type=int, required=True)
-    bi.add_argument("--h", type=int, required=True)
-    bi.add_argument("--delta", type=parse_real, default=1.0)
-    bi.add_argument("--bn", choices=("one", "log"), default="one")
-    common(bi)
-    bi.set_defaults(func=_cmd_expsum_bilinear)
-
-    vd = exps.add_parser("vdc")
-    vd.add_argument("--h", type=parse_real, required=True)
-    vd.add_argument("--c", type=parse_real, required=True)
-    vd.add_argument("--alpha", type=parse_real, default=0.0)
-    vd.add_argument("--N", type=int, required=True)
-    common(vd)
-    vd.set_defaults(func=_cmd_expsum_vdc)
-
-    bp = exps.add_parser("bprocess")
-    bp.add_argument("--h", type=parse_real, required=True)
-    bp.add_argument("--c", type=parse_real, required=True)
-    bp.add_argument("--N", type=int, required=True)
-    bp.add_argument("--a", type=parse_real, default=None)
-    bp.add_argument("--b", type=parse_real, default=None)
-    common(bp)
-    bp.set_defaults(func=_cmd_expsum_bprocess)
-
-    vl = exps.add_parser("vaaler")
-    vl.add_argument("--H", type=int, required=True)
-    common(vl)
-    vl.set_defaults(func=_cmd_expsum_vaaler)
-
-    hb = sub.add_parser("hb").add_subparsers(dest="cmd", required=True)
-    hv = hb.add_parser("verify")
-    hv.add_argument("--x", type=int, required=True)
-    hv.add_argument("--J", type=int, required=True)
-    hv.add_argument("--Z", type=int, default=None)
-    common(hv)
-    hv.set_defaults(func=_cmd_hb_verify)
-
-    bf = sub.add_parser("bf").add_subparsers(dest="cmd", required=True)
-    bs = bf.add_parser("scan")
-    bs.add_argument("--N", type=int, required=True)
-    bs.add_argument("--c", type=parse_real, required=True)
-    bs.add_argument("--grid-size", dest="grid_size", type=int, default=200)
-    common(bs)
-    bs.set_defaults(func=_cmd_bf_scan)
-
+    groups = {}
+    for name, func, flags in _COMMANDS:
+        group, _, cmd = name.partition(" ")
+        if cmd and group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest="cmd", required=True)
+        sp = groups[group].add_parser(cmd) if cmd else sub.add_parser(group)
+        # each flag spelled as a config key, so a config line is checked like the flag
+        config_flags = {
+            flag[2:].replace("-", "_"): sp.add_argument(flag, **spec)
+            for flag, spec in {**flags, **_COMMON}.items()
+        }
+        sp.set_defaults(func=func, cmd=cmd, config_flags=config_flags)
     return top
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def _parse_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    if text.lower() not in _BOOLS:
+        raise ValueError(f"{text!r} is not true/false, yes/no or 1/0")
+    return _BOOLS[text.lower()]
 
 
-def _apply_config(args, flags: dict[str, tuple[str, object, object]]) -> None:
+def _apply_config(args, flags: dict[str, argparse.Action]) -> None:
     try:
         with open(args.config) as fh:
             lines = fh.readlines()
@@ -545,16 +447,17 @@ def _apply_config(args, flags: dict[str, tuple[str, object, object]]) -> None:
         value = value.strip()
         if key not in flags or key == "config":
             raise UsageError(f"{args.config}:{lineno}: unknown key {key!r}")
-        dest, conv, choices = flags[key]
-        if conv is None:
-            conv = _parse_bool if isinstance(getattr(args, dest), bool) else str
+        action = flags[key]
+        conv = action.type or (_parse_bool if isinstance(action.default, bool) else str)
         try:
             val = conv(value)
         except ValueError as exc:
             raise UsageError(f"{args.config}:{lineno}: bad value for {key}: {exc}")
-        if choices is not None and val not in choices:
-            raise UsageError(f"{args.config}:{lineno}: {key} must be one of {', '.join(choices)}")
-        setattr(args, dest, val)
+        if action.choices is not None and val not in action.choices:
+            raise UsageError(
+                f"{args.config}:{lineno}: {key} must be one of {', '.join(action.choices)}"
+            )
+        setattr(args, action.dest, val)
 
 
 def main(argv=None) -> int:
@@ -564,20 +467,6 @@ def main(argv=None) -> int:
         flags = vars(args).pop("config_flags")
         if args.config:
             _apply_config(args, flags)
-        if hasattr(args, "alpha_raw"):
-            try:
-                args.alpha = parse_real(args.alpha_raw)
-            except ValueError as exc:
-                raise UsageError(f"bad value for --alpha: {exc}") from None
-        if getattr(args, "func", None) is _cmd_goldbach3:
-            if args.c2 is None:
-                args.c2 = args.c1
-            if args.c3 is None:
-                args.c3 = args.c1
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         columns, rows, extra = args.func(args)
         _write(args, columns, rows, extra)
         return EXIT_OK

@@ -96,7 +96,9 @@ def _weighted_parts(weights, phase: np.ndarray) -> tuple[float, float]:
     """Exactly rounded (re, im) of sum of weights * e(phase); weights may be a scalar.
 
     From 2^52 on, float64 spacing is a whole turn and e(phase) would read 1,
-    so a phase that is not finite or reaches 2^52 raises ValueError.
+    so a phase that is not finite or reaches 2^52 raises ValueError. Callers
+    form phases under np.errstate(over="ignore", invalid="ignore"): one that
+    overflowed is inf or nan, and is rejected here without a numpy warning.
     """
     if not max(phase.max(initial=0.0), -phase.min(initial=0.0)) < 2.0 ** 52:  # also nan
         raise ValueError("phases must be finite and below 2^52 in magnitude")
@@ -125,9 +127,10 @@ def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
     ns, w = ns[keep], w[keep]
     gam = spec.g.gamma
     pow_u = (ns + spec.u) ** gam
-    alpha_n = spec.alpha * ns
     hs = range(spec.H + 1, 2 * spec.H + 1)
-    total = math.fsum([_weighted_abs_sum(w, alpha_n + h * pow_u) for h in hs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha_n = spec.alpha * ns
+        total = math.fsum([_weighted_abs_sum(w, alpha_n + h * pow_u) for h in hs])
     if scaled:
         total *= min(1.0, spec.x ** (1.0 - gam) / spec.H)
     return total
@@ -160,33 +163,35 @@ def bilinear_sum(
     if len(a) != len(m_range) or len(b) != len(n_range):
         raise ValueError("coefficient arrays must align with their ranges")
     tol = 1e-12
-    if np.any(np.abs(a) > 1.0 + tol):
+    # written as <= so that nan fails
+    if not np.all(np.abs(a) <= 1.0 + tol):
         raise ValueError("need |a_m| <= 1")
     b_cap = 1.0 if kind == "TypeII" else max(1.0, math.log(2 * max(n_range)))
-    if np.any(np.abs(b) > b_cap + tol):
+    if not np.all(np.abs(b) <= b_cap + tol):
         raise ValueError(f"need |b_n| <= {b_cap:g} for {kind}")
-    if any(abs(d) > 1.0 + tol for d in h_weights.values()):
+    if not all(abs(d) <= 1.0 + tol for d in h_weights.values()):
         raise ValueError("need |delta_h| <= 1")
 
     ns = np.fromiter(n_range, dtype=np.int64)
     gam = g.gamma
     res: list[float] = []
     ims: list[float] = []
-    for h in sorted(h_weights):
-        delta = h_weights[h]
-        if delta == 0.0:
-            continue
-        for i in _bilinear_rows(m_range, n_range, x):
-            m = m_range[i]
-            prod = m * ns
-            mask = (prod > x) & (prod <= 2 * x)
-            if not mask.any():
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in sorted(h_weights):
+            delta = h_weights[h]
+            if delta == 0.0:
                 continue
-            sel = prod[mask]
-            re, im = _weighted_parts(b[mask], alpha * sel + h * (sel + u) ** gam)
-            coeff = delta * float(a[i])
-            res.append(coeff * re)
-            ims.append(coeff * im)
+            for i in _bilinear_rows(m_range, n_range, x):
+                m = m_range[i]
+                prod = m * ns
+                mask = (prod > x) & (prod <= 2 * x)
+                if not mask.any():
+                    continue
+                sel = prod[mask]
+                re, im = _weighted_parts(b[mask], alpha * sel + h * (sel + u) ** gam)
+                coeff = delta * float(a[i])
+                res.append(coeff * re)
+                ims.append(coeff * im)
     return math.hypot(math.fsum(res), math.fsum(ims))
 
 
@@ -265,7 +270,8 @@ def vdc_bound_check(h: float, g: GammaExponent, alpha: float, N: int) -> VdcChec
     _check_terms("N", N, _MAX_DIRECT_TERMS)
     gam = g.gamma
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    lhs = math.hypot(*_weighted_parts(1.0, h * ns.astype(np.float64) ** gam + alpha * ns))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = math.hypot(*_weighted_parts(1.0, h * ns.astype(np.float64) ** gam + alpha * ns))
     lam = gam * (1.0 - gam) * abs(h) * float(N) ** (gam - 2.0)
     rhs = N * math.sqrt(lam) + 1.0 / math.sqrt(lam)
     return VdcCheck(lhs=lhs, rhs_unit=rhs, empirical_c=lhs / rhs, lam=lam)

@@ -583,8 +583,10 @@ class TestUsageErrors:
         assert rc == 64
         assert out == "" and err.startswith("usage error:")
 
-    # The last five give phases past 2^52 (inf for alpha = 1e308), where
-    # float64 spacing is a whole turn: they once printed nan, or lhs = N.
+    # The last six give phases past 2^52 (inf or nan for |alpha|, |h| = 1e308),
+    # where float64 spacing is a whole turn: they once printed nan, or lhs = N.
+    # They once also printed numpy's overflow warning, an error here.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv",
         [["hb", "verify", "--x", "1" + "0" * 400, "--J", "2"],
@@ -593,10 +595,11 @@ class TestUsageErrors:
          ["expsum", "bilinear", "--kind", "TypeI", "--x", "100", "--c", "1.1", "--M", "10",
           "--N", "10", "--h", "1", "--alpha", "1e308"],
          ["expsum", "vdc", "--h", "1e308", "--c", "1.1", "--N", "1000"],
+         ["expsum", "vdc", "--h=-1e308", "--alpha", "1e308", "--c", "1.1", "--N", "1000"],
          ["expsum", "vdc", "--h", "1e300", "--c", "1.1", "--N", "100000"],
          ["expsum", "vdc", "--h", str(2 ** 52), "--c", "1.1", "--N", "1"]],
         ids=["hb-x", "singular-N", "theorem-phase", "bilinear-phase", "vdc-phase-inf",
-             "vdc-phase-1e300", "vdc-phase-2^52"],
+             "vdc-phase-nan", "vdc-phase-1e300", "vdc-phase-2^52"],
     )
     def test_integer_beyond_float_range_exit_2(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
@@ -614,8 +617,10 @@ class TestUsageErrors:
             (["exppair", "search", "--max-word-len", "1"], "objective=fastest\n"),
             (["ps", "count", "--x", "100", "--c", "1.1"], "threads=2\n"),
             (["ps", "count", "--x", "100", "--c", "1.1"], "c=nan\n"),
+            (["expsum", "theorem", "--x", "1024", "--c", "1.1", "--H", "2", "--scaled"],
+             "scaled=ture\n"),
         ],
-        ids=["format", "bn", "kind", "objective", "threads", "nan"],
+        ids=["format", "bn", "kind", "objective", "threads", "nan", "bool"],
     )
     def test_config_value_rejected(self, capsys, tmp_path, argv, config):
         cfg = tmp_path / "cfg.txt"
@@ -691,3 +696,38 @@ class TestCliFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(argv)
         assert rc in (0, 2, 64), (argv, config, err.getvalue())
+
+
+def _frozen_headers():
+    """{command: CSV header} from the table of frozen columns in the cli docstring."""
+    block = cli.__doc__.split("Frozen CSV columns:\n\n", 1)[1].split("\n\n", 1)[0]
+    entries = []
+    for line in block.splitlines():
+        if line[:19].strip():  # a continuation line is indented past the names
+            entries.append([line[:19].split(), ""])
+        entries[-1][1] += line[19:]
+    out = {}
+    for (group, *cmd), header in entries:
+        for name in cmd[0].split("|") if cmd else [None]:
+            out[(group, name) if name else (group,)] = header
+    return out
+
+
+class TestOutputColumns:
+    @pytest.mark.parametrize("cmd", sorted(_FUZZ_COMMANDS), ids=" ".join)
+    def test_csv_header_and_json_agree(self, capsys, cmd):
+        argv = list(cmd)
+        for key, value in _FUZZ_COMMANDS[cmd].items():
+            argv += ["--scaled"] if key == "scaled" else [f"--{key.replace('_', '-')}", value]
+        rc, csv_out, _ = run(capsys, *argv)
+        rc_json, json_out, _ = run(capsys, *argv, "--format", "json")
+        assert rc == rc_json == 0
+        meta = [l[2:] for l in csv_out.splitlines() if l.startswith("# ")]
+        header, *rows = [l for l in csv_out.splitlines() if not l.startswith("# ")]
+        # the inputs ask for every optional [...] column (exppair eval --gamma)
+        assert header == _frozen_headers()[cmd].replace("[", "").replace("]", "")
+        payload = json.loads(json_out)
+        assert ",".join(payload["columns"]) == header
+        assert [",".join(row) for row in payload["rows"]] == rows
+        provenance = {**payload["provenance"], "format": "csv"}
+        assert [f"{k}={v}" for k, v in provenance.items()] == meta

@@ -183,6 +183,16 @@ class TestBilinear:
         with pytest.raises(ValueError):
             ex.bilinear_sum("TypeX", [1.0], [1.0], range(3, 4), range(3, 4), **common)
 
+    @pytest.mark.parametrize("a, b, delta", [([math.nan], [1.0], 1.0),
+                                             ([1.0], [math.nan], 1.0),
+                                             ([1.0], [1.0], math.nan)],
+                             ids=["a", "b", "delta"])
+    def test_nan_coefficient_rejected(self, a, b, delta):
+        g = GammaExponent.from_c(1.1)
+        with pytest.raises(ValueError):  # m*n = 12 lies in (x, 2x]
+            ex.bilinear_sum("TypeI", a, b, range(3, 4), range(4, 5), alpha=0.0, g=g,
+                            u=0.0, x=10, h_weights={1: delta})
+
 
 class TestVaaler:
     @pytest.mark.parametrize("H", [10, 100])
