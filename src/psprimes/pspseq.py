@@ -7,12 +7,13 @@ functions compare exact counts against their refined main terms; the
 singular series is a truncated Euler product with a provable tail bound.
 
 The ternary Goldbach count convolves the half-index indicators (p - 1)/2
-of the odd member primes of two exponents once by a float64 FFT and rounds
-to integers; the triples holding the prime 2 are counted exactly apart. An
-a-priori rounding bound (Percival, Math. Comp. 2003; stated at
-``_pair_count_error_bound``) must stay below 1/4, and every entry must land
-within 1/4 of an integer, else ArithmeticError; at N = 10^6 with every odd
-prime the bound is 6.2e-9.
+of the odd member primes of two exponents once by a float64 FFT, at the
+least even 2^a 3^b 5^c length that holds every sum, and rounds to integers;
+the triples holding the prime 2 are counted exactly apart. An a-priori
+rounding bound (Percival, Math. Comp. 2003, extended to mixed radix; the
+assumptions on numpy's FFT are stated once, above ``_FFT_EPS``) must stay
+below 1/4, and every entry must land within 1/4 of an integer, else
+ArithmeticError; at N = 10^6 with every odd prime the bound is 1.1e-8.
 
 Membership is decided at the points that are read: ``_ps_member_at`` decides
 an array of m from one power t = m^(gamma-1) each, and only the few entries
@@ -442,13 +443,25 @@ class Goldbach3Result:
 # FFT in binary64 (unit roundoff eps = 2^-53) with roots of unity accurate to
 # beta puts every entry within
 #     ||x||_2 ||y||_2 ((1+eps)^3n (1+eps*sqrt5)^(3n+1) (1+beta)^3n - 1)
-# of the exact one. Assumed of numpy's FFT: its butterflies round no worse
-# than the radix-2 ones of the theorem, its twiddle factors are accurate to
-# beta = 2^-50 (eight ulps), and the real-to-complex packing of rfft/irfft
-# costs at most one more stage, so n = log2(length) + 1. For 0/1 indicators
-# ||x||_2 ||y||_2 = sqrt(|p1| |p2|). The bound must stay below 1/4, and every
-# computed entry must lie within 1/4 of an integer, which also checks the
-# assumptions a posteriori.
+# of the exact one. For 0/1 indicators ||x||_2 ||y||_2 = sqrt(|p1| |p2|).
+#
+# What is assumed of numpy's FFT (pocketfft), stated once. The lengths used
+# (``_transform_length``) are even and 5-smooth, L = 2^a 3^b 5^c, so it runs
+# only radix-2, -3, -4 and -5 passes (no Bluestein step), and n counts
+# radix-2 stages as follows:
+# - twiddle factors are accurate to beta = 2^-50 (eight ulps);
+# - radix-2 and radix-4 passes round no worse than the theorem's radix-2
+#   stages, one stage per factor 2;
+# - each factor 3 or 5 counts as 3 or 5 radix-2 stages. This is conservative:
+#   a radix-r butterfly makes r - 1 additions and two constant
+#   multiplications per output, and the twiddle term beta dominates a stage;
+# - the real-to-complex packing of rfft/irfft costs at most one more stage;
+# so n = a + 3b + 5c + 1, which is log2(L) + 1 at a power of two. irfft then
+# scales by 1/L, rounded once to a float and once in each product (exact at
+# a power of two), which multiplies the growth by (1+eps)^2: entries are at
+# most ||x||_2 ||y||_2 by Cauchy-Schwarz. The bound must stay below 1/4, and
+# every computed entry must lie within 1/4 of an integer, which also checks
+# the assumptions a posteriori.
 _FFT_EPS = 2.0 ** -53
 _FFT_TWIDDLE_ERR = 2.0 ** -50
 
@@ -456,17 +469,38 @@ _FFT_TWIDDLE_ERR = 2.0 ** -50
 def _pair_count_error_bound(n1: int, n2: int, size: int) -> float:
     """Bound on |computed - exact| for every entry of an FFT pair count.
 
-    n1 and n2 count the ones of the two indicators; size is the power-of-two
+    n1 and n2 count the ones of the two indicators; size is the 5-smooth
     transform length. (The float evaluation of the bound is itself off by a
     relative ~1e-15, which the 1/4 margin absorbs.)
     """
-    n = size.bit_length()  # log2(size) + 1
+    n, rest = 1, size  # one stage for the real packing
+    for radix, stages in ((2, 1), (3, 3), (5, 5)):
+        while rest % radix == 0:
+            rest //= radix
+            n += stages
+    if rest != 1:
+        raise ValueError(f"transform length {size} is not 5-smooth")
     log_growth = (
-        3 * n * math.log1p(_FFT_EPS)
+        (3 * n + 2) * math.log1p(_FFT_EPS)
         + (3 * n + 1) * math.log1p(_FFT_EPS * math.sqrt(5.0))
         + 3 * n * math.log1p(_FFT_TWIDDLE_ERR)
     )
     return math.sqrt(n1 * n2) * math.expm1(log_growth)
+
+
+def _transform_length(n: int) -> int:
+    """The least even 2^a 3^b 5^c >= n, for n >= 1."""
+    # each odd 3^b 5^c below the best length so far takes the least power of
+    # two, at least 2, that lifts it to n; a power of two in [n, 2n] bounds it
+    best = 2 * n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 * max(2, 1 << (-(-n // p35) - 1).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _pair_sum_counts(p1: np.ndarray, p2: np.ndarray, nmax: int) -> np.ndarray:
@@ -474,24 +508,30 @@ def _pair_sum_counts(p1: np.ndarray, p2: np.ndarray, nmax: int) -> np.ndarray:
 
     p1 and p2 hold distinct non-negative integers; entries above nmax reach
     no sum <= nmax and are ignored. r is the linear convolution of the two
-    0/1 indicators, computed by one float64 FFT at the least power of two
-    >= 2*nmax + 1 (so no sum wraps around) and rounded to the nearest
+    0/1 indicators, computed by one float64 FFT at the least even 5-smooth
+    length >= 2*nmax + 1 (so no sum wraps around) and rounded to the nearest
     integer; equal indicators (c1 = c2, the CLI's default) share one forward
-    transform. Raises ArithmeticError if the rounding bound above reaches
-    1/4 or an entry lies 1/4 or more from an integer.
+    transform. The product is formed in place and the indicators are freed
+    before the inverse transform. Raises ArithmeticError if the rounding
+    bound above reaches 1/4 or an entry lies 1/4 or more from an integer.
     """
-    size = 1 << (2 * nmax).bit_length()
+    size = _transform_length(2 * nmax + 1)
     x, y = np.zeros(nmax + 1), np.zeros(nmax + 1)
     x[p1[p1 <= nmax]] = 1.0
     y[p2[p2 <= nmax]] = 1.0
     bound = _pair_count_error_bound(np.count_nonzero(x), np.count_nonzero(y), size)
     if bound >= 0.25:
         raise ArithmeticError(f"FFT rounding bound {bound:.3g} reaches 1/4")
+    same = np.array_equal(x, y)
     fx = np.fft.rfft(x, size)
-    fy = fx if np.array_equal(x, y) else np.fft.rfft(y, size)
-    r = np.fft.irfft(fx * fy, size)[: nmax + 1]
+    del x
+    fx *= fx if same else np.fft.rfft(y, size)
+    del y
+    r = np.fft.irfft(fx, size)[: nmax + 1]
+    del fx
     rounded = np.rint(r)
-    if np.abs(r - rounded).max() >= 0.25:
+    r -= rounded
+    if np.abs(r, out=r).max() >= 0.25:
         raise ArithmeticError("an FFT pair count lies 1/4 or more from an integer")
     return rounded.astype(np.int64)
 
@@ -506,14 +546,16 @@ def goldbach3_count(
 
     The triples split by how many 2s they hold. For odd N, those of odd
     primes p = 2k + 1 have k1 + k2 + k3 = M = (N - 3)/2: r[s] counts the
-    pairs k1 + k2 = s, from one FFT convolution at half the length certified
-    by an a-priori rounding bound (see ``_pair_sum_counts``; ArithmeticError
-    if it cannot be certified), and their count is the integer sum of
-    r[M - k3] over k3 <= M. Two 2s need N - 4 to be a member. For even N
-    every triple holds one 2, and an indicator lookup counts the odd pairs
-    summing to N - 2. Membership is decided at the primes <= N only. About
-    0.1 s at N = 10^6 with a warm table, most of it the FFT (membership at
-    the 78,498 primes takes 1 to 3 ms; 2-core x86-64 VM). Even N is degenerate:
+    pairs k1 + k2 = s, from one FFT convolution at half the length (the
+    least even 5-smooth length >= 2M + 1) certified by an a-priori rounding
+    bound (see ``_pair_sum_counts``; ArithmeticError if it cannot be
+    certified), and their count is the integer sum of r[M - k3] over
+    k3 <= M. Two 2s need N - 4 to be a member. For even N every triple holds
+    one 2, and an indicator lookup counts the odd pairs summing to N - 2.
+    Membership is decided at the primes <= N only. At N = 999999 with a warm
+    table it takes about 55 ms with equal exponents and 75 ms with two
+    distinct ones, most of it the FFT (membership at the 78,498 primes takes
+    1 to 3 ms; 2-core x86-64 VM, numpy 2.4). Even N is degenerate:
     the prediction is exactly 0 (singular series), the exact count is still
     reported.
     """

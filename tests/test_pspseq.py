@@ -601,9 +601,15 @@ class TestPairSumCounts:
         assert got.dtype == np.int64
         assert np.array_equal(got, blocked_pair_sum_counts(p1, p2, nmax))
 
-    # 2*nmax + 1 at a power of two (nmax = 0), just below one (2^k - 1) and
-    # just above one (2^k + 1), with every integer present: the largest counts
-    @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 4, 255, 256, 1023, 1024, 1025])
+    # With every integer present (the largest counts), 2*nmax + 1 just below
+    # an even 5-smooth length (359, 999, 1079, and 2^k - 1), just above one
+    # (361, 1001, 1081, and 2^k + 1), or itself 5-smooth (1, 225 = 15^2,
+    # 243 = 3^5, 375 = 3 * 5^3)
+    @pytest.mark.parametrize(
+        "nmax",
+        [0, 1, 2, 3, 4, 255, 256, 1023, 1024, 1025]
+        + [112, 121, 179, 180, 187, 499, 500, 539, 540],
+    )
     def test_dense_at_transform_size_edges(self, nmax):
         full = np.arange(nmax + 3, dtype=np.int64)
         odd = full[1::2]
@@ -620,10 +626,46 @@ class TestPairSumCounts:
         got = pq._pair_sum_counts(p1, p2, N)
         assert np.array_equal(got, blocked_pair_sum_counts(p1, p2, N))
 
+    def test_transform_length_is_least_even_5_smooth(self):
+        def smooth(m):
+            for r in (2, 3, 5):
+                while m % r == 0:
+                    m //= r
+            return m == 1
+
+        want, lengths = 5000, []
+        for m in range(5000, 0, -1):  # want = least even 5-smooth >= m
+            if m % 2 == 0 and smooth(m):
+                want = m
+            lengths.append((m, want))
+        assert all(pq._transform_length(m) == want for m, want in lengths)
+
+    @pytest.mark.parametrize("size", [2, 6, 10, 240, 250, 360, 1000, 1080, 2160, 10 ** 6])
+    def test_bound_counts_every_radix_3_and_5_stage(self, size):
+        # Percival's radix-2 formula at ceil(log2 size) + 1 stages is a floor
+        # for the mixed-radix count a + 3b + 5c + 1: a stage count that drops
+        # the 3s and 5s falls below it
+        stages = (size - 1).bit_length() + 1
+        radix2 = math.sqrt(78498 * 1000) * math.expm1(
+            3 * stages * math.log1p(2.0 ** -53)
+            + (3 * stages + 1) * math.log1p(2.0 ** -53 * math.sqrt(5.0))
+            + 3 * stages * math.log1p(2.0 ** -50)
+        )
+        assert pq._pair_count_error_bound(78498, 1000, size) >= radix2
+
+    def test_bound_rejects_length_with_other_factors(self):
+        with pytest.raises(ValueError, match="5-smooth"):
+            pq._pair_count_error_bound(10, 10, 14)
+
     def test_bound_at_top_of_goldbach_range(self, table):
         n = table.primes(10 ** 6).size
         assert n == 78498
-        size = 1 << 21  # least power of two >= 2*10^6 + 1
+        # the least power of two >= 2*10^6 + 1, which a full-length transform
+        # at N = 10^6 would need
+        assert pq._pair_count_error_bound(n, n, 1 << 21) < 2.0 ** -20
+        # the length the half-index transform uses at N = 999999 (nmax = 499998)
+        size = pq._transform_length(2 * 499998 + 1)
+        assert size == 10 ** 6
         assert pq._pair_count_error_bound(n, n, size) < 2.0 ** -20
 
     def test_bound_reaching_quarter_raises(self, monkeypatch):
@@ -665,6 +707,11 @@ _SPLIT_CASES = [
         tuple(round(_rng.uniform(1.001, 1.19), 3) for _ in range(3)),
     )
     for _ in range(4)
+] + [
+    # 2M + 1 = N - 2 = 10001 lies just above the 5-smooth length 10^4, so the
+    # transform takes the next one, 10240
+    (10003, (1.01, 1.01, 1.01)),
+    (10003, (1.01, 1.05, 1.1)),
 ]
 
 
