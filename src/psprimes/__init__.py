@@ -34,12 +34,9 @@ from .pspseq import (
     PsCountReport,
     SingularSeriesResult,
     ap_main_term,
-    beatty_member,
     goldbach3_count,
     ps_beatty_prime_count,
-    ps_expansion_residual,
     ps_indicator,
-    ps_member_array,
     ps_prime_count,
     ps_prime_count_ap,
     refined_main_term,

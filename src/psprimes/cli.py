@@ -222,16 +222,16 @@ def _cmd_ps_ap(args):
 
 
 def _cmd_ps_beatty(args):
-    try:
-        args.alpha = parse_real(args.alpha_raw)
-    except ValueError as exc:
-        raise UsageError(f"bad value for --alpha: {exc}") from None
     label = args.alpha_raw.strip().lower()
-    B = (
-        BeattyParams.from_label(label, args.beta)
-        if label in LABELLED_ALPHAS
-        else BeattyParams(alpha=args.alpha, beta=args.beta)
-    )
+    if label in LABELLED_ALPHAS:
+        B = BeattyParams.from_label(label, args.beta)
+    else:
+        try:
+            alpha = parse_real(args.alpha_raw)
+        except ValueError as exc:
+            raise UsageError(f"bad value for --alpha: {exc}") from None
+        B = BeattyParams(alpha=alpha, beta=args.beta)
+    args.alpha = B.alpha  # echoed in the provenance header, in its sorted place
     rep = ps_beatty_prime_count(args.x, args.c, B)
     return _count_row(rep, {"alpha": B.alpha, "beta": B.beta})
 

@@ -18,8 +18,9 @@ ArithmeticError; at N = 10^6 with every odd prime the bound is 1.1e-8.
 Membership is decided at the points that are read: ``_ps_member_at`` decides
 an array of m from one power t = m^(gamma-1) each, and only the few entries
 it cannot prove go to the certified ceilings of m^gamma and (m+1)^gamma
-(``_indicator_parts``); ``_beatty_member_at`` decides the Beatty boundaries.
-``ps_member_array`` and ``beatty_member_array`` are their range forms.
+(``_indicator_parts``); ``_beatty_member_at`` decides the Beatty boundaries
+in floats, and those within a guard radius of an integer in exact integer
+arithmetic (``_beatty_member_exact``).
 
 The prime counts (plain, progression, Beatty) and their main terms stream
 over the primes p <= x in the progression, in blocks of at most _BLOCK
@@ -119,28 +120,16 @@ def _member_from_t(ms: np.ndarray, mf: np.ndarray, t: np.ndarray, gam: float) ->
     return member
 
 
-def ps_member_array(limit: int, g: GammaExponent) -> np.ndarray:
-    """Boolean membership for 0 <= m <= limit, indexed by m (0 is no member)."""
-    out = np.zeros(limit + 1, dtype=bool)
-    out[1:] = _ps_member_at(np.arange(1, limit + 1, dtype=np.int64), g)
-    return out
-
-
 def _psi_of_negated(frac: np.ndarray) -> np.ndarray:
     # psi(-(fl + frac)) = (1 - frac) - 1/2 when frac > 0, else -1/2
     return np.where(frac > 0, 0.5 - frac, -0.5)
 
 
-def ps_expansion_residual(m: int, g: GammaExponent) -> float:
-    """Indicator minus its first-order expansion; caller checks |.| <= C*m^(gamma-2)."""
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    arr = ps_expansion_residual_array(np.array([m], dtype=np.int64), g)
-    return float(arr[0])
-
-
 def ps_expansion_residual_array(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
-    """Vectorised expansion residual for an array of m >= 2."""
+    """Indicator minus its first-order expansion at each m >= 2 of the array ms.
+
+    The caller checks |.| <= C*m^(gamma-2).
+    """
     ms = np.asarray(ms, dtype=np.int64)
     if ms.size and ms.min() < 2:
         raise ValueError("all m must be >= 2")
@@ -260,19 +249,22 @@ def ps_prime_count_ap(x: int, c: float, q: int, a: int) -> PsCountReport:
     )
 
 
-# The irrationals known by name: the CLI reads them as reals, and the exact
-# Beatty rechecks use their closed forms (BeattyParams._alpha_mp).
-LABELLED_ALPHAS = {"sqrt2": math.sqrt(2.0), "phi": (1.0 + math.sqrt(5.0)) / 2.0}
+# The irrationals known by name, each as (p, q, d, r) with alpha exactly
+# (p + q*sqrt(d))/r and d no square: the CLI reads them as reals (these
+# floats), and the exact Beatty rechecks use the closed forms.
+_ALPHA_FORMS = {"sqrt2": (0, 1, 2, 1), "phi": (1, 1, 5, 2)}
+LABELLED_ALPHAS = {k: (p + q * math.sqrt(d)) / r for k, (p, q, d, r) in _ALPHA_FORMS.items()}
 
 
 @dataclass(frozen=True)
 class BeattyParams:
     """Parameters of the inhomogeneous floor sequence (floor(alpha*n + beta)).
 
-    alpha must look irrational: values within 1e-12 of a rational with
-    denominator <= 10^4 are rejected (heuristic guard; finite type is the
-    caller's assertion). alpha_label 'sqrt2' or 'phi' requests certified
-    quadratic-irrational arithmetic in boundary rechecks.
+    alpha and beta must be finite, and alpha must look irrational: values
+    within 1e-12 of a rational with denominator <= 10^4 are rejected
+    (heuristic guard; finite type is the caller's assertion). alpha_label
+    'sqrt2' or 'phi' makes the boundary rechecks use that quadratic
+    irrational exactly instead of the float alpha.
     """
 
     alpha: float
@@ -282,6 +274,8 @@ class BeattyParams:
     def __post_init__(self) -> None:
         if self.alpha_label is not None and self.alpha_label not in LABELLED_ALPHAS:
             raise ValueError(f"unknown alpha_label {self.alpha_label!r}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if not self.alpha > 1.0:
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
         approx = Fraction(self.alpha).limit_denominator(10 ** 4)
@@ -297,15 +291,6 @@ class BeattyParams:
             raise ValueError(f"unknown alpha_label {label!r}")
         return cls(alpha=LABELLED_ALPHAS[label], beta=beta, alpha_label=label)
 
-    def _alpha_mp(self):
-        import mpmath  # only the exact Beatty rechecks need it
-
-        if self.alpha_label == "sqrt2":
-            return mpmath.sqrt(2)
-        if self.alpha_label == "phi":
-            return (1 + mpmath.sqrt(5)) / 2
-        return mpmath.mpf(self.alpha)
-
 
 # Guard radius for the float boundaries lo = (m - beta)/alpha and
 # hi = (m + 1 - beta)/alpha. For m < 2^53 the float m (and m + 1) is exact;
@@ -315,36 +300,43 @@ class BeattyParams:
 # therefore within 4*2^-53 = 2^-51 of its true value, relative to it. An
 # endpoint at least 2^-47*(|lo| + |hi| + 1) from every integer, 16 times
 # that radius, has the same ceiling and comparisons as the true one;
-# anything closer is re-decided exactly.
+# anything closer is re-decided in integers by _beatty_member_exact. Endpoints
+# of size 2^46 or more are all that close, so a |beta| that large sends every
+# m to the exact recheck.
 _BEATTY_GUARD_REL = 2.0 ** -47
 
 
-def beatty_member(m: int, B: BeattyParams) -> bool:
-    """True iff [(m-beta)/alpha, (m+1-beta)/alpha) contains an integer n >= 1."""
-    if not 1 <= m < 1 << 63:
-        raise ValueError(f"m must lie in [1, 2^63), got {m}")
-    return bool(_beatty_member_at(np.array([m], dtype=np.int64), B)[0])
-
-
 def _beatty_member_exact(m: int, B: BeattyParams) -> bool:
-    if B.alpha_label is None:
-        # the float parameters are the exact parameters: decide in Q
-        af, bf = Fraction(B.alpha), Fraction(B.beta)
-        lo = (m - bf) / af
-        hi = (m + 1 - bf) / af
-        n0 = math.ceil(lo)
-        return n0 >= 1 and n0 < hi
-    import mpmath  # imported here: few boundaries ever come this close
+    """Beatty membership of m in exact integer arithmetic, for any finite beta.
 
-    # quadratic irrationals have bounded partial quotients, so 60 digits
-    # decide every boundary at desk scale with room to spare
-    with mpmath.workdps(60):
-        a = B._alpha_mp()
-        b = mpmath.mpf(B.beta)
-        lo = (m - b) / a
-        hi = (m + 1 - b) / a
-        n0 = mpmath.ceil(lo)
-        return bool(n0 >= 1 and n0 < hi)
+    m is a member iff the least n with n*alpha >= m - beta is >= 1 and has
+    n*alpha < m + 1 - beta. With alpha = (p + q*sqrt(d))/r and beta = b/D,
+    n*alpha >= m + k - beta iff u + v*sqrt(d) >= 0 for the integers below.
+    """
+    if B.alpha_label is None:  # the float alpha is the exact parameter
+        p, r = Fraction(B.alpha).as_integer_ratio()
+        q = d = 0
+    else:
+        p, q, d, r = _ALPHA_FORMS[B.alpha_label]
+    b, D = Fraction(B.beta).as_integer_ratio()
+
+    def reaches(n: int, k: int) -> bool:
+        u, v = n * p * D - r * ((m + k) * D - b), n * q * D
+        if (u >= 0) == (v >= 0):
+            return u >= 0
+        return (u * u >= d * v * v) == (u >= 0)  # never equal: d is no square
+
+    # n = ceil((m - beta)/alpha) from sqrt(d) ~ s/S, off by at most one; the
+    # exact steps then put n on the least n that reaches m - beta
+    T = m * D - b
+    S = 1 << ((abs(T) // D).bit_length() + 8)
+    s = math.isqrt(d * S * S)
+    n = -(-T * r * (p * S - q * s) // (D * (p * p - q * q * d) * S))
+    while not reaches(n, 0):
+        n += 1
+    while reaches(n - 1, 0):
+        n -= 1
+    return n >= 1 and not reaches(n, 1)
 
 
 def _beatty_member_at(ms: np.ndarray, B: BeattyParams) -> np.ndarray:

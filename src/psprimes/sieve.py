@@ -88,14 +88,10 @@ def _sieved(x: int, q: int, a: int) -> Iterator[np.ndarray]:
 
 
 def _small_primes(n: int) -> list[int]:
+    """The primes <= n as Python ints, from the segmented sieve."""
     if n < 2:
         return []
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return [int(p) for p in np.nonzero(mask)[0]]
+    return np.concatenate(list(_sieved(n, 1, 0))).tolist()
 
 
 def lambda_array(hi: int) -> np.ndarray:

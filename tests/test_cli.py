@@ -120,6 +120,17 @@ class TestPsCli:
         )
         assert rc2 == 2
 
+    @pytest.mark.parametrize("alpha, count", [("sqrt2", 143), ("phi", 130)])
+    def test_beatty_huge_beta_counts_exactly(self, capsys, alpha, count):
+        # beta = -1e70 puts every boundary inside the float guard radius, and
+        # (m - beta)/alpha needs over 70 digits; the counts are those of an
+        # integer bisection oracle (tests/test_pspseq.py, beatty_oracle)
+        rc, out, _ = run(
+            capsys, "ps", "beatty", "--x", "3000", "--c", "1.1", "--alpha", alpha, "--beta=-1e70"
+        )
+        assert rc == 0
+        assert int(out.strip().splitlines()[-1].split(",")[4]) == count
+
 
 class TestImportCost:
     def test_cli_import_loads_no_fft_or_scipy(self):
@@ -138,8 +149,8 @@ class TestImportCost:
         assert proc.stdout.strip() == "[]"
 
     def test_cli_import_loads_no_mpmath(self):
-        # mpmath serves only the float-guard escalations and the exact Beatty
-        # rechecks, which import it when they are reached
+        # mpmath serves only the float-guard escalations of numeric, which
+        # import it when they are reached
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, psprimes.cli; print('mpmath' in sys.modules)"],
             env=_child_env(), capture_output=True, text=True, timeout=60,
@@ -167,18 +178,22 @@ class TestImportCost:
         assert proc.stderr.split()[-1] == "False"
 
     def test_exact_paths_import_mpmath_when_reached(self):
-        # the Beatty pin loads no mpmath; an exact Beatty recheck at the
-        # guard-band prime 999983 then loads it, and a floor that only mpmath
-        # decides (sqrt(2^52 - 1), within 2^-27 of an integer) still comes out
+        # the Beatty pin loads no mpmath, nor does a count whose exact Beatty
+        # recheck reaches the guard-band prime 999983 (it decides in
+        # integers); a floor that only mpmath decides (sqrt(2^52 - 1), within
+        # 2^-27 of an integer) then loads it and still comes out
         code = (
             "import math, sys; from psprimes.cli import main; "
             "rc = main(['ps', 'beatty', '--x', '1000000', '--c', '1.1', "
             "'--alpha', 'sqrt2', '--beta', '0.3']); "
             "before = 'mpmath' in sys.modules; "
-            "from psprimes import numeric, pspseq; p = 999983; "
+            "from psprimes import numeric, pspseq; p = 999983; calls = []; "
+            "exact = pspseq._beatty_member_exact; "
+            "pspseq._beatty_member_exact = lambda m, B: calls.append(m) or exact(m, B); "
             "B = pspseq.BeattyParams.from_label('sqrt2', p - (p // math.sqrt(2)) * math.sqrt(2)); "
-            "print(before, pspseq._beatty_member_exact(p, B), 'mpmath' in sys.modules, "
-            "numeric.floor_pow(2 ** 52 - 1, 0.5), file=sys.stderr); "
+            "pspseq.ps_beatty_prime_count(p + 50, 1.0 + 1e-9, B); "
+            "print(before, p in calls, exact(p, B), 'mpmath' in sys.modules, "
+            "numeric.floor_pow(2 ** 52 - 1, 0.5), 'mpmath' in sys.modules, file=sys.stderr); "
             "sys.exit(rc)"
         )
         proc = subprocess.run(
@@ -192,7 +207,7 @@ class TestImportCost:
         p = 999983
         B = pspseq.BeattyParams.from_label("sqrt2", p - (p // math.sqrt(2)) * math.sqrt(2))
         member = str(pspseq._beatty_member_exact(p, B))
-        assert proc.stderr.split() == ["False", member, "True", str(2 ** 26 - 1)]
+        assert proc.stderr.split() == ["False", "True", member, "False", str(2 ** 26 - 1), "True"]
 
 
 def _load_bench(name):

@@ -569,7 +569,7 @@ class TestReductionsMatchInlineFsum:
         g = GammaExponent.from_c(c)
         ps = table.primes(nmax)
         pf = ps.astype(np.float64)
-        member = pq.ps_member_array(nmax, g)[ps]
+        member = pq._ps_member_at(ps, g)
         w = c * pf ** (1.0 - g.gamma) * np.log(pf) * member - np.log(pf)
         assert ps.size > nc._FSUM_CHUNK
         for alpha in (0.0, 0.3, math.sqrt(2) - 1):

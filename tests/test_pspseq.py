@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ from hypothesis import strategies as st
 from psprimes import pspseq as pq
 from psprimes import sieve as sv
 from psprimes.numeric import GammaExponent, _pow_parts_array
+
+
+def member_mask(limit, g):
+    """Floor-power membership of 0 <= m <= limit, indexed by m (0 is no member)."""
+    return np.concatenate([[False], pq._ps_member_at(np.arange(1, limit + 1, dtype=np.int64), g)])
 
 
 def brute_member_set(limit, c):
@@ -39,15 +45,13 @@ class TestIndicator:
     def test_member_array_matches_generation(self):
         for c in (1.05, 1.5, 1.9):
             g = GammaExponent.from_c(c)
-            assert np.array_equal(
-                pq.ps_member_array(20000, g), brute_member_set(20000, c)
-            )
+            assert np.array_equal(member_mask(20000, g), brute_member_set(20000, c))
 
     def test_member_array_matches_scalar(self):
         g = GammaExponent.from_c(1.1)
-        arr = pq.ps_member_array(3000, g)
-        for m in random.Random(9).sample(range(1, 3001), 60):
-            assert arr[m] == bool(pq.ps_indicator(m, g))
+        ms = np.array(random.Random(9).sample(range(1, 3001), 60), dtype=np.int64)
+        for m, member in zip(ms, pq._ps_member_at(ms, g)):
+            assert member == bool(pq.ps_indicator(int(m), g))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -57,7 +61,7 @@ class TestIndicator:
 class TestExpansionResidual:
     def test_small_value_finite(self):
         g = GammaExponent.from_c(1.5)
-        r = pq.ps_expansion_residual(2, g)
+        r = pq.ps_expansion_residual_array(np.array([2]), g)[0]
         assert abs(r) <= 10.0 * 2.0 ** (g.gamma - 2.0)
 
     def test_bound_on_log_spaced_sample(self):
@@ -92,9 +96,9 @@ class TestExpansionResidual:
     def test_sawtooth_difference_bounded_by_one(self):
         g = GammaExponent.from_c(1.1)
         ms = np.arange(2, 5000, dtype=np.int64)
-        ind = pq.ps_member_array(5000, g)[2:5000].astype(np.float64)
-        main = g.gamma * ms[: ind.size].astype(np.float64) ** (g.gamma - 1.0)
-        res = pq.ps_expansion_residual_array(ms[: ind.size], g)
+        ind = pq._ps_member_at(ms, g).astype(np.float64)
+        main = g.gamma * ms.astype(np.float64) ** (g.gamma - 1.0)
+        res = pq.ps_expansion_residual_array(ms, g)
         psi_diff = ind - main - res
         assert np.all(np.abs(psi_diff) <= 1.0)
 
@@ -153,7 +157,32 @@ def eratosthenes(n):
 
 def reference_members(x, g):
     is_prime = eratosthenes(x)
-    return pq.ps_member_array(x, g) & is_prime, np.nonzero(is_prime)[0]
+    return member_mask(x, g) & is_prime, np.nonzero(is_prime)[0]
+
+
+def beatty_oracle(m, alpha, beta):
+    """Beatty membership of m by bisection on integer inequalities, apart from pspseq.
+
+    m is a member iff the least n with n*alpha >= t = m - beta is >= 1 and
+    has n*alpha < t + 1; for t <= 0 already n = 1 gives alpha + beta > m + 1.
+    """
+    t = m - Fraction(beta)
+    if t <= 0:
+        return False
+    if alpha == "sqrt2":
+        def reaches(n, t):
+            return 2 * n * n >= t * t
+    elif alpha == "phi":  # n*(1 + sqrt5)/2 >= t iff n*sqrt5 >= 2t - n
+        def reaches(n, t):
+            return 2 * t <= n or 5 * n * n >= (2 * t - n) ** 2
+    else:  # the float parameter itself, not the decimal string
+        def reaches(n, t):
+            return n * Fraction(float(alpha)) >= t
+    lo, hi = 0, math.ceil(t) + 1  # alpha > 1: lo falls short of t, hi reaches it
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reaches(mid, t) else (mid, hi)
+    return not reaches(hi, t + 1)
 
 
 def beatty_params(alpha, beta):
@@ -222,7 +251,7 @@ class TestStreamingCount:
         B = pq.BeattyParams.from_label("phi", 0.25)
         hi = lo + span
         ms = np.arange(max(lo, 1), hi + 1, dtype=np.int64)
-        assert np.array_equal(pq._ps_member_at(ms, g), pq.ps_member_array(hi, g)[ms])
+        assert np.array_equal(pq._ps_member_at(ms, g), member_mask(hi, g)[ms])
         assert np.array_equal(pq._beatty_member_at(ms, B), pq.beatty_member_array(hi, B)[ms])
 
     @settings(max_examples=30, deadline=None)
@@ -256,7 +285,7 @@ class TestStreamingCount:
         )
         ms = np.unique(np.maximum(np.array(points, dtype=np.int64), 1))
         hi = int(ms[-1])
-        assert np.array_equal(pq._ps_member_at(ms, g), pq.ps_member_array(hi, g)[ms])
+        assert np.array_equal(pq._ps_member_at(ms, g), member_mask(hi, g)[ms])
         assert np.array_equal(pq._beatty_member_at(ms, B), pq.beatty_member_array(hi, B)[ms])
 
     @pytest.mark.parametrize("c", [1.0 + 1e-9, 1.05, 1.5, 1.9])
@@ -432,10 +461,10 @@ class TestApMainTerm:
 class TestBeatty:
     def test_examples(self):
         B = pq.BeattyParams.from_label("sqrt2", 0.0)
-        assert pq.beatty_member(3, B) is False  # [2.121, 2.828) has no integer
-        assert pq.beatty_member(4, B) is True  # n = 3
         m = int(7 * B.alpha + B.beta)
-        assert pq.beatty_member(m, B) is True
+        # [2.121, 2.828) holds no integer; [2.828, 3.536) holds n = 3
+        assert pq._beatty_member_at(np.array([3, 4, m]), B).tolist() == [False, True, True]
+        assert [pq._beatty_member_exact(k, B) for k in (3, 4, m)] == [False, True, True]
 
     def test_guard_rejects_near_rational(self):
         with pytest.raises(ValueError):
@@ -449,12 +478,17 @@ class TestBeatty:
         for label in ("e", "pi", None):
             with pytest.raises(ValueError, match="unknown alpha_label"):
                 pq.BeattyParams.from_label(label, 0.0)
-        B = pq.BeattyParams.from_label("sqrt2", 0.0)
-        for m in (0, -1, 2 ** 63):
-            with pytest.raises(ValueError, match="2\\^63"):
-                pq.beatty_member(m, B)
-        top = 2 ** 63 - 1
-        assert pq.beatty_member(top, B) == pq._beatty_member_exact(top, B)
+        for alpha, beta in ((math.inf, 0.0), (math.nan, 0.0), (2.5, math.inf), (2.5, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                pq.BeattyParams(alpha=alpha, beta=beta)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                pq.BeattyParams.from_label("sqrt2", beta)
+
+    def test_labelled_floats_come_from_the_closed_forms(self):
+        assert pq.LABELLED_ALPHAS == {"sqrt2": math.sqrt(2.0), "phi": (1.0 + math.sqrt(5.0)) / 2.0}
+        # the exact sign test of u + v*sqrt(d) needs d to be no square
+        assert all(math.isqrt(d) ** 2 != d for _, _, d, _ in pq._ALPHA_FORMS.values())
 
     def test_brute_force_agreement_to_one_million(self):
         for label, beta in (("sqrt2", 0.0), ("phi", 0.3)):
@@ -471,13 +505,13 @@ class TestBeatty:
         B = pq.BeattyParams.from_label("phi", 0.25)
         arr = pq.beatty_member_array(2000, B)
         for m in random.Random(13).sample(range(1, 2001), 50):
-            assert arr[m] == pq.beatty_member(m, B)
+            assert arr[m] == pq._beatty_member_exact(m, B)
 
     @pytest.mark.parametrize("alpha", ["sqrt2", "phi", "2.345678901234"])
     def test_guard_band_at_nearest_boundaries(self, alpha):
         # k where k*alpha + beta comes closest to an integer, for k <= 10^7 and
         # just below m = 2^34: every m within 2 of such a boundary must agree
-        # with the exact decision, in the scalar and the array path
+        # with the exact decision, alone and within a block
         for beta in (0.0, 0.3):
             B = beatty_params(alpha, beta)
             top = int(2 ** 34 / B.alpha)
@@ -487,7 +521,45 @@ class TestBeatty:
                 for i, m in enumerate(range(m0 - 2, m0 + 3)):
                     want = pq._beatty_member_exact(m, B)
                     assert got[i] == want, (alpha, beta, m)
-                    assert pq.beatty_member(m, B) == want, (alpha, beta, m)
+                    alone = pq._beatty_member_at(np.array([m]), B)[0]
+                    assert alone == want, (alpha, beta, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.sampled_from(("sqrt2", "phi", "2.345678901234", "1.000000123456789")),
+        m=st.one_of(st.integers(1, 2 ** 63 - 1), st.integers(1, 10 ** 4)),
+        beta=st.one_of(
+            st.floats(-1e300, 1e300),
+            st.floats(-2.0 ** 70, 2.0 ** 70),
+            st.floats(-1e4, 1e4),
+            st.floats(-1e-300, 1e-300),
+            st.sampled_from((5e-324, -5e-324, 2.0 ** -1022 - 2.0 ** -1074, -0.0)),
+        ),
+    )
+    def test_exact_recheck_matches_bisection_oracle(self, alpha, m, beta):
+        B = beatty_params(alpha, beta)
+        assert pq._beatty_member_exact(m, B) == beatty_oracle(m, alpha, beta)
+
+    @pytest.mark.parametrize("alpha", ["sqrt2", "phi", "2.345678901234"])
+    def test_exact_recheck_at_the_boundaries(self, alpha):
+        # m = floor(n*alpha + beta) and its neighbours, m < 2^62: with a huge
+        # |beta|, placing (m - beta)/alpha takes hundreds of digits; a
+        # 400-digit alpha picks m0 to within one, and the oracle decides
+        S = 10 ** 400
+        if alpha == "sqrt2":
+            a = Fraction(math.isqrt(2 * S * S), S)
+        elif alpha == "phi":
+            a = Fraction(S + math.isqrt(5 * S * S), 2 * S)
+        else:
+            a = Fraction(float(alpha))
+        rng = random.Random(21)
+        for beta in (0.3, -2.0 ** 62, -1e20, -1e70, -1e300):
+            B = beatty_params(alpha, beta)
+            for _ in range(4):
+                n = int((rng.randrange(1, 2 ** 62) - Fraction(beta)) / a)
+                m0 = math.floor(n * a + Fraction(beta))
+                for m in range(max(m0 - 2, 1), m0 + 3):
+                    assert pq._beatty_member_exact(m, B) == beatty_oracle(m, alpha, beta), (beta, m)
 
     def test_prime_in_guard_band_reaches_exact_recheck(self, monkeypatch):
         # beta = p - n*alpha puts the lower boundary (p - beta)/alpha of the
@@ -621,8 +693,8 @@ class TestPairSumCounts:
         N = 20011
         primes = table.primes(N)
         assert np.array_equal(primes, np.flatnonzero(eratosthenes(N)))
-        p1 = primes[pq.ps_member_array(N, GammaExponent.from_c(1.01))[primes]]
-        p2 = primes[pq.ps_member_array(N, GammaExponent.from_c(1.1))[primes]]
+        p1 = primes[pq._ps_member_at(primes, GammaExponent.from_c(1.01))]
+        p2 = primes[pq._ps_member_at(primes, GammaExponent.from_c(1.1))]
         got = pq._pair_sum_counts(p1, p2, N)
         assert np.array_equal(got, blocked_pair_sum_counts(p1, p2, N))
 
