@@ -222,15 +222,13 @@ def _cmd_ps_ap(args):
 
 
 def _cmd_ps_beatty(args):
+    try:
+        alpha = parse_real(args.alpha_raw)
+    except ValueError as exc:
+        raise UsageError(f"bad value for --alpha: {exc}") from None
     label = args.alpha_raw.strip().lower()
-    if label in LABELLED_ALPHAS:
-        B = BeattyParams.from_label(label, args.beta)
-    else:
-        try:
-            alpha = parse_real(args.alpha_raw)
-        except ValueError as exc:
-            raise UsageError(f"bad value for --alpha: {exc}") from None
-        B = BeattyParams(alpha=alpha, beta=args.beta)
+    B = BeattyParams(alpha=alpha, beta=args.beta,
+                     alpha_label=label if label in LABELLED_ALPHAS else None)
     args.alpha = B.alpha  # echoed in the provenance header, in its sorted place
     rep = ps_beatty_prime_count(args.x, args.c, B)
     return _count_row(rep, {"alpha": B.alpha, "beta": B.beta})

@@ -314,11 +314,11 @@ def _beatty_member_exact(m: int, B: BeattyParams) -> bool:
     n*alpha >= m + k - beta iff u + v*sqrt(d) >= 0 for the integers below.
     """
     if B.alpha_label is None:  # the float alpha is the exact parameter
-        p, r = Fraction(B.alpha).as_integer_ratio()
+        p, r = B.alpha.as_integer_ratio()
         q = d = 0
     else:
         p, q, d, r = _ALPHA_FORMS[B.alpha_label]
-    b, D = Fraction(B.beta).as_integer_ratio()
+    b, D = B.beta.as_integer_ratio()
 
     def reaches(n: int, k: int) -> bool:
         u, v = n * p * D - r * ((m + k) * D - b), n * q * D

@@ -181,7 +181,9 @@ class TestImportCost:
         # the Beatty pin loads no mpmath, nor does a count whose exact Beatty
         # recheck reaches the guard-band prime 999983 (it decides in
         # integers); a floor that only mpmath decides (sqrt(2^52 - 1), within
-        # 2^-27 of an integer) then loads it and still comes out
+        # 2^-27 of an integer) then loads it and still comes out. The name is
+        # kept from when the Beatty recheck used mpmath too; "exact paths"
+        # now means only the numeric floor escalation.
         code = (
             "import math, sys; from psprimes.cli import main; "
             "rc = main(['ps', 'beatty', '--x', '1000000', '--c', '1.1', "

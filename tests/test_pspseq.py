@@ -484,6 +484,12 @@ class TestBeatty:
         for beta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 pq.BeattyParams.from_label("sqrt2", beta)
+        # at the top of int64 float(m) is inexact, so the guard path sends m
+        # to the exact recheck
+        B = pq.BeattyParams.from_label("sqrt2", 0.0)
+        top = 2 ** 63 - 1
+        got = pq._beatty_member_at(np.array([top], dtype=np.int64), B)[0]
+        assert got == pq._beatty_member_exact(top, B)
 
     def test_labelled_floats_come_from_the_closed_forms(self):
         assert pq.LABELLED_ALPHAS == {"sqrt2": math.sqrt(2.0), "phi": (1.0 + math.sqrt(5.0)) / 2.0}
