@@ -217,8 +217,10 @@ def enumerate_pairs(seeds: list[ExponentPair], max_word_len: int) -> list[Expone
 
     Breadth-first, so the first derivation of a (k, l) value has the shortest
     word; collisions keep that first word. Order is deterministic. Raises
-    ValueError if max_word_len exceeds MAX_WORD_LEN.
+    ValueError if max_word_len is negative or exceeds MAX_WORD_LEN.
     """
+    if max_word_len < 0:
+        raise ValueError(f"max_word_len must be >= 0, got {max_word_len}")
     if max_word_len > MAX_WORD_LEN:
         raise ValueError(f"max_word_len must be <= {MAX_WORD_LEN}, got {max_word_len}")
     seen: dict[tuple[Fraction, Fraction], ExponentPair] = {}

@@ -53,11 +53,13 @@ def _check_terms(what: str, n: int, limit: int) -> None:
 def check_bilinear_size(
     m_range: range, n_range: range, x: int, h_weights: dict[int, float]
 ) -> None:
-    """ResourceGuardError if bilinear_sum would visit too much.
+    """ValueError for an empty range; ResourceGuardError if bilinear_sum would visit too much.
 
     The limits are 2^24 (m, n) pairs, and 2^17 rows of its loop: the m that
     can put some m*n in (x, 2x], once per nonzero delta_h.
     """
+    if not (m_range and n_range):
+        raise ValueError("an m or n range is empty: M and N must be at least 1")
     _check_terms("M*N", len(m_range) * len(n_range), _MAX_DIRECT_TERMS)
     nonzero_h = sum(d != 0.0 for d in h_weights.values())
     rows = len(_bilinear_rows(m_range, n_range, x)) * nonzero_h
@@ -66,7 +68,7 @@ def check_bilinear_size(
 
 def _bilinear_rows(m_range: range, n_range: range, x: int) -> range:
     """Indices i of the m = m_range[i] that bilinear_sum's loop visits."""
-    n_lo, n_hi = sorted((n_range[0], n_range[-1])) if n_range else (0, 0)
+    n_lo, n_hi = sorted((n_range[0], n_range[-1]))
     if n_lo < 1 or m_range.step < 0:
         return range(len(m_range))
     # some m*n lies in (x, 2x] only if x // max(n) < m <= 2x // min(n)

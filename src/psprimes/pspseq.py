@@ -22,23 +22,23 @@ it cannot prove go to the certified ceilings of m^gamma and (m+1)^gamma
 in floats, and those within a guard radius of an integer in exact integer
 arithmetic (``_beatty_member_exact``).
 
-The prime counts (plain, progression, Beatty) and their main terms stream
-over the primes p <= x in the progression, in blocks of at most _BLOCK
-primes taken from ``sieve.prime_stream``: membership is decided at each
-block's primes (the Beatty test only at the floor-power members) from the
-same t = p^(gamma-1) as the main term. Each block's main-term terms are
-extracted into an exact integer, the integers are added, and the total is
-rounded once. Memory is O(segment + sqrt(x)) whatever x is; no table is
-built, but the stream slices a cached prime list that covers x instead of
-sieving. Goldbach counts and the weights of ``bf_discrepancy`` decide
-membership at the primes of the shared prime list, which the singular series
-reads too.
+The prime counts (plain, progression, Beatty) and their main terms read one
+member stream, ``_member_blocks``: over the primes p <= x in the progression,
+in blocks of at most _BLOCK primes taken from ``sieve.prime_stream``, it
+yields each block's primes, t = p^(gamma-1) and their membership, decided
+from that same t (the Beatty test only at the floor-power members). Each
+count is a short loop over it. Each block's main-term terms are extracted
+into an exact integer, the integers are added, and the total is rounded
+once. Memory is O(segment + sqrt(x)) whatever x is; no table is built, but
+the stream slices a cached prime list that covers x instead of sieving.
+Goldbach counts and the weights of ``bf_discrepancy`` decide membership at
+the primes of the shared prime list, which the singular series reads too.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -151,17 +151,14 @@ def ps_expansion_residual_array(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
 _BLOCK = 1 << 13
 
 
-def _sweep(
-    x: int, q: int, a: int, gam: float, term: Callable | None = None, B: BeattyParams | None = None
-) -> tuple[float, int, int]:
-    """(math.fsum of term(t), members, primes) over the primes p = a (mod q) up to x.
+def _member_blocks(
+    x: int, q: int, a: int, gam: float, B: BeattyParams | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(ps, t, member) per block of at most _BLOCK primes p = a (mod q) up to x.
 
-    Here t = p^(gam-1), one power per prime. Membership (floor-power for gam,
-    then Beatty for B) is decided at the primes only, from the same t. Each
-    block's terms, finite and below 2^996, go into an exact int
-    (``_exact_sum``) and the total is rounded once; without a term it is 0.0.
+    t = ps ** (gam - 1.0), one power per prime, and member is floor-power
+    membership decided from that t, then Beatty for B at its members only.
     """
-    total = members = primes = 0
     for stream_block in prime_stream(x, q, a):
         for lo in range(0, stream_block.size, _BLOCK):
             ps = stream_block[lo : lo + _BLOCK]
@@ -170,24 +167,16 @@ def _sweep(
             member = _member_from_t(ps, pf, t, gam)
             if B is not None:
                 member[member] = _beatty_member_at(ps[member], B)
-            members += int(np.count_nonzero(member))
-            primes += ps.size
-            if term is not None:
-                total += _exact_sum(term(t))
-    return _round_exact(total), members, primes
+            yield ps, t, member
 
 
-def _refined_sweep(x: int, gam: float, q: int, a: int) -> tuple[float, int]:
+def _refined(x: int, gam: float, q: int, a: int) -> tuple[float, int]:
     """(refined main term, members) for the primes p = a (mod q) up to x."""
-    total, k, _ = _sweep(x, q, a, gam, lambda t: t)
-    return gam * total, k
-
-
-def _ap_sweep(x: int, gam: float, q: int, a: int) -> tuple[float, int]:
-    """(progression main term, members) for the primes p = a (mod q) up to x."""
-    xg1 = float(x) ** (gam - 1.0)
-    integral, k, n = _sweep(x, q, a, gam, lambda t: (xg1 - t) / (gam - 1.0))
-    return gam * xg1 * n + gam * (1.0 - gam) * integral, k
+    total = members = 0
+    for _, t, member in _member_blocks(x, q, a, gam):
+        total += _exact_sum(t)
+        members += int(np.count_nonzero(member))
+    return gam * _round_exact(total), members
 
 
 def refined_main_term(x: int, c: float, q: int = 1, a: int = 0) -> float:
@@ -195,7 +184,7 @@ def refined_main_term(x: int, c: float, q: int = 1, a: int = 0) -> float:
     g = GammaExponent.from_c(c)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    return _refined_sweep(x, g.gamma, q, a)[0]
+    return _refined(x, g.gamma, q, a)[0]
 
 
 def ps_prime_count(x: int, c: float) -> PsCountReport:
@@ -206,7 +195,7 @@ def ps_prime_count(x: int, c: float) -> PsCountReport:
     is power-saving.
     """
     g = GammaExponent.from_c(c)
-    main, count = _refined_sweep(x, g.gamma, 1, 0)
+    main, count = _refined(x, g.gamma, 1, 0)
     return PsCountReport(
         x=x,
         c=c,
@@ -218,26 +207,30 @@ def ps_prime_count(x: int, c: float) -> PsCountReport:
 
 
 def ap_main_term(x: int, c: float, q: int, a: int) -> float:
-    """Main term for the progression count, with the step integral in closed form.
-
-    Evaluates gamma*x^(gamma-1)*pi(x;q,a) + gamma*(1-gamma)*I where
-    I = integral_2^x u^(gamma-2) pi(u;q,a) du
-      = sum over p of (x^(gamma-1) - p^(gamma-1)) / (gamma-1).
-    """
-    g = GammaExponent.from_c(c)
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    return _ap_sweep(x, g.gamma, q, a)[0]
+    """The main term of ``ps_prime_count_ap``, with its checks."""
+    return ps_prime_count_ap(x, c, q, a).main_term
 
 
 def ps_prime_count_ap(x: int, c: float, q: int, a: int) -> PsCountReport:
-    """Count floor-power primes <= x in the progression a mod q."""
+    """Count floor-power primes <= x in the progression a mod q.
+
+    The main term is gamma*x^(gamma-1)*pi(x;q,a) + gamma*(1-gamma)*I, with the
+    step integral in closed form, summed exactly as in ``_refined``:
+    I = integral_2^x u^(gamma-2) pi(u;q,a) du
+      = sum over p of (x^(gamma-1) - p^(gamma-1)) / (gamma-1).
+    """
     if q < 1 or q > MAX_AP_MODULUS:
         raise ValueError(f"q must lie in [1, {MAX_AP_MODULUS}], got {q}")
     if math.gcd(a, q) != 1:
         raise ValueError(f"require gcd(a, q) = 1, got a={a}, q={q}")
-    g = GammaExponent.from_c(c)
-    main, count = _ap_sweep(x, g.gamma, q, a % q)
+    gam = GammaExponent.from_c(c).gamma
+    xg1 = float(x) ** (gam - 1.0)
+    integral = count = primes = 0
+    for ps, t, member in _member_blocks(x, q, a % q, gam):
+        integral += _exact_sum((xg1 - t) / (gam - 1.0))
+        count += int(np.count_nonzero(member))
+        primes += ps.size
+    main = gam * xg1 * primes + gam * (1.0 - gam) * _round_exact(integral)
     return PsCountReport(
         x=x,
         c=c,
@@ -363,7 +356,7 @@ def beatty_member_array(limit: int, B: BeattyParams) -> np.ndarray:
 def ps_beatty_prime_count(x: int, c: float, B: BeattyParams) -> PsCountReport:
     """Count primes <= x lying in both sequences, against x^gamma/(alpha*log x)."""
     g = GammaExponent.from_c(c)
-    count = _sweep(x, 1, 0, g.gamma, B=B)[1]
+    count = sum(int(np.count_nonzero(m)) for _, _, m in _member_blocks(x, 1, 0, g.gamma, B))
     main = x ** g.gamma / (B.alpha * math.log(x))
     return PsCountReport(
         x=x,

@@ -86,6 +86,12 @@ class TestExppairCli:
         assert proc.returncode == 2
         assert "max_word_len must be <= 20" in proc.stderr
 
+    def test_search_negative_word_length_exit_2(self, capsys):
+        # it exited 0 and printed the bare seeds as a search result
+        rc, out, err = run(capsys, "exppair", "search", "--max-word-len", "-1")
+        assert rc == 2
+        assert out == "" and "max_word_len must be >= 0" in err
+
     def test_gamma_analysis_columns(self, capsys):
         rc, out, _ = run(
             capsys, "exppair", "eval", "--k", "1/2", "--l", "1/2", "--gamma", "19/20"
@@ -403,6 +409,20 @@ class TestOtherSubcommands:
             "--c", "1.1", "--M", "5", "--N", "5", "--h", "2", "--bn", "log",
         )
         assert rc == 0
+
+    @pytest.mark.parametrize(
+        "kind, M, N",
+        [("TypeI", "1", "0"), ("TypeII", "1", "0"), ("TypeI", "0", "3"), ("TypeII", "-5", "3")],
+    )
+    def test_expsum_bilinear_empty_range_exit_2(self, capsys, kind, M, N):
+        # TypeI with N = 0 leaked "max() arg is an empty sequence"; the others
+        # exited 0 with value 0.0
+        rc, out, err = run(
+            capsys, "expsum", "bilinear", "--kind", kind, "--x", "10", "--c", "1.1",
+            "--M", M, "--N", N, "--h", "1",
+        )
+        assert rc == 2
+        assert out == "" and "M and N must be at least 1" in err
 
     def test_expsum_bprocess(self, capsys):
         rc, out, _ = run(

@@ -242,6 +242,13 @@ class TestSearch:
         with pytest.raises(ValueError, match="max_word_len"):
             ep.search_pairs([ep.TRIVIAL_PAIR], length, "gamma_threshold")
 
+    def test_negative_word_length_rejected(self):
+        # it returned the bare seeds as a search result
+        with pytest.raises(ValueError, match="max_word_len must be >= 0, got -1"):
+            ep.enumerate_pairs([ep.TRIVIAL_PAIR], -1)
+        with pytest.raises(ValueError, match="max_word_len must be >= 0, got -1"):
+            ep.search_pairs([ep.TRIVIAL_PAIR], -1, "gamma_threshold")
+
     def test_dedup_keeps_shortest_word(self):
         pairs = ep.enumerate_pairs([ep.TRIVIAL_PAIR], 4)
         by_key = {}

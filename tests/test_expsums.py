@@ -183,6 +183,18 @@ class TestBilinear:
         with pytest.raises(ValueError):
             ex.bilinear_sum("TypeX", [1.0], [1.0], range(3, 4), range(3, 4), **common)
 
+    @pytest.mark.parametrize("kind", ["TypeI", "TypeII"])
+    def test_empty_range_rejected(self, kind):
+        # TypeI leaked max() of an empty sequence; TypeII returned 0.0
+        g = GammaExponent.from_c(1.1)
+        for m_range, n_range in ((range(2, 3), range(1, 1)), (range(1, 1), range(1, 3)),
+                                 (range(-4, -9), range(4, 7))):
+            with pytest.raises(ValueError, match="M and N must be at least 1"):
+                ex.check_bilinear_size(m_range, n_range, 10, {1: 1.0})
+            with pytest.raises(ValueError, match="M and N must be at least 1"):
+                ex.bilinear_sum(kind, [1.0] * len(m_range), [1.0] * len(n_range), m_range,
+                                n_range, alpha=0.0, g=g, u=0.0, x=10, h_weights={1: 1.0})
+
     @pytest.mark.parametrize("a, b, delta", [([math.nan], [1.0], 1.0),
                                              ([1.0], [math.nan], 1.0),
                                              ([1.0], [1.0], math.nan)],

@@ -1,7 +1,9 @@
+import ast
 import functools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +337,59 @@ class TestStreamingCount:
             assert sum(rechecked) <= 8 and sum(rechecked) % 2 == 0
 
 
+class TestMemberStream:
+    """The contract of ``_member_blocks``, the one loop over the primes that
+    every count reads."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("q, a", [(1, 0), (3, 2), (9973, 5)])
+    def test_blocks_against_oracles(self, monkeypatch, warm, q, a):
+        # x on the segment edges, and on the block edges: the BLOCK-th and
+        # 2*BLOCK-th prime of the progression (where it has that many), and
+        # its neighbours
+        g = GammaExponent.from_c(1.1)
+        gam = g.gamma
+        B = pq.BeattyParams.from_label("phi", 0.25)
+        seg = sv._SEGMENT
+        primes = np.flatnonzero(eratosthenes(2 * seg + 1))
+        primes = primes[primes % q == a]
+        edges = [int(p) + d for k in (BLOCK, 2 * BLOCK) if k < primes.size
+                 for p in primes[k - 1 : k + 1] for d in (-1, 0)]
+        xs = sorted({*edges, seg - 1, seg, seg + 1, 2 * seg + 1})
+        floor_power = pq._ps_member_at(primes, g)
+        beatty = floor_power.copy()
+        beatty[beatty] = pq._beatty_member_at(primes[beatty], B)
+        for x in xs:
+            monkeypatch.setattr(sv, "_table", None)
+            if warm:
+                sv.shared_table(x)
+            want = primes[primes <= x]
+            for params, member_want in ((None, floor_power), (B, beatty)):
+                blocks = list(pq._member_blocks(x, q, a, gam, params))
+                assert all(ps.size <= BLOCK for ps, _, _ in blocks)
+                ps, t, member = (np.concatenate(parts) for parts in zip(*blocks))
+                assert np.array_equal(ps, want)
+                assert t.tobytes() == (want.astype(np.float64) ** (gam - 1.0)).tobytes()
+                assert np.array_equal(member, member_want[: want.size])
+
+    def test_prime_stream_is_read_only_by_the_member_stream(self):
+        # later consumers loop over _member_blocks instead of copying its loop
+        tree = ast.parse(Path(pq.__file__).read_text())
+
+        def stream_calls(node):
+            return sum(
+                isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "prime_stream"
+                for n in ast.walk(node)
+            )
+
+        (blocks,) = [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef) and n.name == "_member_blocks"
+        ]
+        assert stream_calls(tree) == stream_calls(blocks) == 1
+
+
 class TestWarmTable:
     """A count whose x the cached table covers reads it, with the same report."""
 
@@ -427,6 +482,12 @@ class TestApMainTerm:
         assert lhs == pytest.approx(
             pq.refined_main_term(10 ** 5, 1.1), rel=1e-9
         )
+
+    def test_checked_as_the_progression_count(self):
+        # one progression main term, with the checks of ps_prime_count_ap
+        for q, a in ((4, 2), (10 ** 5, 1)):
+            with pytest.raises(ValueError):
+                pq.ap_main_term(10 ** 5, 1.1, q, a)
 
     def test_against_midpoint_quadrature(self, table):
         # independent oracle: piecewise-midpoint quadrature of the step integral,
