@@ -231,7 +231,7 @@ def _cmd_ps_beatty(args):
                      alpha_label=label if label in LABELLED_ALPHAS else None)
     args.alpha = B.alpha  # echoed in the provenance header, in its sorted place
     rep = ps_beatty_prime_count(args.x, args.c, B)
-    return _count_row(rep, {"alpha": B.alpha, "beta": B.beta})
+    return _count_row(rep)
 
 
 def _cmd_goldbach3(args):

@@ -271,10 +271,12 @@ def vdc_bound_check(h: float, g: GammaExponent, alpha: float, N: int) -> VdcChec
         raise ValueError(f"N must be >= 1, got {N}")
     _check_terms("N", N, _MAX_DIRECT_TERMS)
     gam = g.gamma
+    lam = gam * (1.0 - gam) * abs(h) * float(N) ** (gam - 2.0)
+    if lam <= 0.0:
+        raise ValueError(f"|h| = {abs(h)} is too small: the curvature scale lam underflows to 0")
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = math.hypot(*_weighted_parts(1.0, h * ns.astype(np.float64) ** gam + alpha * ns))
-    lam = gam * (1.0 - gam) * abs(h) * float(N) ** (gam - 2.0)
     rhs = N * math.sqrt(lam) + 1.0 / math.sqrt(lam)
     return VdcCheck(lhs=lhs, rhs_unit=rhs, empirical_c=lhs / rhs, lam=lam)
 

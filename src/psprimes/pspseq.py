@@ -18,9 +18,10 @@ ArithmeticError; at N = 10^6 with every odd prime the bound is 1.1e-8.
 Membership is decided at the points that are read: ``_ps_member_at`` decides
 an array of m from one power t = m^(gamma-1) each, and only the few entries
 it cannot prove go to the certified ceilings of m^gamma and (m+1)^gamma
-(``_indicator_parts``); ``_beatty_member_at`` decides the Beatty boundaries
-in floats, and those within a guard radius of an integer in exact integer
-arithmetic (``_beatty_member_exact``).
+(``_indicator_parts``); ``_beatty_member_at`` reduces beta by an exact
+multiple of alpha, decides the Beatty boundaries in floats, and those within
+a guard radius of an integer by one closed-form ceiling ceil(T/(D*alpha)) in
+Z[sqrt d] each (``_beatty_member_exact``, ``_ceil_div_alpha``).
 
 The prime counts (plain, progression, Beatty) and their main terms read one
 member stream, ``_member_blocks``: over the primes p <= x in the progression,
@@ -256,8 +257,8 @@ class BeattyParams:
     alpha and beta must be finite, and alpha must look irrational: values
     within 1e-12 of a rational with denominator <= 10^4 are rejected
     (heuristic guard; finite type is the caller's assertion). alpha_label
-    'sqrt2' or 'phi' makes the boundary rechecks use that quadratic
-    irrational exactly instead of the float alpha.
+    'sqrt2' or 'phi', with alpha its float in LABELLED_ALPHAS, makes the
+    boundary rechecks use that quadratic irrational exactly.
     """
 
     alpha: float
@@ -265,8 +266,8 @@ class BeattyParams:
     alpha_label: str | None = None
 
     def __post_init__(self) -> None:
-        if self.alpha_label is not None and self.alpha_label not in LABELLED_ALPHAS:
-            raise ValueError(f"unknown alpha_label {self.alpha_label!r}")
+        if self.alpha_label is not None and LABELLED_ALPHAS.get(self.alpha_label) != self.alpha:
+            raise ValueError(f"unknown alpha_label {self.alpha_label!r} for alpha={self.alpha}")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if not self.alpha > 1.0:
@@ -285,60 +286,53 @@ class BeattyParams:
         return cls(alpha=LABELLED_ALPHAS[label], beta=beta, alpha_label=label)
 
 
-# Guard radius for the float boundaries lo = (m - beta)/alpha and
-# hi = (m + 1 - beta)/alpha. For m < 2^53 the float m (and m + 1) is exact;
-# the subtraction of beta and the division are each rounded once (relative
-# 2^-53), and the float alpha is within relative 2^-52 of sqrt2 or phi (a
-# decimal alpha is itself the exact parameter). Each computed endpoint is
-# therefore within 4*2^-53 = 2^-51 of its true value, relative to it. An
-# endpoint at least 2^-47*(|lo| + |hi| + 1) from every integer, 16 times
-# that radius, has the same ceiling and comparisons as the true one;
-# anything closer is re-decided in integers by _beatty_member_exact. Endpoints
-# of size 2^46 or more are all that close, so a |beta| that large sends every
-# m to the exact recheck.
+# Guard radius for the float boundaries lo = (m - beta')/alpha and
+# hi = (m + 1 - beta')/alpha, beta' the reduced beta of _beatty_member_at. For
+# m < 2^53 the float m (and m + 1) is exact; the subtraction and the division
+# are each rounded once (relative 2^-53), the float alpha is within relative
+# 2^-52 of sqrt2 or phi (a decimal alpha is the exact parameter), and the
+# float beta' within alpha*2^-51 of the true one. So each computed endpoint
+# is within 2^-51*(|endpoint| + 1) of its true value. An endpoint at least
+# 2^-47*(|lo| + |hi| + 1) from every integer, 16 times that radius, has the
+# same ceiling and comparisons as the true one; anything closer is re-decided
+# in integers by _beatty_member_exact.
 _BEATTY_GUARD_REL = 2.0 ** -47
 
 
-def _beatty_member_exact(m: int, B: BeattyParams) -> bool:
-    """Beatty membership of m in exact integer arithmetic, for any finite beta.
-
-    m is a member iff the least n with n*alpha >= m - beta is >= 1 and has
-    n*alpha < m + 1 - beta. With alpha = (p + q*sqrt(d))/r and beta = b/D,
-    n*alpha >= m + k - beta iff u + v*sqrt(d) >= 0 for the integers below.
-    """
+def _ceil_div_alpha(T: int, D: int, B: BeattyParams) -> int:
+    """ceil(T/(D*alpha)) exactly, for integers T and D >= 1."""
     if B.alpha_label is None:  # the float alpha is the exact parameter
-        p, r = B.alpha.as_integer_ratio()
-        q = d = 0
+        (p, r), q, d = B.alpha.as_integer_ratio(), 0, 0
     else:
         p, q, d, r = _ALPHA_FORMS[B.alpha_label]
+    # with alpha = (p + q*sqrt(d))/r, T/(D*alpha) = (X + Y*sqrt(d))/Z by the
+    # conjugate, and ceil((X + w)/Z) = ceil((X + ceil(w))/Z) for Z > 0
+    X, Y, Z = T * r * p, -T * r * q, D * (p * p - q * q * d)
+    if Z < 0:
+        X, Y, Z = -X, -Y, -Z
+    s = math.isqrt(Y * Y * d)
+    w = s + (s * s < Y * Y * d) if Y >= 0 else -s  # ceil(Y*sqrt(d))
+    return -(-(X + w) // Z)
+
+
+def _beatty_member_exact(m: int, B: BeattyParams) -> bool:
+    """Exactly: m is a member iff 1 <= ceil((m - beta)/alpha) < ceil((m + 1 - beta)/alpha)."""
     b, D = B.beta.as_integer_ratio()
-
-    def reaches(n: int, k: int) -> bool:
-        u, v = n * p * D - r * ((m + k) * D - b), n * q * D
-        if (u >= 0) == (v >= 0):
-            return u >= 0
-        return (u * u >= d * v * v) == (u >= 0)  # never equal: d is no square
-
-    # n = ceil((m - beta)/alpha) from sqrt(d) ~ s/S, off by at most one; the
-    # exact steps then put n on the least n that reaches m - beta
-    T = m * D - b
-    S = 1 << ((abs(T) // D).bit_length() + 8)
-    s = math.isqrt(d * S * S)
-    n = -(-T * r * (p * S - q * s) // (D * (p * p - q * q * d) * S))
-    while not reaches(n, 0):
-        n += 1
-    while reaches(n - 1, 0):
-        n -= 1
-    return n >= 1 and not reaches(n, 1)
+    return 1 <= _ceil_div_alpha(m * D - b, D, B) < _ceil_div_alpha((m + 1) * D - b, D, B)
 
 
 def _beatty_member_at(ms: np.ndarray, B: BeattyParams) -> np.ndarray:
     """Boolean Beatty membership of each m >= 1 in the int64 array ms."""
+    # beta = beta' + k*alpha for k = floor(beta/alpha), exact, and the float
+    # beta' in [0, alpha]: ceil((m - beta)/alpha) = ceil((m - beta')/alpha) - k
+    b, D = B.beta.as_integer_ratio()
+    f = -_ceil_div_alpha(-b << 64, D, B)  # floor(2^64*beta/alpha)
+    k, beta_r = f >> 64, B.alpha * (f % 2 ** 64 / 2 ** 64)
     mf = ms.astype(np.float64)
-    lo_n = (mf - B.beta) / B.alpha
-    hi_n = (mf + 1.0 - B.beta) / B.alpha
+    lo_n = (mf - beta_r) / B.alpha
+    hi_n = (mf + 1.0 - beta_r) / B.alpha
     n0 = np.ceil(lo_n)
-    member = (n0 >= 1.0) & (n0 < hi_n)
+    member = (n0 >= float(1 + k)) & (n0 < hi_n)
     tol = (np.abs(lo_n) + np.abs(hi_n) + 1.0) * _BEATTY_GUARD_REL
     risky = (np.abs(lo_n - np.rint(lo_n)) < tol) | (np.abs(hi_n - np.rint(hi_n)) < tol)
     for i in np.flatnonzero(risky):

@@ -126,13 +126,20 @@ class TestPsCli:
         )
         assert rc2 == 2
 
-    @pytest.mark.parametrize("alpha, count", [("sqrt2", 143), ("phi", 130)])
-    def test_beatty_huge_beta_counts_exactly(self, capsys, alpha, count):
-        # beta = -1e70 puts every boundary inside the float guard radius, and
-        # (m - beta)/alpha needs over 70 digits; the counts are those of an
-        # integer bisection oracle (tests/test_pspseq.py, beatty_oracle)
+    @pytest.mark.parametrize(
+        "x, alpha, beta, count",
+        [("3000", "sqrt2", "-1e70", 143), ("3000", "phi", "-1e70", 130),
+         ("1000000", "sqrt2", "-1e20", 15963), ("1000000", "phi", "-1e20", 13926),
+         ("1000000", "sqrt2", "1e300", 0)],
+        ids=["sqrt2-143", "phi-130", "sqrt2-15963", "phi-13926", "sqrt2-0"],
+    )
+    def test_beatty_huge_beta_counts_exactly(self, capsys, x, alpha, beta, count):
+        # (m - beta)/alpha needs up to 300 digits here; beta is reduced by an
+        # exact multiple of alpha before the float boundaries are placed. The
+        # counts are those of an integer bisection oracle (tests/test_pspseq.py,
+        # beatty_oracle)
         rc, out, _ = run(
-            capsys, "ps", "beatty", "--x", "3000", "--c", "1.1", "--alpha", alpha, "--beta=-1e70"
+            capsys, "ps", "beatty", "--x", x, "--c", "1.1", "--alpha", alpha, f"--beta={beta}"
         )
         assert rc == 0
         assert int(out.strip().splitlines()[-1].split(",")[4]) == count
@@ -396,6 +403,15 @@ class TestOtherSubcommands:
             capsys, "expsum", "vdc", "--h", "0", "--c", "1.1", "--N", "1024"
         )
         assert rc == 2
+
+    def test_expsum_vdc_tiny_h_exit_2(self, capsys):
+        # lam = gamma*(1-gamma)*|h|*N^(gamma-2) underflows to 0; this once ran
+        # the whole sum and then leaked "float division by zero"
+        rc, out, err = run(
+            capsys, "expsum", "vdc", "--h", "1e-320", "--c", "1.1", "--N", "4096"
+        )
+        assert rc == 2
+        assert out == "" and "|h| = 1e-320 is too small" in err
 
     def test_expsum_vaaler_rows(self, capsys):
         rc, out, _ = run(capsys, "expsum", "vaaler", "--H", "4")

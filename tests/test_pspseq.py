@@ -194,6 +194,14 @@ def beatty_params(alpha, beta):
     return pq.BeattyParams(alpha=float(alpha), beta=beta)
 
 
+def sign_in_quadratic_field(u, w, d):
+    """The sign of u + w*sqrt(d), for d = 0 or no square, decided by squaring."""
+    a, b = (u > 0) - (u < 0), ((w > 0) - (w < 0)) * (d > 0)
+    if a * b >= 0:
+        return a or b
+    return a if u * u > w * w * d else b
+
+
 @functools.cache
 def nearest_beatty_boundaries(alpha, beta, starts):
     """m0 = floor(k*alpha + beta) for the 8 k of each window [start, start + 10^6)
@@ -627,6 +635,75 @@ class TestBeatty:
                 m0 = math.floor(n * a + Fraction(beta))
                 for m in range(max(m0 - 2, 1), m0 + 3):
                     assert pq._beatty_member_exact(m, B) == beatty_oracle(m, alpha, beta), (beta, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.sampled_from(("sqrt2", "phi", "2.345678901234")),
+        T=st.integers(-(2 ** 200), 2 ** 200),
+        D=st.integers(0, 1074).map(lambda e: 1 << e),
+    )
+    def test_ceil_div_alpha_brackets_the_quotient(self, alpha, T, D):
+        # c = ceil(T/(D*alpha)) iff (c - 1)*D*alpha < T <= c*D*alpha; with
+        # alpha = (p + q*sqrt(d))/r, n*D*alpha - T has the sign of
+        # (n*D*p - T*r) + n*D*q*sqrt(d)
+        if alpha in ("sqrt2", "phi"):
+            p, q, d, r = {"sqrt2": (0, 1, 2, 1), "phi": (1, 1, 5, 2)}[alpha]
+        else:
+            (p, r), q, d = float(alpha).as_integer_ratio(), 0, 0
+        c = pq._ceil_div_alpha(T, D, beatty_params(alpha, 0.0))
+
+        def sign(n):
+            return sign_in_quadratic_field(n * D * p - T * r, n * D * q, d)
+
+        assert sign(c - 1) < 0 <= sign(c)
+
+    def test_exact_recheck_has_no_search_loop(self):
+        # each boundary is one closed-form ceiling; a search must not come back
+        tree = ast.parse(Path(pq.__file__).read_text())
+        loops = (ast.For, ast.While, ast.AsyncFor, ast.comprehension)
+        names = {"_beatty_member_exact", "_ceil_div_alpha"}
+        funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in names]
+        assert {f.name for f in funcs} == names
+        assert not any(isinstance(n, loops) for f in funcs for n in ast.walk(f))
+
+    def test_label_must_be_the_float_alpha(self):
+        # sqrt2 once placed the rechecks while e placed the float boundaries,
+        # which made 999982 a member
+        beta = 999983 - (999983 // math.e) * math.e
+        with pytest.raises(ValueError, match="unknown alpha_label 'sqrt2'"):
+            pq.BeattyParams(alpha=math.e, beta=beta, alpha_label="sqrt2")
+        with pytest.raises(ValueError, match="unknown alpha_label 'phi'"):
+            pq.BeattyParams(alpha=math.sqrt(2.0), beta=0.0, alpha_label="phi")
+        B = pq.BeattyParams(alpha=math.e, beta=beta)
+        assert not pq._beatty_member_at(np.array([999982]), B)[0]
+        assert not pq._beatty_member_exact(999982, B)
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [("sqrt2", -1e20), ("phi", -1e20), ("sqrt2", -1e70), ("sqrt2", 1e300),
+                        ("phi", -1e300)],
+    )
+    def test_huge_beta_rechecks_are_rare(self, monkeypatch, alpha, beta):
+        # beta is reduced exactly by a multiple of alpha, so the float
+        # boundaries settle all but a few members whatever |beta| is
+        calls = []
+        exact = pq._beatty_member_exact
+        monkeypatch.setattr(
+            pq, "_beatty_member_exact", lambda m, B: calls.append(m) or exact(m, B)
+        )
+        pq.ps_beatty_prime_count(10 ** 6, 1.1, pq.BeattyParams.from_label(alpha, beta))
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("alpha", ["sqrt2", "phi", "2.345678901234"])
+    def test_reduced_beta_matches_exact_recheck(self, alpha):
+        # the float boundaries at beta' = beta - k*alpha, with the cutoff
+        # n >= 1 + k, decide as the exact recheck does, where members begin
+        # (m near beta) and far past it
+        for beta in (12345.678, 1e12 + 0.25, -2.0 ** 46, -1e20, -1e300):
+            B = beatty_params(alpha, beta)
+            start = max(1, int(beta) - 100)
+            ms = np.arange(start, start + 2000, dtype=np.int64)
+            want = [pq._beatty_member_exact(int(m), B) for m in ms]
+            assert pq._beatty_member_at(ms, B).tolist() == want, beta
 
     def test_prime_in_guard_band_reaches_exact_recheck(self, monkeypatch):
         # beta = p - n*alpha puts the lower boundary (p - beta)/alpha of the
