@@ -117,6 +117,14 @@ def _type1_gamma_floor(p: ExponentPair, delta: Fraction) -> Fraction:
     return 1 - ((2 * p.k - 2 * p.l + 2) - (14 * p.k - 4 * p.l + 9) * delta) / den
 
 
+def _unit_gamma(gamma: Fraction) -> Fraction:
+    """gamma as a Fraction; ValueError unless 0 < gamma < 1."""
+    gamma = Fraction(gamma)
+    if not 0 < gamma < 1:
+        raise ValueError(f"gamma must lie in (0, 1), got {format_rational(gamma)}")
+    return gamma
+
+
 def type1_constraints(
     p: ExponentPair, gamma: Fraction, delta: Fraction = F(0)
 ) -> ConstraintReport:
@@ -126,7 +134,7 @@ def type1_constraints(
     min( (1-gamma)+1/2 , max( ((4k+6)(1-gamma)+(2k-1))/(4k-2l+1) , 2(1-gamma) ) );
     positive delta shifts every exponent by its documented delta term.
     """
-    gamma, delta = Fraction(gamma), Fraction(delta)
+    gamma, delta = _unit_gamma(gamma), Fraction(delta)
     if not 0 <= delta <= 1 - gamma:
         raise ValueError(f"delta must lie in [0, 1-gamma], got {delta}")
     guard = _guard(p)
@@ -152,7 +160,7 @@ def type2_range(gamma: Fraction, delta: Fraction = F(0)) -> ConstraintReport:
     [1-gamma+2*delta (+eps), 5*gamma-4-6*delta (-eps)], empty when the
     endpoints meet.
     """
-    gamma, delta = Fraction(gamma), Fraction(delta)
+    gamma, delta = _unit_gamma(gamma), Fraction(delta)
     if not 0 <= delta <= 1 - gamma:
         raise ValueError(f"delta must lie in [0, 1-gamma], got {delta}")
     lo = 1 - gamma + 2 * delta
@@ -193,7 +201,7 @@ def max_delta(p: ExponentPair, gamma: Fraction) -> Fraction:
     feasible (the inequalities are strict but the domain is closed); the
     half-open description is exact whenever one of the two inequalities binds.
     """
-    gamma = Fraction(gamma)
+    gamma = _unit_gamma(gamma)
     if not delta_feasible(p, gamma, F(0)):
         raise InfeasibleError(
             f"delta=0 infeasible for ({p.k}, {p.l}) at gamma={gamma}"

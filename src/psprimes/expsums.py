@@ -4,7 +4,8 @@ Everything here evaluates sums term by term (no asymptotics): the central
 weighted sum over dyadic ranges, bilinear model sums, the trigonometric
 sawtooth approximation, second-derivative and stationary-phase checks, the
 combinatorial von Mangoldt decomposition, and the weighted-versus-classical
-prime-sum discrepancy with its alpha scans.
+prime-sum discrepancy with its alpha scans. A scan evaluates each rational
+alpha = a/q exactly, from the weights summed over the residue classes mod q.
 
 Every reduction is an exactly rounded sum (``numeric.fsum_array``: exact
 extraction, repeated until nothing remains, equal to math.fsum), so every
@@ -23,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import GammaExponent, _iroot, fsum_array, unit_exp, unit_exp_parts
-from .pspseq import _ps_member_at
+from .numeric import GammaExponent, _exact_sums, _iroot, _round_exact, fsum_array, unit_exp
+from .numeric import unit_exp_parts
+from .pspseq import _member_from_t
 from .sieve import lambda_array, mobius_array, shared_table
 
 # Largest x*H theorem_sum accepts (its work is about pi(2x)*H phase terms).
@@ -481,22 +483,25 @@ def min_valid_cutoff(x: int, J: int) -> int:
 
 
 def bf_discrepancy(nmax: int, c: float, alpha: float) -> float:
-    """|weighted member sum - classical sum| for the prime exponential sum.
+    """|T(alpha)|: |weighted member sum - classical sum| for the prime exponential sum.
 
     The weighted side carries c*p^(1-gamma)*log(p) over member primes; the
-    classical side is sum of log(p) e(alpha p) over all primes <= nmax.
+    classical side is sum of log(p) e(alpha p) over all primes <= nmax. Any
+    float alpha is taken, by a direct sum over the primes with float phases
+    fl(alpha*p), exactly rounded.
     """
     w = _bf_weight_vector(nmax, c)
     return _weighted_abs_sum(w, alpha * shared_table(nmax).primes(nmax).astype(np.float64))
 
 
 def _bf_weight_vector(nmax: int, c: float) -> np.ndarray:
-    g = GammaExponent.from_c(c)
+    """w_p = c*log(p)*[p a member]/t - log(p), with the one power t = p^(gamma-1)."""
+    gam = GammaExponent.from_c(c).gamma
     ps = shared_table(nmax).primes(nmax)
-    member = _ps_member_at(ps, g)
     pf = ps.astype(np.float64)
+    t = pf ** (gam - 1.0)
     logp = np.log(pf)
-    return c * pf ** (1.0 - g.gamma) * logp * member - logp
+    return c * logp * _member_from_t(ps, pf, t, gam) / t - logp
 
 
 @dataclass
@@ -507,20 +512,42 @@ class AlphaScanResult:
 
 
 def alpha_scan(nmax: int, c: float, grid_size: int) -> AlphaScanResult:
-    """Worst-case discrepancy over an equispaced alpha grid plus small rationals.
+    """Worst-case |T| over an equispaced alpha grid plus small rationals.
 
-    The grid is {i/grid_size} on [0, 1) joined with every a/q for q <= 20;
-    the maximiser reported is the first (smallest alpha) in case of ties.
+    The alphas are the i/grid_size on [0, 1) and every a/q for q <= 20; each
+    row is T at the exact rational a/q, in lowest terms, beside its float.
+    There e(a*p/q) depends on p mod q only, so T(a/q) = sum over r mod q of
+    W_r e(a*r/q), where W_r, the weight of the primes p = r (mod q), is one
+    exactly rounded group sum per denominator. With the one table e(k/q),
+    k < q, each row takes the exactly rounded real and imaginary parts over
+    the r with W_r != 0. A row thus depends on (nmax, c, a/q) only, whatever
+    grid_size, and the work is one pass over the primes per denominator plus
+    about q terms per numerator. The maximiser reported is the first
+    (smallest alpha) in case of ties.
     """
     if not 1 <= grid_size <= 10 ** 4:
         raise ValueError(f"grid_size must lie in [1, 10^4], got {grid_size}")
+    numerators: dict[int, set[int]] = {}  # denominator -> numerators, in lowest terms
+    pairs = [(i, grid_size) for i in range(grid_size)]
+    for a, q in pairs + [(a, q) for q in range(1, 21) for a in range(q)]:
+        g = math.gcd(a, q)
+        numerators.setdefault(q // g, set()).add(a // g)
     w = _bf_weight_vector(nmax, c)
-    pf = shared_table(nmax).primes(nmax).astype(np.float64)
-    alphas = sorted(
-        {i / grid_size for i in range(grid_size)}
-        | {a / q for q in range(1, 21) for a in range(q)}
-    )
-    rows = [(a, _weighted_abs_sum(w, a * pf)) for a in alphas]
+    ps = shared_table(nmax).primes(nmax)
+    values: dict[float, float] = {}
+    for q, nums in numerators.items():
+        big_w = np.array([_round_exact(s) for s in _exact_sums(w, ps % q, q)])
+        ks = np.flatnonzero(big_w)
+        big_w = big_w[ks]
+        cos, sin = unit_exp_parts(np.arange(q) / q)
+        half: dict[int, float] = {}  # |T(a/q)| = |T((q - a)/q)|: w is real
+        for a in nums:
+            b = min(a, q - a)
+            if b not in half:
+                k = b * ks % q
+                half[b] = math.hypot(fsum_array(big_w * cos[k]), fsum_array(big_w * sin[k]))
+            values[a / q] = half[b]
+    rows = sorted(values.items())
     best = max(range(len(rows)), key=lambda i: (rows[i][1], -i))
     return AlphaScanResult(
         max_discrepancy=rows[best][1], argmax_alpha=rows[best][0], rows=rows

@@ -12,9 +12,9 @@ which is why nothing here trusts a bare float comparison near an
 integer boundary.
 
 Exact sums run error-free extraction until nothing remains: ``_exact_sum``
-takes one array into an exact integer, callers add the integers of their
-blocks, and ``_round_exact`` rounds the total once; ``fsum_array`` does both
-for one array.
+takes one array into an exact integer (``_exact_sums`` one per group of its
+entries), callers add the integers of their blocks, and ``_round_exact``
+rounds the total once; ``fsum_array`` does both for one array.
 """
 
 from __future__ import annotations
@@ -220,25 +220,36 @@ def fsum_array(a: np.ndarray) -> float:
 
 
 def _exact_sum(a: np.ndarray) -> int:
-    """The exact sum of a 1-D float64 array, as a Python int in units of 2^-1074.
+    """The exact sum of a 1-D float64 array in units of 2^-1074: ``_exact_sums`` in one group."""
+    return _exact_sums(a)[0]
 
-    Each chunk r of at most _FSUM_CHUNK entries runs passes of ExtractVector
-    (Rump, Ogita and Oishi, "Accurate floating-point summation part I:
-    faithful rounding", SIAM J. Sci. Comput. 31(1), 2008) until its remainder
-    is zero. For max|r| < 2^e and sigma = 2^max(e + _EXTRACT_BITS, -1022),
-    q = (sigma + r) - sigma and r - q are exact and the float sum of q is
-    exact in any order; it goes into the int. A pass with sigma =
-    2^(e + _EXTRACT_BITS) leaves |r - q| <= 2^(e + _EXTRACT_BITS - 53), at
-    least 37 binades lower. Once e + _EXTRACT_BITS < -1022, every entry is a
-    multiple of 2^-1074 below 2^-1037, where sigma = 2^-1022 spaces the floats
-    near sigma + r 2^-1074 apart as well: q = r, and the remainder is zero.
-    From below 2^996 a chunk therefore ends after at most 56 passes. Exact
-    totals of several arrays add as ints, and ``_round_exact`` rounds their
-    sum once, to math.fsum of all their entries; an empty array gives 0.
+
+def _exact_sums(a: np.ndarray, groups: np.ndarray | None = None, n: int = 1) -> list[int]:
+    """The exact sum of the entries of a 1-D float64 array in each group k < n.
+
+    Each sum is a Python int in units of 2^-1074. ``groups`` holds the group
+    of each entry, an int array as long as ``a``; None puts every entry in
+    group 0. Each chunk r of at most _FSUM_CHUNK entries runs passes of
+    ExtractVector (Rump, Ogita and Oishi, "Accurate floating-point summation
+    part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008) until its
+    remainder is zero. For max|r| < 2^e and sigma = 2^s, s = max(e +
+    _EXTRACT_BITS, -1022), q = (sigma + r) - sigma and r - q are exact.
+    Every q is a multiple of 2^max(s - 53, -1074), and the sum of any of them
+    stays below sigma, so the float sum of the q of each group is exact in
+    any order; it goes into the group's int. np.bincount takes every group at
+    once: times 2^min(53 - s, 1074), each of its sums is an integer below
+    2^53, so int64 holds it exactly. A pass with sigma = 2^(e +
+    _EXTRACT_BITS) leaves |r - q| <= 2^(e + _EXTRACT_BITS - 53), at least 37
+    binades lower. Once e + _EXTRACT_BITS < -1022, every entry is a multiple
+    of 2^-1074 below 2^-1037, where sigma = 2^-1022 spaces the floats near
+    sigma + r 2^-1074 apart as well: q = r, and the remainder is zero. From
+    below 2^996 a chunk therefore ends after at most 56 passes. Exact totals
+    of several arrays add as ints, and ``_round_exact`` rounds their sum
+    once, to math.fsum of all their entries; an empty group gives 0.
     Precondition: every entry is finite and below 2^996 in magnitude
     (ValueError otherwise).
     """
-    total = 0
+    totals = np.zeros(n, dtype=object)  # Python ints
     for i in range(0, a.size, _FSUM_CHUNK):
         r = a[i : i + _FSUM_CHUNK]
         top = max(r.max(), -r.min())
@@ -246,14 +257,20 @@ def _exact_sum(a: np.ndarray) -> int:
             raise ValueError("fsum terms must be finite and below 2^996 in magnitude")
         while top != 0.0:
             e = math.frexp(top)[1] + _EXTRACT_BITS  # top < 2^(e - _EXTRACT_BITS)
-            sigma = math.ldexp(1.0, max(e, -1022))
+            s = max(e, -1022)
+            sigma = math.ldexp(1.0, s)
             q = r + sigma
             q -= sigma
-            num, den = float(q.sum()).as_integer_ratio()
-            total += (num << 1074) // den
+            if groups is None:
+                num, den = float(q.sum()).as_integer_ratio()
+                totals[0] += (num << 1074) // den
+            else:
+                scale = min(53 - s, 1074)
+                parts = np.ldexp(np.bincount(groups[i : i + _FSUM_CHUNK], q, n), scale)
+                totals += parts.astype(np.int64).astype(object) << (1074 - scale)
             r = r - q
             top = max(r.max(), -r.min())
-    return total
+    return totals.tolist()
 
 
 def _round_exact(total: int) -> float:

@@ -92,6 +92,19 @@ class TestExppairCli:
         assert rc == 2
         assert out == "" and "max_word_len must be >= 0" in err
 
+    @pytest.mark.parametrize("gamma", ["-1", "0", "1", "2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--k", "1/2", "--l", "1/2"],
+         ["search", "--seeds", "trivial", "--max-word-len", "2", "--objective", "max_delta"]],
+        ids=["eval", "search"],
+    )
+    def test_gamma_outside_unit_interval_exit_2(self, capsys, argv, gamma):
+        # eval printed a region at -1, 0 and 1, and blamed delta at 2
+        rc, out, err = run(capsys, "exppair", *argv, f"--gamma={gamma}")
+        assert rc == 2
+        assert out == "" and f"gamma must lie in (0, 1), got {gamma}" in err
+
     def test_gamma_analysis_columns(self, capsys):
         rc, out, _ = run(
             capsys, "exppair", "eval", "--k", "1/2", "--l", "1/2", "--gamma", "19/20"

@@ -117,6 +117,21 @@ class TestType2:
         assert r.n_upper_exponent.value == 5 * F(19, 20) - 4 - F(6, 100)
 
 
+@pytest.mark.parametrize("gamma", [F(-1), F(0), F(1), F(2), F(-1, 2)])
+@pytest.mark.parametrize(
+    "call",
+    [lambda g: ep.type1_constraints(ep.ExponentPair(F(1, 2), F(1, 2)), g),
+     lambda g: ep.type2_range(g),
+     lambda g: ep.max_delta(ep.ExponentPair(F(1, 2), F(1, 2)), g)],
+    ids=["type1", "type2", "max_delta"],
+)
+def test_gamma_outside_unit_interval_is_rejected(call, gamma):
+    # checked before delta, so gamma = 2 no longer blames delta
+    with pytest.raises(ValueError, match="gamma must lie in \\(0, 1\\)") as info:
+        call(gamma)
+    assert not isinstance(info.value, ep.InfeasibleError)
+
+
 class TestDeltaFeasible:
     def test_examples(self):
         p = ep.ExponentPair(F(1, 2), F(1, 2))

@@ -1,7 +1,9 @@
 import cmath
 import math
 import time
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -542,10 +544,79 @@ class TestBalogFriedlander:
         with pytest.raises(ValueError):
             ex.alpha_scan(2 ** 10, 1.1, 10 ** 4 + 1)
 
-    def test_scan_rows_are_pointwise_discrepancies(self):
-        res = ex.alpha_scan(2 ** 12, 1.1, 16)
-        for alpha, d in res.rows:
-            assert d == ex.bf_discrepancy(2 ** 12, 1.1, alpha)
+    def test_scan_rows_are_discrepancies_within_the_phase_error(self):
+        # bf_discrepancy rounds each phase alpha*p (alpha < 1) by up to
+        # p*2^-53 turns; the scan row has no phase error
+        nmax, c = 2 ** 12, 1.1
+        w = np.abs(ex._bf_weight_vector(nmax, c))
+        ps = sv.shared_table(nmax).primes(nmax).astype(np.float64)
+        bound = 2 * math.pi * 2.0 ** -51 * math.fsum(w * ps) + 2.0 ** -47 * math.fsum(w)
+        for alpha, d in ex.alpha_scan(nmax, c, 16).rows:
+            assert abs(d - ex.bf_discrepancy(nmax, c, alpha)) <= bound
+
+
+def scan_values(nmax, c, grid_size):
+    return dict(ex.alpha_scan(nmax, c, grid_size).rows)
+
+
+def scan_alphas(grid_size):
+    return sorted({i / grid_size for i in range(grid_size)}
+                  | {a / q for q in range(1, 21) for a in range(q)})
+
+
+class TestAlphaScanByResidues:
+    """Each scan row is |T(a/q)| at the exact rational a/q, from residue-class sums."""
+
+    @pytest.mark.parametrize(
+        "grid_size, fractions",
+        [(1, [(0, 1), (1, 7), (3, 20), (1, 2), (19, 20)]),
+         (7, [(3, 7), (5, 7), (2, 9)]),
+         (360, [(7, 360), (181, 360), (1, 8), (359, 360)])],
+    )
+    def test_rows_match_a_40_digit_reference(self, grid_size, fractions):
+        nmax, c = 2 ** 13, 1.3
+        w = ex._bf_weight_vector(nmax, c)
+        ps = sv.shared_table(nmax).primes(nmax)
+        values = scan_values(nmax, c, grid_size)
+        tol = 2.0 ** -48 * math.fsum(np.abs(w))
+        with mpmath.workdps(40):
+            for a, q in fractions:
+                t = mpmath.mpc(0)
+                for wp, r in zip(w.tolist(), (ps * a % q).tolist()):
+                    t += mpmath.mpf(wp) * mpmath.expjpi(mpmath.mpf(2 * r) / q)
+                assert abs(values[a / q] - abs(t)) <= tol
+
+    @pytest.mark.parametrize("grid_size", [1, 7, 110, 360, 10 ** 4])
+    def test_alpha_column(self, grid_size):
+        rows = ex.alpha_scan(100, 1.1, grid_size).rows
+        assert [a for a, _ in rows] == scan_alphas(grid_size)
+
+    def test_rows_do_not_depend_on_the_grid(self):
+        s32, s64, s360 = (scan_values(2 ** 13, 1.1, g) for g in (32, 64, 360))
+        for one, other in ((s32, s64), (s32, s360), (s64, s360)):
+            common = set(one) & set(other)
+            assert len(common) >= 128  # at least every a/q with q <= 20
+            assert all(one[alpha] == other[alpha] for alpha in common)
+        assert set(s32) <= set(s64)
+
+    def test_alpha_zero_row_is_the_weight_sum(self, table):
+        nmax, c = 2 ** 18, 1.1
+        w = ex._bf_weight_vector(nmax, c)
+        assert w.size > nc._FSUM_CHUNK
+        assert scan_values(nmax, c, 3)[0.0] == abs(math.fsum(w))
+
+    def test_no_per_prime_phases(self, monkeypatch):
+        # a timing-free guard: one table of q entries per distinct
+        # denominator, where a direct sum takes pi(N) phases per alpha
+        entries = []
+        kernel = ex.unit_exp_parts
+        monkeypatch.setattr(
+            ex, "unit_exp_parts", lambda t: entries.append(np.size(t)) or kernel(t)
+        )
+        ex.alpha_scan(2 ** 14, 1.1, 360)
+        denominators = {Fraction(i, 360).denominator for i in range(360)}
+        denominators |= set(range(1, 21))
+        assert 0 < sum(entries) <= sum(denominators)
 
 
 class TestReductionsMatchInlineFsum:
@@ -581,14 +652,25 @@ class TestReductionsMatchInlineFsum:
         g = GammaExponent.from_c(c)
         ps = table.primes(nmax)
         pf = ps.astype(np.float64)
+        t = pf ** (g.gamma - 1.0)
         member = pq._ps_member_at(ps, g)
-        w = c * pf ** (1.0 - g.gamma) * np.log(pf) * member - np.log(pf)
+        w = c * np.log(pf) * member / t - np.log(pf)
         assert ps.size > nc._FSUM_CHUNK
         for alpha in (0.0, 0.3, math.sqrt(2) - 1):
             want = self.abs_sum(w, alpha * pf)
             assert ex.bf_discrepancy(nmax, c, alpha) == want
+
+        def residue_row(alpha):
+            # |T(a/q)| = |T((q - a)/q)|, from the weight W_r of each class r mod q
+            frac = Fraction(alpha).limit_denominator(20)
+            q, a = frac.denominator, min(frac.numerator, frac.denominator - frac.numerator)
+            big_w = np.array([math.fsum(w[ps % q == r]) for r in range(q)])
+            cos, sin = unit_exp_parts(np.arange(q) / q)
+            k = a * np.arange(q) % q
+            return math.hypot(math.fsum(big_w * cos[k]), math.fsum(big_w * sin[k]))
+
         rows = ex.alpha_scan(nmax, c, 4).rows
-        assert rows == [(a, self.abs_sum(w, a * pf)) for a, _ in rows]
+        assert rows == [(a, residue_row(a)) for a, _ in rows]
 
     def test_vdc_bound_check(self):
         g = GammaExponent.from_c(1.1)

@@ -563,6 +563,56 @@ class TestExtraction:
         assert len(sigmas) <= 56
 
 
+class TestGroupedExactSum:
+    """_exact_sums: one exact int per group, rounding to math.fsum of that group."""
+
+    @staticmethod
+    def check(a, groups, n):
+        sums = nc._exact_sums(a, groups, n)
+        want = [signed(math.fsum(a[groups == k])) for k in range(n)]
+        assert [signed(nc._round_exact(t)) for t in sums] == want
+        assert sum(sums) == nc._exact_sum(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7]),
+        used=st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True),
+        seed=st.integers(0, 2 ** 32 - 1),
+        subnormal=st.booleans(),
+        spikes=st.lists(
+            st.tuples(
+                st.integers(0, 2 * _CHUNK + 6),
+                st.sampled_from([1e16, -1e16, 1.0, 1e295, -1e295, 5e-324, -0.0]),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_each_group_equals_fsum(self, size, used, seed, subnormal, spikes):
+        # groups that no entry uses stay empty: n runs past the largest label
+        rng = np.random.default_rng(seed)
+        if subnormal:
+            a = rng.integers(-(2 ** 40), 2 ** 40, size) * 5e-324
+        else:
+            a = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+        for i, v in spikes:
+            if i < size:
+                a[i] = v
+        groups = rng.choice(used, size)
+        self.check(a, groups, max(used) + 3)
+
+    def test_cancellation_across_chunks_in_one_group(self):
+        # 1e16 + 1 - 1e16 in group 1, split over two chunks and mixed with
+        # the entries of the other groups: per-chunk rounding would give 0.0
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-1.0, 1.0, 2 * _CHUNK + 5) * 2.0 ** -60
+        groups = rng.integers(0, 7, a.size)
+        groups[[5, _CHUNK + 2, 2 * _CHUNK + 4]] = 1
+        a[groups == 1] = 0.0
+        a[[5, _CHUNK + 2, 2 * _CHUNK + 4]] = [1e16, 1.0, -1e16]
+        assert nc._round_exact(nc._exact_sums(a, groups, 9)[1]) == 1.0
+        self.check(a, groups, 9)
+
+
 class TestGammaExponent:
     def test_roundtrip(self):
         g = nc.GammaExponent.from_c(1.1)
