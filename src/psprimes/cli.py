@@ -77,7 +77,7 @@ from .pspseq import (
     ps_prime_count_ap,
     singular_series,
 )
-from .sieve import lambda_array
+from .sieve import _prime_powers
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -264,10 +264,13 @@ def _cmd_expsum_bilinear(args):
     m_range = range(args.M + 1, 2 * args.M + 1)
     n_range = range(args.N + 1, 2 * args.N + 1)
     h_weights = {args.h: args.delta}
-    # before the coefficient lists exist
+    # before the coefficient arrays exist
     check_bilinear_size(m_range, n_range, args.x, h_weights)
-    a = [1.0] * len(m_range)
-    b = [math.log(n) if args.bn == "log" else 1.0 for n in n_range]
+    a = np.broadcast_to(1.0, len(m_range))  # ones without an array
+    if args.bn == "log":
+        b = np.fromiter(map(math.log, n_range), dtype=np.float64, count=len(n_range))
+    else:
+        b = np.broadcast_to(1.0, len(n_range))
     val = bilinear_sum(
         args.kind,
         a,
@@ -322,12 +325,13 @@ def _cmd_expsum_vaaler(args):
 def _cmd_hb_verify(args):
     Z = args.Z if args.Z is not None else min_valid_cutoff(args.x, args.J)
     params = HbParams(J=args.J, x=args.x, Z=Z)
-    # Lambda on (x, 2x]; hb_terms runs first, so its peak holds no Lambda table
-    rec = hb_terms(params)[args.x + 1 :]
-    ref = lambda_array(2 * args.x)[args.x + 1 :]
-    diff = np.abs(rec - ref)
+    # |rec - Lambda| on (x, 2x], in place; hb_terms runs first, so its peak holds no prime table
+    diff = hb_terms(params)[args.x + 1 :]
+    ns, lam = _prime_powers(args.x, 2 * args.x)
+    diff[ns - (args.x + 1)] -= lam
+    np.abs(diff, out=diff)
     return _one({
-        "x": args.x, "J": args.J, "Z": Z, "checked": rec.size,
+        "x": args.x, "J": args.J, "Z": Z, "checked": diff.size,
         "mismatches": int(np.count_nonzero(diff > 1e-9)), "max_abs_diff": float(diff.max()),
     })
 

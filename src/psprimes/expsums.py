@@ -9,11 +9,16 @@ alpha = a/q exactly, from the weights summed over the residue classes mod q.
 
 Every reduction is an exactly rounded sum (``numeric.fsum_array``: exact
 extraction, repeated until nothing remains, equal to math.fsum), so every
-result is deterministic. The von Mangoldt decomposition builds its
-coefficients exactly in int64 and takes one float step, a convolution with
-log. Its Dirichlet convolutions take O(sqrt(n)) slice operations and add the
-terms of each entry in the order of a plain divisor loop, so the float one is
-bit-identical to that loop.
+result is deterministic. Every direct exponential sum goes through
+``_weighted_parts``, which forms its phases and terms _FSUM_CHUNK at a time,
+adds the exact int of each chunk and rounds once: its memory is a few chunks
+however many the terms, and the digits are those of one sum over them all.
+The central sum reads Lambda only at the prime powers (``sieve._prime_powers``).
+The von Mangoldt decomposition builds its coefficients exactly in integers,
+each array in the narrowest dtype its bound allows, and takes one float step,
+a convolution with log. Its Dirichlet convolutions take O(sqrt(n)) slice
+operations and add the terms of each entry in the order of a plain divisor
+loop, so the float one is bit-identical to that loop.
 """
 
 from __future__ import annotations
@@ -24,21 +29,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import GammaExponent, _exact_sums, _iroot, _round_exact, fsum_array, unit_exp
-from .numeric import unit_exp_parts
+from .numeric import _FSUM_CHUNK, GammaExponent, _exact_sum, _exact_sums, _iroot, _round_exact
+from .numeric import fsum_array, unit_exp, unit_exp_parts
 from .pspseq import _member_from_t
-from .sieve import lambda_array, mobius_array, shared_table
+from .sieve import _prime_powers, mobius_array, shared_table
 
 # Largest x*H theorem_sum accepts (its work is about pi(2x)*H phase terms).
 _MAX_XH = 10 ** 13
 # Largest N of vdc_bound_check and b_process_compare, and largest number of
-# (m, n) pairs of bilinear_sum. Through the CLI on a 2-core x86-64 VM: N = 2^24
-# takes ~3.3 s and 675 MB; bilinear 3.4 s and 580 MB at M = 1, N = 2^24 (8 s,
-# 1.1 GB with --bn log); at M = 2^24, N = 1, 1.2 s when no m*n lies in
-# (x, 2x] but 382 s and 1.6 GB when every m does (its per-m loop).
+# (m, n) pairs of bilinear_sum. The sums stream, so these bound time, not
+# memory. Through the CLI on a 2-core x86-64 VM: vdc and bprocess at N = 2^24
+# take ~1 s and 31 MB; bilinear 1.1 s and 31 MB at M = 1, N = 2^24 (3.0 s and
+# 159 MB with --bn log, whose coefficients are one float64 array); at
+# M = 2^24, N = 1, 0.4 s when no m*n lies in (x, 2x] but about 6 minutes when
+# every m does (its per-m loop, which _MAX_BILINEAR_ROWS rejects).
 _MAX_DIRECT_TERMS = 1 << 24
-# Largest number of rows (h, m) of bilinear_sum's Python loop, 20 to 30 us
-# each: 2^17 rows at N = 1 take ~4 s and 44 MB through the CLI on the same VM.
+# Largest number of rows (h, m) of bilinear_sum's Python loop, 10 to 30 us
+# each: 2^17 rows at N = 1 take ~2.4 s and 40 MB through the CLI on the same VM.
 _MAX_BILINEAR_ROWS = 1 << 17
 _MAX_VAALER_H = 10 ** 6  # expsum vaaler prints H + 1 rows: 8.7 s, 480 MB at 10^6
 
@@ -96,25 +103,44 @@ class ExpSumSpec:
             raise ValueError(f"H must be >= 1, got {self.H}")
 
 
-def _weighted_parts(weights, phase: np.ndarray) -> tuple[float, float]:
-    """Exactly rounded (re, im) of sum of weights * e(phase); weights may be a scalar.
+def _weighted_parts(weights, ns, phase) -> tuple[float, float]:
+    """Exactly rounded (re, im) of the sum over n in ns of w_n * e(phase(n)).
+
+    ns is a range or a 1-D array; weights is a scalar or an array aligned
+    with ns; phase maps a run of entries of ns, as an array, to their float64
+    phases. Both are read _FSUM_CHUNK entries at a time, so the temporaries
+    stay a few chunks long however long ns is: the products of each chunk go
+    into one exact int (numeric._exact_sum), and the total is rounded once,
+    to the bits of math.fsum over all the terms; a single chunk goes to
+    fsum_array, which sends a short one to math.fsum itself.
 
     From 2^52 on, float64 spacing is a whole turn and e(phase) would read 1,
     so a phase that is not finite or reaches 2^52 raises ValueError. Callers
     form phases under np.errstate(over="ignore", invalid="ignore"): one that
     overflowed is inf or nan, and is rejected here without a numpy warning.
     """
-    if not max(phase.max(initial=0.0), -phase.min(initial=0.0)) < 2.0 ** 52:  # also nan
-        raise ValueError("phases must be finite and below 2^52 in magnitude")
-    cos, sin = unit_exp_parts(phase)
-    cos *= weights  # in place, with the bits of weights * cos
-    sin *= weights
-    return fsum_array(cos), fsum_array(sin)
+    re = im = 0  # exact sums in units of 2^-1074
+    for lo in range(0, len(ns), _FSUM_CHUNK):
+        part = ns[lo : lo + _FSUM_CHUNK]
+        if isinstance(part, range):
+            part = np.arange(part.start, part.stop, part.step, dtype=np.int64)
+        t = phase(part)
+        if not max(t.max(initial=0.0), -t.min(initial=0.0)) < 2.0 ** 52:  # also nan
+            raise ValueError("phases must be finite and below 2^52 in magnitude")
+        cos, sin = unit_exp_parts(t)
+        w = weights if np.ndim(weights) == 0 else weights[lo : lo + _FSUM_CHUNK]
+        cos *= w  # in place, with the bits of w * cos
+        sin *= w
+        if len(ns) <= _FSUM_CHUNK:
+            return fsum_array(cos), fsum_array(sin)
+        re += _exact_sum(cos)
+        im += _exact_sum(sin)
+    return _round_exact(re), _round_exact(im)
 
 
-def _weighted_abs_sum(weights: np.ndarray, phase: np.ndarray) -> float:
-    """|sum of weights * e(phase)|, each part exactly rounded."""
-    return math.hypot(*_weighted_parts(weights, phase))
+def _weighted_abs_sum(weights: np.ndarray, ns, phase) -> float:
+    """|sum over n in ns of w_n * e(phase(n))|, each part exactly rounded (_weighted_parts)."""
+    return math.hypot(*_weighted_parts(weights, ns, phase))
 
 
 def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
@@ -124,17 +150,14 @@ def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
     The inner sums and the sum over h, in increasing h, are exactly rounded.
     """
     _check_terms("x*H", spec.x * spec.H, _MAX_XH)
-    lam = lambda_array(2 * spec.x)
-    ns = np.arange(spec.x + 1, 2 * spec.x + 1, dtype=np.int64)
-    w = lam[ns]
-    keep = w > 0
-    ns, w = ns[keep], w[keep]
+    ns, w = _prime_powers(spec.x, 2 * spec.x)  # the n with Lambda(n) != 0
     gam = spec.g.gamma
     pow_u = (ns + spec.u) ** gam
     hs = range(spec.H + 1, 2 * spec.H + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         alpha_n = spec.alpha * ns
-        total = math.fsum([_weighted_abs_sum(w, alpha_n + h * pow_u) for h in hs])
+        # the terms are the phases of each h themselves, as long as w: none of length x
+        total = math.fsum([_weighted_abs_sum(w, alpha_n + h * pow_u, lambda t: t) for h in hs])
     if scaled:
         total *= min(1.0, spec.x ** (1.0 - gam) / spec.H)
     return total
@@ -167,16 +190,15 @@ def bilinear_sum(
     if len(a) != len(m_range) or len(b) != len(n_range):
         raise ValueError("coefficient arrays must align with their ranges")
     tol = 1e-12
-    # written as <= so that nan fails
-    if not np.all(np.abs(a) <= 1.0 + tol):
+    # max |c| without a temporary as long as c; written as <= so that nan fails
+    if not max(a.max(), -a.min()) <= 1.0 + tol:
         raise ValueError("need |a_m| <= 1")
     b_cap = 1.0 if kind == "TypeII" else max(1.0, math.log(2 * max(n_range)))
-    if not np.all(np.abs(b) <= b_cap + tol):
+    if not max(b.max(), -b.min()) <= b_cap + tol:
         raise ValueError(f"need |b_n| <= {b_cap:g} for {kind}")
     if not all(abs(d) <= 1.0 + tol for d in h_weights.values()):
         raise ValueError("need |delta_h| <= 1")
 
-    ns = np.fromiter(n_range, dtype=np.int64)
     gam = g.gamma
     res: list[float] = []
     ims: list[float] = []
@@ -187,12 +209,19 @@ def bilinear_sum(
                 continue
             for i in _bilinear_rows(m_range, n_range, x):
                 m = m_range[i]
-                prod = m * ns
-                mask = (prod > x) & (prod <= 2 * x)
-                if not mask.any():
+                if m == 0:
                     continue
-                sel = prod[mask]
-                re, im = _weighted_parts(b[mask], alpha * sel + h * (sel + u) ** gam)
+                # the products m*n, ascending, beside their b_n: those in (x, 2x] are one run
+                prods = range(m * n_range.start, m * n_range.stop, m * n_range.step)
+                bs = b
+                if prods.step < 0:
+                    prods, bs = prods[::-1], b[::-1]
+                lo, hi = bisect_right(prods, x), bisect_right(prods, 2 * x)
+                if lo == hi:
+                    continue
+                re, im = _weighted_parts(
+                    bs[lo:hi], prods[lo:hi], lambda p: alpha * p + h * (p + u) ** gam
+                )
                 coeff = delta * float(a[i])
                 res.append(coeff * re)
                 ims.append(coeff * im)
@@ -276,9 +305,11 @@ def vdc_bound_check(h: float, g: GammaExponent, alpha: float, N: int) -> VdcChec
     lam = gam * (1.0 - gam) * abs(h) * float(N) ** (gam - 2.0)
     if lam <= 0.0:
         raise ValueError(f"|h| = {abs(h)} is too small: the curvature scale lam underflows to 0")
-    ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = math.hypot(*_weighted_parts(1.0, h * ns.astype(np.float64) ** gam + alpha * ns))
+        parts = _weighted_parts(
+            1.0, range(N + 1, 2 * N + 1), lambda n: h * n.astype(np.float64) ** gam + alpha * n
+        )
+    lhs = math.hypot(*parts)
     rhs = N * math.sqrt(lam) + 1.0 / math.sqrt(lam)
     return VdcCheck(lhs=lhs, rhs_unit=rhs, empirical_c=lhs / rhs, lam=lam)
 
@@ -330,8 +361,8 @@ def b_process_compare(
             f"of {_MAX_STATIONARY_TERMS}; lower h or narrow the interval"
         )
 
-    ns = np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.int64)
-    direct = complex(*_weighted_parts(1.0, h * ns.astype(np.float64) ** gam))
+    ns = range(math.ceil(a), math.floor(b) + 1)
+    direct = complex(*_weighted_parts(1.0, ns, lambda n: h * n.astype(np.float64) ** gam))
 
     terms_re: list[float] = []
     terms_im: list[float] = []
@@ -373,10 +404,11 @@ def _stationary_point(gam: float, h: float, nu: float, a: float, b: float) -> fl
     return x
 
 
-# Largest x hb_terms accepts. At its peak it holds five int64 arrays of
-# length 2x (a Horner step of _hb_coefficients), and its peak memory grows by
-# about 75 bytes per unit of x. Through `hb verify` at J = 3 (2-core x86-64
-# VM, Python 3.11): 0.8 s and 91 MB at x = 10^6, 4.4 s and 317 MB at the limit.
+# Largest x hb_terms accepts. At its peak, a Horner step of _hb_coefficients,
+# it holds mu_Z in int8, U in int16 and two int64 sums, 19 bytes per entry of
+# [0, 2x], and its peak memory grows by about 36 bytes per unit of x. Through
+# `hb verify` at J = 3 (2-core x86-64 VM, Python 3.11): 0.8 s and 65 MB at
+# x = 10^6, 4.6 s and 175 MB at the limit.
 _MAX_HB_X = 1 << 22
 
 
@@ -407,7 +439,8 @@ def _dirichlet(f: np.ndarray, g: np.ndarray, hi: int) -> np.ndarray:
     operations: one slice per d <= s = isqrt(hi), then one strided slice per
     cofactor k <= hi/(s + 1) over the d > s, with k descending so that d
     still ascends. Terms with f[d] = 0 are added too: adding +-0 to an
-    accumulator that starts at +0.0 never changes its bits.
+    accumulator that starts at +0.0 never changes its bits. Each slice product
+    is formed _FSUM_CHUNK entries at a time, so no temporary is as long as f.
     """
     nz = np.flatnonzero(f[: hi + 1])
     top = int(nz[-1]) if nz.size else 0  # the last d with f[d] != 0
@@ -415,12 +448,18 @@ def _dirichlet(f: np.ndarray, g: np.ndarray, hi: int) -> np.ndarray:
     out = np.zeros(hi + 1, dtype=np.result_type(f, g))
     s = math.isqrt(hi)
     for d in range(1, min(s, top) + 1):
-        out[d :: d] += f[d] * g[1 : hi // d + 1]
+        _add_scaled(out[d :: d], f[d], g[1 : hi // d + 1])
     for k in range(hi // (s + 1), 0, -1):
         e = min(hi // k, top)
         if e > s:
-            out[k * (s + 1) : k * e + 1 : k] += f[s + 1 : e + 1] * g[k]
+            _add_scaled(out[k * (s + 1) : k * e + 1 : k], g[k], f[s + 1 : e + 1])
     return out
+
+
+def _add_scaled(out: np.ndarray, c, v: np.ndarray) -> None:
+    """out += c * v in place for a scalar c, _FSUM_CHUNK entries at a time."""
+    for lo in range(0, out.size, _FSUM_CHUNK):
+        out[lo : lo + _FSUM_CHUNK] += c * v[lo : lo + _FSUM_CHUNK]
 
 
 def _hb_coefficients(params: HbParams) -> np.ndarray:
@@ -433,19 +472,30 @@ def _hb_coefficients(params: HbParams) -> np.ndarray:
     delta - U vanishes on [1, Z], so its J-fold power vanishes on [1, Z^J].
     Every partial sum is at most 2^J d_(2J-1)(n) in absolute value, and for
     n <= 2^23 and J = 4 that is below 16 * 2.2e8 < 2^32, far inside int64.
+    mu_Z is held in int8 and U, with |U(n)| <= d(n) <= 432 for n <= 2^23
+    (d(7207200) = 432), in int16; _narrow checks that cast.
     """
     hi = 2 * params.x
     mu = mobius_array(min(params.Z, hi))  # mu is read on [1, min(Z, 2x)] only
-    mu_z = np.zeros(hi + 1, dtype=np.int64)
+    mu_z = np.zeros(hi + 1, dtype=np.int8)
     mu_z[1 : mu.size] = mu[1:]
     c = [(-1) ** (j - 1) * math.comb(params.J, j) for j in range(1, params.J + 1)]
-    a = c[-1] * mu_z
+    a = np.multiply(mu_z, c[-1], dtype=np.int64)
     if params.J > 1:
-        u = _dirichlet(mu_z, np.broadcast_to(np.int64(1), (hi + 1,)), hi)  # 1 without an array
+        ones = np.broadcast_to(np.int64(1), (hi + 1,))  # 1 without an array
+        u = _narrow(_dirichlet(mu_z, ones, hi), np.int16)
     for cj in reversed(c[:-1]):
         a = _dirichlet(a, u, hi)
         a += cj * mu_z
     return a
+
+
+def _narrow(a: np.ndarray, dtype) -> np.ndarray:
+    """a cast to an integer dtype; ArithmeticError, not a silent wrap, if one does not fit."""
+    info = np.iinfo(dtype)
+    if a.size and not info.min <= a.min() <= a.max() <= info.max:
+        raise ArithmeticError(f"entries in [{a.min()}, {a.max()}] do not fit in {info.dtype}")
+    return a.astype(dtype)
 
 
 def hb_terms(params: HbParams) -> np.ndarray:
@@ -466,12 +516,12 @@ def hb_terms(params: HbParams) -> np.ndarray:
     if params.x > _MAX_HB_X:
         raise ResourceGuardError(
             f"x = {params.x} exceeds the Heath-Brown limit 2^22; "
-            "memory grows by about 75 bytes per unit of x"
+            "memory grows by about 36 bytes per unit of x"
         )
-    a = _hb_coefficients(params)
+    a = _narrow(_hb_coefficients(params), np.int8)  # A = mu on [1, 2x]
     hi = 2 * params.x
-    log = np.zeros(hi + 1, dtype=np.float64)
-    log[1:] = np.log(np.arange(1, hi + 1, dtype=np.float64))
+    log = np.arange(hi + 1, dtype=np.float64)
+    np.log(log[1:], out=log[1:])  # in place; log[0] = 0 is never read
     return _dirichlet(a, log, hi)
 
 
@@ -491,7 +541,8 @@ def bf_discrepancy(nmax: int, c: float, alpha: float) -> float:
     fl(alpha*p), exactly rounded.
     """
     w = _bf_weight_vector(nmax, c)
-    return _weighted_abs_sum(w, alpha * shared_table(nmax).primes(nmax).astype(np.float64))
+    ps = shared_table(nmax).primes(nmax)
+    return _weighted_abs_sum(w, ps, lambda p: alpha * p.astype(np.float64))
 
 
 def _bf_weight_vector(nmax: int, c: float) -> np.ndarray:

@@ -9,8 +9,10 @@ stream over it.
 ``shared_table`` concatenates that stream once into one cached, read-only,
 sorted int64 array of the primes <= limit <= TABLE_LIMIT, for code that
 needs random access: the Goldbach prime masks, the singular series and the
-Lambda arrays and prime lists of the exponential-sum code. ``mobius_array``
-needs only the base primes. Segmented sieving follows Bays and Hudson
+prime lists of the exponential-sum code. ``_prime_powers`` reads it for the
+prime powers of an interval with their Lambda, and ``lambda_array`` is those
+of [1, hi] scattered into one array. ``mobius_array`` needs only the base
+primes. Segmented sieving follows Bays and Hudson
 (BIT 17, 1977).
 """
 
@@ -95,17 +97,32 @@ def _small_primes(n: int) -> list[int]:
 
 
 def lambda_array(hi: int) -> np.ndarray:
-    """Lambda(n) for all n <= hi as a float64 array (index 0 unused)."""
-    ps = shared_table(hi).primes(hi)
+    """Lambda(n) for all n <= hi as a float64 array (index 0 unused), from _prime_powers."""
     lam = np.zeros(hi + 1, dtype=np.float64)
-    lam[ps] = np.log(ps)
-    for p in ps[ps <= math.isqrt(hi)]:
-        p = int(p)
+    ns, w = _prime_powers(0, hi)
+    lam[ns] = w
+    return lam
+
+
+def _prime_powers(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prime powers n in (lo, hi], ascending, as int64, and Lambda(n) as float64.
+
+    Lambda is np.log(p) at a prime p and math.log(p) at each higher power of
+    p; only the primes <= hi are read, and no array of length hi is built.
+    """
+    ps = shared_table(hi).primes(hi)
+    ns = ps[np.searchsorted(ps, lo, side="right") :]
+    powers = []  # (p^k, log p) for k >= 2, the few powers up to hi
+    for p in ps[ps <= math.isqrt(hi)].tolist():
         pk = p * p
         while pk <= hi:
-            lam[pk] = math.log(p)
+            if pk > lo:
+                powers.append((pk, math.log(p)))
             pk *= p
-    return lam
+    powers.sort()
+    at = np.searchsorted(ns, [pk for pk, _ in powers])
+    lam = np.insert(np.log(ns), at, [w for _, w in powers])
+    return np.insert(ns, at, [pk for pk, _ in powers]), lam
 
 
 def mobius_array(hi: int) -> np.ndarray:

@@ -311,6 +311,38 @@ class TestDeskScale:
         assert usage.ru_maxrss < 500 * 1024  # kilobytes on Linux
 
 
+class TestStreamedSumMemory:
+    """The direct sums read their terms _FSUM_CHUNK at a time, and theorem_sum and
+    hb verify read Lambda at the prime powers only, so peak RSS stays far below
+    the arrays of length N or x that were built before.
+
+    VmHWM of the child on x86-64 Linux, Python 3.11, numpy 2.4, whole-array
+    code -> streamed: vdc 191 -> 31 MB, bprocess 191 -> 31 MB, theorem 171 ->
+    46 MB, hb verify 95 -> 66 MB, bilinear 374 -> 63 MB.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, limit_mb",
+        [
+            (["expsum", "vdc", "--h", "4", "--c", "1.1", "--N", "4194304"], 64),
+            (["expsum", "bprocess", "--h", "8", "--c", "1.1", "--N", "4194304"], 64),
+            (["expsum", "theorem", "--x", "4194304", "--c", "1.1", "--H", "1"], 80),
+            (["hb", "verify", "--x", "1048576", "--J", "3"], 80),
+            (["expsum", "bilinear", "--kind", "TypeI", "--x", "4194304", "--c", "1.1",
+              "--h", "2", "--M", "1", "--N", "4194304", "--bn", "log"], 100),
+        ],
+        ids=["vdc", "bprocess", "theorem", "hb-verify", "bilinear-log"],
+    )
+    def test_peak_rss(self, argv, limit_mb):
+        proc, hwm = run_process_hwm(*argv, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        header, row = proc.stdout.strip().splitlines()[-2:]
+        assert len(header.split(",")) == len(row.split(","))
+        if argv[0] == "hb":
+            assert dict(zip(header.split(","), row.split(",")))["mismatches"] == "0"
+        assert hwm < limit_mb * 1024  # kilobytes on Linux
+
+
 class TestOtherSubcommands:
     def test_goldbach3_defaults_remaining_exponents(self, capsys):
         rc, out, _ = run(capsys, "goldbach3", "--N", "10001", "--c1", "1.01")
@@ -370,8 +402,9 @@ class TestOtherSubcommands:
 
     def test_hb_verify_peak_memory(self):
         # hb_terms builds its coefficients in integers and ends with one float
-        # convolution: 92 MB on x86-64 Linux with Python 3.11, against 122 MB
-        # for a float chain with one running total and 168 MB with every term
+        # convolution: 65 MB on x86-64 Linux with Python 3.11 (92 MB with every
+        # array int64 and whole-slice products), against 122 MB for a float
+        # chain with one running total and 168 MB with every term
         proc, hwm = run_process_hwm("hb", "verify", "--x", "1000000", "--J", "3", timeout=60)
         assert proc.returncode == 0, proc.stderr
         header, row = proc.stdout.strip().splitlines()[-2:]

@@ -709,3 +709,96 @@ class TestReductionsMatchInlineFsum:
             "TypeII", a, b, mr, nr, alpha=alpha, g=g, u=u, x=x, h_weights=weights
         )
         assert got == want
+
+
+CHUNK = nc._FSUM_CHUNK
+EDGE_LENGTHS = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+
+
+class TestChunkEdges:
+    """The streamed sums equal one whole-array math.fsum at chunk edges, bit for bit.
+
+    Each reference forms every phase at once and sums the whole term array;
+    the sums under test read their terms _FSUM_CHUNK at a time.
+    """
+
+    @staticmethod
+    def parts(w, phase):
+        cos, sin = unit_exp_parts(phase)
+        return math.fsum(w * cos), math.fsum(w * sin)
+
+    @pytest.mark.parametrize("N", EDGE_LENGTHS)
+    def test_vdc_bound_check(self, N):
+        g = GammaExponent.from_c(1.3)
+        h, alpha = 7.0, 0.6180339
+        ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
+        want = math.hypot(*self.parts(1.0, h * ns.astype(np.float64) ** g.gamma + alpha * ns))
+        assert ex.vdc_bound_check(h, g, alpha, N).lhs == want
+
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    def test_b_process_direct(self, length):
+        g = GammaExponent.from_c(1.2)
+        N, h = 4 * CHUNK, 5.5
+        # [N + 1, N + length] and [N + 1.5, N + length + 1.5] each hold `length` integers
+        for a, b in ((N + 1, N + length), (N + 1.5, N + length + 1.5)):
+            ns = np.arange(math.ceil(a), math.ceil(a) + length, dtype=np.int64)
+            want = complex(*self.parts(1.0, h * ns.astype(np.float64) ** g.gamma))
+            assert ex.b_process_compare(h, g, N, (a, b)).direct == want
+
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    @pytest.mark.parametrize(
+        "mr, step", [(range(1, 2), 1), (range(3, 4), 1), (range(3, 4), -1), (range(-2, -1), -1)]
+    )
+    def test_bilinear_row(self, length, mr, step):
+        # one row m whose run of n with m*n in (x, 2x] is `length` long
+        g = GammaExponent.from_c(1.1)
+        m = mr[0]
+        x = abs(m) * length
+        n0 = 1 if m > 0 else -1  # the sign of n that makes m*n positive
+        nr = range(n0, n0 * (2 * length + 40), n0) if step == n0 else range(
+            n0 * (2 * length + 39), 0, -n0)
+        rng = np.random.default_rng(length)
+        b = rng.uniform(-1.0, 1.0, len(nr))
+        ns = np.array(nr, dtype=np.int64)
+        prod = m * ns
+        mask = (prod > x) & (prod <= 2 * x)
+        assert int(mask.sum()) == length
+        sel = prod[mask]
+        u, alpha, h, delta = 0.375, 0.2, 3, -0.75
+        re, im = self.parts(b[mask], alpha * sel + h * (sel + u) ** g.gamma)
+        want = math.hypot(delta * 0.5 * re, delta * 0.5 * im)
+        got = ex.bilinear_sum(
+            "TypeII", [0.5], b, mr, nr, alpha=alpha, g=g, u=u, x=x, h_weights={h: delta}
+        )
+        assert got == want
+
+
+class TestNarrowedHbDtypes:
+    def test_cast_that_would_wrap_raises(self):
+        for dtype, bad in ((np.int16, 32768), (np.int16, -32769), (np.int8, 128)):
+            with pytest.raises(ArithmeticError):
+                ex._narrow(np.array([0, bad, 1], dtype=np.int64), dtype)
+        a = np.array([-32768, 0, 432, 32767], dtype=np.int64)
+        got = ex._narrow(a, np.int16)
+        assert got.dtype == np.int16 and np.array_equal(got, a)
+        assert ex._narrow(np.zeros(0, dtype=np.int64), np.int8).dtype == np.int8
+
+    def test_convolutions_read_narrow_inputs(self, monkeypatch):
+        # mu_Z in int8 and U in int16; the integer Horner steps stay int64 and
+        # the last convolution reads A in int8
+        seen = []
+        dirichlet = ex._dirichlet
+        monkeypatch.setattr(
+            ex, "_dirichlet",
+            lambda f, g, hi: seen.append((f.dtype, g.dtype)) or dirichlet(f, g, hi),
+        )
+        x = 3000
+        lam = ex.hb_terms(ex.HbParams(J=3, x=x, Z=ex.min_valid_cutoff(x, 3)))
+        assert seen == [(np.int8, np.int64), (np.int64, np.int16), (np.int64, np.int16),
+                        (np.int8, np.float64)]
+        assert int(np.count_nonzero(np.abs(lam[1:] - sv.lambda_array(2 * x)[1:]) > 1e-12)) == 0
+
+    def test_coefficients_outside_int8_raise(self, monkeypatch):
+        monkeypatch.setattr(ex, "_hb_coefficients", lambda params: np.full(41, 128, np.int64))
+        with pytest.raises(ArithmeticError):
+            ex.hb_terms(ex.HbParams(J=2, x=20, Z=7))

@@ -280,3 +280,52 @@ class TestArithmeticFunctions:
         cum = np.cumsum(mu.astype(np.int64))
         for x in (10 ** 5, 10 ** 6, 10 ** 7):
             assert abs(int(cum[x])) <= x ** 0.6
+
+
+def old_lambda_array(hi):
+    """Lambda on [0, hi] as it was first written: np.log at primes, math.log at powers."""
+    ps = np.array(trial_division_primes(hi), dtype=np.int64)
+    lam = np.zeros(hi + 1)
+    lam[ps] = np.log(ps)
+    for p in ps[ps <= math.isqrt(hi)].tolist():
+        pk = p * p
+        while pk <= hi:
+            lam[pk] = math.log(p)
+            pk *= p
+    return lam
+
+
+class TestPrimePowers:
+    """_prime_powers(lo, hi) is the nonzero part of lambda_array(hi) on (lo, hi], bit for bit."""
+
+    @staticmethod
+    def check(lo, hi, lam):
+        ns, w = sv._prime_powers(lo, hi)
+        want = np.flatnonzero(lam[lo + 1 : hi + 1]) + lo + 1
+        assert ns.dtype == np.int64 and w.dtype == np.float64
+        assert np.array_equal(ns, want), (lo, hi)
+        assert w.tobytes() == lam[want].tobytes(), (lo, hi)
+
+    def test_lambda_array_bits(self):
+        for hi in (2, 3, 4, 100, 30000):
+            assert sv.lambda_array(hi).tobytes() == old_lambda_array(hi).tobytes()
+
+    @pytest.mark.parametrize("pk", [4, 8, 9, 97, 961, 1024, 2187, 3125, 65536])
+    def test_bounds_at_prime_powers(self, pk):
+        hi_max = 70000
+        lam = sv.lambda_array(hi_max)
+        edges = [pk - 1, pk, pk + 1]
+        for lo in edges + [0]:
+            for hi in edges + [hi_max]:
+                if 2 <= hi and lo <= hi:
+                    self.check(lo, hi, sv.lambda_array(hi))
+        assert lam[pk] > 0
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(25)
+        lam = sv.lambda_array(2 ** 20)
+        for _ in range(100):
+            lo, hi = sorted(int(v) for v in rng.integers(0, 2 ** 20, 2))
+            hi = max(hi, 2)
+            self.check(lo, hi, lam)
+        assert sv._prime_powers(1000, 1000)[0].size == 0
