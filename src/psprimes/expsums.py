@@ -552,7 +552,7 @@ def _bf_weight_vector(nmax: int, c: float) -> np.ndarray:
     pf = ps.astype(np.float64)
     t = pf ** (gam - 1.0)
     logp = np.log(pf)
-    return c * logp * _member_from_t(ps, pf, t, gam) / t - logp
+    return c * logp * _member_from_t(ps, pf, t, gam, int(ps[0]), int(ps[-1])) / t - logp
 
 
 @dataclass

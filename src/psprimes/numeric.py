@@ -191,11 +191,19 @@ def unit_exp_parts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _FSUM_CHUNK = 1 << 14
 # sigma = 2^(e + _EXTRACT_BITS) for a chunk below 2^e, with 2^_EXTRACT_BITS >= n + 2.
 _EXTRACT_BITS = (_FSUM_CHUNK + 1).bit_length()
-# fsum_array sends arrays of fewer entries to math.fsum over a list. On the
-# same VM, list fsum against extraction: 28 -> 36 us at 512 normal entries,
-# 30 -> 26 us at 768, 38 -> 30 us at 1024 and 85 -> 32 us at 2048, so
-# extraction wins from about 768; the hand-over stays at 2^11, which names the
-# edge cases of tests/test_numeric.py, at a cost of up to about 55 us per sum.
+# A float sum of a chunk's entries, all multiples of 2^lsb and below 2^e, is
+# exact once e <= lsb + _PLAIN_BITS: n*2^e <= 2^(lsb + 53) for n <= _FSUM_CHUNK.
+_PLAIN_BITS = 53 - (_FSUM_CHUNK.bit_length() - 1)
+# _exact_sum adds fewer entries than this as Python ints: at 8 entries that
+# takes about 5 us against 12 us for the passes, which cost less from about 24
+# (same VM). A sparse progression has a block this small per sieve segment.
+_EXACT_LIST = 16
+# fsum_array sends arrays of fewer entries to math.fsum over a list. On a
+# 2-core x86-64 VM (numpy 2.4), list fsum against extraction: 15 -> 17 us at
+# 512 normal entries, 23 -> 18 us at 768, 31 -> 20 us at 1024 and 62 -> 22 us
+# at 2048, so extraction wins from about 600; the hand-over stays at 2^11,
+# which names the edge cases of tests/test_numeric.py, at a cost of up to
+# about 40 us per sum. Either way the sum has the same bits.
 _FSUM_MIN = 1 << 11
 # Entries below 2^996 keep sigma at most 2^1011, so no pass can overflow, and
 # the exact int total needs no cap on the entries: an exact sum beyond the
@@ -220,8 +228,19 @@ def fsum_array(a: np.ndarray) -> float:
 
 
 def _exact_sum(a: np.ndarray) -> int:
-    """The exact sum of a 1-D float64 array in units of 2^-1074: ``_exact_sums`` in one group."""
-    return _exact_sums(a)[0]
+    """The exact sum of a 1-D float64 array in units of 2^-1074: ``_exact_sums`` in one group.
+
+    Below _EXACT_LIST entries the sum is taken in Python ints from each
+    entry's integer ratio, whose denominators are powers of two.
+    """
+    if a.size >= _EXACT_LIST:
+        return _exact_sums(a)[0]
+    vals = a.tolist()
+    if not all(abs(v) < _FSUM_BIG for v in vals):  # also for nan
+        raise ValueError("fsum terms must be finite and below 2^996 in magnitude")
+    ratios = [v.as_integer_ratio() for v in vals]
+    den = max((d for _, d in ratios), default=1)
+    return sum([n * (den // d) for n, d in ratios]) * ((1 << 1074) // den)
 
 
 def _exact_sums(a: np.ndarray, groups: np.ndarray | None = None, n: int = 1) -> list[int]:
@@ -229,48 +248,68 @@ def _exact_sums(a: np.ndarray, groups: np.ndarray | None = None, n: int = 1) -> 
 
     Each sum is a Python int in units of 2^-1074. ``groups`` holds the group
     of each entry, an int array as long as ``a``; None puts every entry in
-    group 0. Each chunk r of at most _FSUM_CHUNK entries runs passes of
-    ExtractVector (Rump, Ogita and Oishi, "Accurate floating-point summation
-    part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008) until its
-    remainder is zero. For max|r| < 2^e and sigma = 2^s, s = max(e +
-    _EXTRACT_BITS, -1022), q = (sigma + r) - sigma and r - q are exact.
-    Every q is a multiple of 2^max(s - 53, -1074), and the sum of any of them
-    stays below sigma, so the float sum of the q of each group is exact in
-    any order; it goes into the group's int. np.bincount takes every group at
-    once: times 2^min(53 - s, 1074), each of its sums is an integer below
-    2^53, so int64 holds it exactly. A pass with sigma = 2^(e +
-    _EXTRACT_BITS) leaves |r - q| <= 2^(e + _EXTRACT_BITS - 53), at least 37
-    binades lower. Once e + _EXTRACT_BITS < -1022, every entry is a multiple
-    of 2^-1074 below 2^-1037, where sigma = 2^-1022 spaces the floats near
-    sigma + r 2^-1074 apart as well: q = r, and the remainder is zero. From
-    below 2^996 a chunk therefore ends after at most 56 passes. Exact totals
-    of several arrays add as ints, and ``_round_exact`` rounds their sum
-    once, to math.fsum of all their entries; an empty group gives 0.
-    Precondition: every entry is finite and below 2^996 in magnitude
+    group 0. Each chunk r of at most _FSUM_CHUNK = 2^14 entries is split into
+    parts whose float sums are exact in any order: the entries of a part are
+    multiples of 2^u, and every sum of them is below 2^(u + 53). So
+    ndarray.sum, or np.bincount per group, adds a part exactly; times 2^-u
+    each of its sums is an integer below 2^53, which int64 holds exactly, and
+    it goes into the group's int.
+
+    The parts come from passes of ExtractVector (Rump, Ogita and Oishi,
+    "Accurate floating-point summation part I: faithful rounding", SIAM J.
+    Sci. Comput. 31(1), 2008). For |r| < 2^e and sigma = 2^s, s = max(e +
+    _EXTRACT_BITS, -1022), q = (sigma + r) - sigma and r - q are exact, q is
+    a multiple of 2^max(s - 53, -1074) whose sums stay below sigma, and
+    |r - q| <= 2^(s - 53): sigma + r lies in [sigma/2, 2*sigma), where floats
+    are at most 2^(s - 52) apart. The next pass therefore takes e = s - 52,
+    37 binades lower, from that bound and with no reduction over r; the
+    chunk ends when r - q is zero. Once s = -1022 the remainder, a
+    multiple of 2^-1074 of magnitude at most 2^-1075, is zero, so from below
+    2^996 a chunk ends after at most 56 passes.
+
+    When no entry of the chunk is zero and all share a sign, the smallest
+    magnitude, in [2^(f-1), 2^f), makes every entry, and so every remainder,
+    a multiple of 2^lsb, lsb = max(f - 53, -1074). Once e <= lsb +
+    _PLAIN_BITS, a sum of the at most 2^14 remainders stays below 2^(e + 14)
+    <= 2^(lsb + 53): r itself is the last part, and no pass runs to find it
+    zero. A sweep's block of t = p^(gamma-1) takes one pass and this sum.
+
+    Exact totals of several arrays add as ints, and ``_round_exact`` rounds
+    their sum once, to math.fsum of all their entries; an empty group gives
+    0. Precondition: every entry is finite and below 2^996 in magnitude
     (ValueError otherwise).
     """
-    totals = np.zeros(n, dtype=object)  # Python ints
+    totals = [0] * n if groups is None else np.zeros(n, dtype=object)  # Python ints
     for i in range(0, a.size, _FSUM_CHUNK):
         r = a[i : i + _FSUM_CHUNK]
-        top = max(r.max(), -r.min())
-        if not top < _FSUM_BIG:  # also for nan
+        top, bot = r.max(), r.min()
+        if not max(top, -bot) < _FSUM_BIG:  # also for nan
             raise ValueError("fsum terms must be finite and below 2^996 in magnitude")
-        while top != 0.0:
-            e = math.frexp(top)[1] + _EXTRACT_BITS  # top < 2^(e - _EXTRACT_BITS)
-            s = max(e, -1022)
-            sigma = math.ldexp(1.0, s)
-            q = r + sigma
-            q -= sigma
+        e = math.frexp(max(top, -bot))[1]  # |r| < 2^e
+        small = bot if bot > 0.0 else -top if top < 0.0 else 0.0
+        lsb = max(math.frexp(small)[1] - 53, -1074) if small else -math.inf
+        while True:
+            if e <= lsb + _PLAIN_BITS:
+                part, unit = r, lsb
+            else:
+                s = max(e + _EXTRACT_BITS, -1022)
+                sigma = math.ldexp(1.0, s)
+                part = r + sigma
+                part -= sigma
+                unit = max(s - 53, -1074)
             if groups is None:
-                num, den = float(q.sum()).as_integer_ratio()
+                num, den = float(part.sum()).as_integer_ratio()
                 totals[0] += (num << 1074) // den
             else:
-                scale = min(53 - s, 1074)
-                parts = np.ldexp(np.bincount(groups[i : i + _FSUM_CHUNK], q, n), scale)
-                totals += parts.astype(np.int64).astype(object) << (1074 - scale)
-            r = r - q
-            top = max(r.max(), -r.min())
-    return totals.tolist()
+                sums = np.ldexp(np.bincount(groups[i : i + _FSUM_CHUNK], part, n), -unit)
+                totals += sums.astype(np.int64).astype(object) << (1074 + unit)
+            if part is r:
+                break
+            r = r - part
+            e = s - 52
+            if e > lsb + _PLAIN_BITS and not r.any():
+                break
+    return list(totals)
 
 
 def _round_exact(total: int) -> float:

@@ -88,10 +88,13 @@ def _indicator_parts(ms: np.ndarray, gam: float) -> tuple[np.ndarray, np.ndarray
 
 def _ps_member_at(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
     """Boolean membership of each m in the int64 array ms, 1 <= m < 2^53 - 1."""
-    if ms.size and (ms.min() < 1 or ms.max() >= (1 << 53) - 1):
+    if not ms.size:
+        return np.zeros(0, dtype=bool)
+    m_lo, m_hi = int(ms.min()), int(ms.max())
+    if m_lo < 1 or m_hi >= (1 << 53) - 1:
         raise ValueError("m must lie in [1, 2^53 - 1)")
     mf = ms.astype(np.float64)
-    return _member_from_t(ms, mf, mf ** (g.gamma - 1.0), g.gamma)
+    return _member_from_t(ms, mf, mf ** (g.gamma - 1.0), g.gamma, m_lo, m_hi)
 
 
 # m is a member iff d = ceil(m^gam) - m^gam < D = (m+1)^gam - m^gam. By the
@@ -106,8 +109,8 @@ def _ps_member_at(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
 # ones, and each compared bound is rounded once more (< tol/64). Hence
 # d < lo - 2*tol proves membership and d >= hi + 2*tol proves none; every
 # other entry is re-decided by _indicator_parts.
-def _member_from_t(ms: np.ndarray, mf: np.ndarray, t: np.ndarray, gam: float) -> np.ndarray:
-    """Membership of each m in ms from its float mf and t = mf ** (gam - 1.0)."""
+def _member_bracket(ms: np.ndarray, mf: np.ndarray, t: np.ndarray, gam: float) -> np.ndarray:
+    """Membership of each m in ms from its float mf and t = mf ** (gam - 1.0), by the bracket."""
     y0 = mf * t
     d = np.ceil(y0)
     d -= y0
@@ -118,6 +121,42 @@ def _member_from_t(ms: np.ndarray, mf: np.ndarray, t: np.ndarray, gam: float) ->
     risky = ~((d > tol) & (d < 1.0 - tol) & (member | (d >= hi + 2.0 * tol)))
     if risky.any():
         member[risky] = _indicator_parts(ms[risky], gam)[0] == 1
+    return member
+
+
+# The bracket takes about 20 array passes. The screen below settles almost
+# every entry in 9, with bounds for all of ms, and hands the rest to the
+# bracket, so its rechecks are the bracket's own. For m in [m_lo, m_hi]:
+# - tol <= T = m_hi^gam*_ARRAY_GUARD_REL*(1 + 2^-40): y0 is within relative
+#   2^-46.9 of m^gam <= m_hi^gam, and the scalar power within 2^-47.
+# - the float hi - lo is at most gam*(1-gam)*m^(gam-2)*(1 + 2^-46.9) + 2^-52
+#   (t, and the roundings of hi, u = (1-gam)/m, 1 - u and hi*(1 - u)), below
+#   W = gam*(1-gam)*m_lo^(gam-2)*(1 + 2^-40) + 2^-50: m^(gam-2) falls with m,
+#   and the scalar power, its exponent gam - 2 rounded, is within relative
+#   2^-46.3.
+# - e = d - hi is rounded once, by at most 2^-54 <= T/256, as T >= 2^-46.
+# So 2*T < d < 1 - 2*T gives tol < d < 1 - tol, that bound rounded; then
+# e >= 3*T gives d >= hi + 2*tol and e <= -(W + 4*T) gives d < lo - 2*tol,
+# each bound rounded as the bracket rounds it: the bracket would settle the
+# entry, with the same membership.
+def _member_from_t(
+    ms: np.ndarray, mf: np.ndarray, t: np.ndarray, gam: float, m_lo: int, m_hi: int
+) -> np.ndarray:
+    """Membership of each m in ms, all in [m_lo, m_hi], from mf and t = mf ** (gam - 1.0)."""
+    T = _ARRAY_GUARD_REL * float(m_hi) ** gam * (1.0 + 2.0 ** -40)
+    W = gam * (1.0 - gam) * float(m_lo) ** (gam - 2.0) * (1.0 + 2.0 ** -40) + 2.0 ** -50
+    y0 = mf * t
+    d = np.ceil(y0)
+    d -= y0
+    e = gam * t  # hi
+    np.subtract(d, e, out=e)
+    member = e <= -(W + 4.0 * T)
+    sure = member | (e >= 3.0 * T)
+    sure &= d > 2.0 * T
+    sure &= d < 1.0 - 2.0 * T
+    if not sure.all():
+        rest = np.flatnonzero(~sure)
+        member[rest] = _member_bracket(ms[rest], mf[rest], t[rest], gam)
     return member
 
 
@@ -145,10 +184,11 @@ def ps_expansion_residual_array(ms: np.ndarray, g: GammaExponent) -> np.ndarray:
 
 
 # Primes per block of the counting sweep: membership is decided at each
-# block's primes in one kernel call, with about ten float temporaries per
-# entry. With blocks of 2^12, 2^13 and 2^14 primes, three warm counts to 10^7
-# took 57.8, 50.1 and 63.1 ms in process, and `ps count --x 30000000` peaked at
-# 32.8, 32.8 and 33.1 MB RSS (2-core x86-64 VM, numpy 2.4).
+# block's primes in one kernel call, with a few float temporaries per entry.
+# With blocks of 2^12, 2^13 and 2^14 primes, eight warm counts to 10^7 took
+# 75, 57 and 52 ms in process, and `ps count --x 30000000 --c 1.05` peaked at
+# 33.3, 33.2 and 33.6 MB RSS (2-core x86-64 VM, numpy 2.4); 2^13 keeps the
+# peak of the largest CLI count where it was.
 _BLOCK = 1 << 13
 
 
@@ -165,7 +205,7 @@ def _member_blocks(
             ps = stream_block[lo : lo + _BLOCK]
             pf = ps.astype(np.float64)
             t = pf ** (gam - 1.0)
-            member = _member_from_t(ps, pf, t, gam)
+            member = _member_from_t(ps, pf, t, gam, int(ps[0]), int(ps[-1]))
             if B is not None:
                 member[member] = _beatty_member_at(ps[member], B)
             yield ps, t, member

@@ -51,19 +51,36 @@ def prime_stream(x: int, q: int = 1, a: int = 0) -> Iterator[np.ndarray]:
 
     Each block holds the primes of one segment [k*_SEGMENT, (k+1)*_SEGMENT)
     of [0, x] (the prime 2 may come as a block of its own). When the cached
-    shared_table covers x, the blocks are read-only views of it for q = 1 and
-    filtered copies otherwise; else the odd integers of each segment are
-    sieved fresh, those = a (mod q) are read at stride lcm(2, q), and only the
-    base primes <= sqrt(x) persist between segments. Either way no table is
-    built or grown. x is checked on the call, before any block exists.
+    shared_table covers x and q < 2^31, the blocks are read-only views of it
+    for q = 1 and copies filtered by ``_in_class`` otherwise; else the odd
+    integers of each segment are sieved fresh, those = a (mod q) are read at
+    stride lcm(2, q), and only the base primes <= sqrt(x) persist between
+    segments. Either way no table is built or grown. x is checked on the
+    call, before any block exists.
     """
     if not 2 <= x <= MAX_LIMIT:
         raise ValueError(f"sieve limit must lie in [2, 2^34], got {x}")
-    if _table is not None and _table.limit >= x:
+    if _table is not None and _table.limit >= x and q < 1 << 31:
         ps = _table.primes(x)
         blocks = np.split(ps, np.searchsorted(ps, np.arange(_SEGMENT, x + 1, _SEGMENT)))
-        return iter(blocks) if q == 1 else (b[b % q == a % q] for b in blocks)
+        return iter(blocks) if q == 1 else (b.compress(_in_class(b, q, a)) for b in blocks)
     return _sieved(x, q, a % q)
+
+
+def _in_class(b: np.ndarray, q: int, a: int) -> np.ndarray:
+    """b = a (mod q), elementwise, for an int64 array 0 <= b <= 2^24 and 2 <= q < 2^31.
+
+    n = b + (-a mod q) is divisible by q iff n*c mod 2^64 < c, c = ceil(2^64/q)
+    (Lemire, Kaser and Kurz, "Faster remainder by direct computation", Softw.
+    Pract. Exp. 49(6), 2019): with n = k*q + r and c*q = 2^64 + f, 0 <= f < q,
+    n*c = k*f + r*c (mod 2^64). For r = 0, k*f <= n < c. For r >= 1,
+    c <= k*f + r*c < n + (q - 1)*(2^64/q + 1) <= 2^64, as (n + q)*q < (2^24 +
+    2^32)*2^31 < 2^64, so nothing wraps. The uint64 product wraps mod 2^64.
+    """
+    c = -(-(1 << 64) // q)
+    n = (b + (-a % q)).view(np.uint64)
+    n *= np.uint64(c)
+    return n < c
 
 
 def _sieved(x: int, q: int, a: int) -> Iterator[np.ndarray]:

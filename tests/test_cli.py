@@ -310,6 +310,15 @@ class TestDeskScale:
         assert row[4] == "2402521"
         assert usage.ru_maxrss < 500 * 1024  # kilobytes on Linux
 
+    def test_count_peak_rss_at_3e7(self):
+        # the largest count of the benchmark: the sweep holds one sieve
+        # segment and a few block temporaries, VmHWM 33.3 MB (x86-64 Linux,
+        # Python 3.11, numpy 2.4); a larger block or another buffer shows here
+        proc, hwm = run_process_hwm("ps", "count", "--x", "30000000", "--c", "1.05", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1].split(",")[4] == "821265"
+        assert hwm < 38 * 1024  # kilobytes on Linux
+
 
 class TestStreamedSumMemory:
     """The direct sums read their terms _FSUM_CHUNK at a time, and theorem_sum and

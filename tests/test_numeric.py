@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -611,6 +612,92 @@ class TestGroupedExactSum:
         a[[5, _CHUNK + 2, 2 * _CHUNK + 4]] = [1e16, 1.0, -1e16]
         assert nc._round_exact(nc._exact_sums(a, groups, 9)[1]) == 1.0
         self.check(a, groups, 9)
+
+
+def fraction_total(a):
+    """The exact sum of the entries of a in units of 2^-1074, in Fractions."""
+    total = sum(map(Fraction, a.tolist()), Fraction(0)) * 2 ** 1074
+    assert total.denominator == 1
+    return total.numerator
+
+
+_LIST = nc._EXACT_LIST
+
+
+@st.composite
+def exact_sum_case(draw):
+    """An array of one of the lengths where a path or a chunk changes, in one of
+    the shapes the proofs treat apart."""
+    n = draw(st.sampled_from(
+        [0, 1, 8, _LIST - 1, _LIST, _LIST + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["spread", "cancelling", "subnormal", "huge", "t-like", "ap-like"]))
+    if kind == "spread":
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 290, n)
+    elif kind == "cancelling":  # +-x pairs, so the sum is what the spikes leave
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        a = np.where(np.arange(n) % 2 == 0, x, -np.roll(x, 1))
+        if n >= 3:
+            a[rng.choice(n, 3, replace=False)] = [1e16, 1.0, -1e16]
+    elif kind == "subnormal":
+        a = rng.integers(-(2 ** 52), 2 ** 52, n) * 5e-324
+    elif kind == "huge":  # in [2^995, 2^996), either sign
+        a = np.ldexp(rng.uniform(0.5, 1.0, n), 996) * rng.choice([-1.0, 1.0], n)
+    else:  # a sweep block: t = p^(gamma - 1) falls with p; its integral terms rise to 0
+        gam = rng.uniform(0.5, 1.0)
+        p = np.sort(rng.integers(2, 10 ** 7, n)).astype(np.float64)
+        a = p ** (gam - 1.0)
+        if kind == "ap-like":
+            a = (float(p[-1] if n else 2.0) ** (gam - 1.0) - a) / (gam - 1.0)
+    return a
+
+
+class TestExactSum:
+    """_exact_sum and _exact_sums against exact Fraction sums, and rounded
+    against math.fsum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=exact_sum_case(), k=st.integers(1, 5))
+    def test_equals_fractions_and_fsum(self, a, k):
+        total = nc._exact_sum(a)
+        assert total == fraction_total(a)
+        rounded = fsum_outcome(lambda v: nc._round_exact(nc._exact_sum(v)), a)
+        assert rounded == fsum_outcome(math.fsum, a)
+        groups = np.arange(a.size) % k
+        assert nc._exact_sums(a, groups, k) == [fraction_total(a[groups == g]) for g in range(k)]
+
+    def test_second_pass_at_its_sigma_bound(self):
+        # after the first pass (sigma = 2^15) each of the first half leaves
+        # 2^-38 - 2^-53, just below the bound 2^(s - 53), all of one sign; the
+        # second half holds bits down to 2^-112. A second sigma below the one
+        # that bound gives would round the float sum of its parts.
+        rng = np.random.default_rng(7)
+        k = rng.integers(2 ** 36, 2 ** 37, _CHUNK // 2)
+        big = k * 2.0 ** -37 + (2.0 ** -38 - 2.0 ** -53)
+        tiny = rng.uniform(1.0, 2.0, _CHUNK // 2) * 2.0 ** -60
+        a = np.concatenate([big, tiny])
+        a[-1] = -a[-1]  # both signs: every part comes from a pass
+        assert nc._exact_sum(a) == fraction_total(a)
+
+    @pytest.mark.parametrize("c", [1.0 + 1e-9, 1.024, 1.5, 1.9])
+    def test_sweep_block_takes_one_pass(self, monkeypatch, c):
+        # t = m^(gamma - 1) on the first sweep block: positive, and within 2^23
+        # of its largest entry, so one pass and one plain float sum
+        t = np.arange(2, 2 + _CHUNK, dtype=np.float64) ** (1.0 / c - 1.0)
+        sigmas = []
+        ldexp = math.ldexp
+        monkeypatch.setattr(math, "ldexp", lambda x, e: sigmas.append(e) or ldexp(x, e))
+        assert nc._exact_sum(t) == fraction_total(t)
+        assert len(sigmas) == 1
+
+    @pytest.mark.parametrize("n", [1, 8, _LIST - 1, _LIST, _CHUNK + 1])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 ** 996, -(2.0 ** 996)])
+    def test_precondition_at_every_size(self, n, bad):
+        a = np.ones(n)
+        a[n // 2] = bad
+        with pytest.raises(ValueError, match="below 2\\^996"):
+            nc._exact_sum(a)
 
 
 class TestGammaExponent:

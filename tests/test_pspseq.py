@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from psprimes import pspseq as pq
 from psprimes import sieve as sv
-from psprimes.numeric import GammaExponent, _pow_parts_array
+from psprimes.numeric import _ARRAY_GUARD_REL, GammaExponent, _pow_parts_array
 
 
 def member_mask(limit, g):
@@ -343,6 +343,144 @@ class TestStreamingCount:
             count()
             assert np.array_equal(np.concatenate(seen), want)
             assert sum(rechecked) <= 8 and sum(rechecked) % 2 == 0
+
+
+def bracket_reference(ms, gam):
+    """The one-power bracket on every entry, as first written, with its certified
+    rechecks: (membership, the sorted m it re-decided)."""
+    mf = ms.astype(np.float64)
+    t = mf ** (gam - 1.0)
+    y0 = mf * t
+    d = np.ceil(y0) - y0
+    tol = y0 * _ARRAY_GUARD_REL
+    hi = gam * t
+    lo = hi * (1.0 - (1.0 - gam) / mf)
+    member = d < lo - 2.0 * tol
+    risky = ~((d > tol) & (d < 1.0 - tol) & (member | (d >= hi + 2.0 * tol)))
+    member[risky] = pq._indicator_parts(ms[risky], gam)[0] == 1
+    return member, np.sort(ms[risky])
+
+
+@st.composite
+def screen_case(draw):
+    """(ms, gamma, m_lo, m_hi): m in [1, 2^52), sorted or not, with bounds that
+    hold every m, and m placed where the screen's margins matter."""
+    exact_power = draw(st.booleans())
+    if exact_power:  # m = k^j +- 1 or k^j: m^gamma within tol of an integer
+        c, j = draw(st.sampled_from([(1.5, 3), (1.25, 5), (4.0 / 3.0, 4), (1.75, 7)]))
+        ks = draw(st.lists(st.integers(2, int(2.0 ** (52 / j))), min_size=1, max_size=10))
+        ms = [k ** j + dk for k in ks for dk in (-1, 0, 1)]
+    else:
+        c = draw(st.one_of(st.just(1.0 + 1e-9), st.floats(1.0, 2.0, exclude_min=True, exclude_max=True)))
+        ms = []
+    gam = GammaExponent.from_c(c).gamma
+    log_uniform = st.builds(lambda u: int(2.0 ** u), st.floats(0.0, 52.0, exclude_max=True))
+    # from 2^38 to 2^46 tol reaches 2^-8 to 1, so many d sit in the margins
+    margins = st.integers(1 << 38, 1 << 46)
+    ms += draw(st.lists(st.one_of(log_uniform, margins, st.integers(1, 10 ** 4)), max_size=60))
+    # m next to n^c, where y0 = m*t lies near the integer n
+    ns = draw(st.lists(st.builds(lambda u: int(2.0 ** u), st.floats(0.0, 52.0 * gam)), max_size=8))
+    ms += [int(float(n) ** c) + dk for n in ns for dk in (-1, 0, 1)]
+    ms = [m for m in ms if 1 <= m < 1 << 52] or [1]
+    ms = sorted(ms) if draw(st.booleans()) else draw(st.permutations(ms))
+    m_lo = max(1, min(ms) - draw(st.sampled_from([0, 1, 1000])))
+    m_hi = min((1 << 52) - 1, max(ms) + draw(st.sampled_from([0, 1, 1000])))
+    return np.array(ms, dtype=np.int64), gam, m_lo, m_hi
+
+
+def bracket_terms(m, gam):
+    """(d, tol, lo, hi) of the bracket at one m, computed as the kernel does."""
+    mf = np.array([float(m)])
+    t = mf ** (gam - 1.0)
+    y0 = mf * t
+    hi = gam * t
+    return (np.ceil(y0) - y0)[0], (y0 * _ARRAY_GUARD_REL)[0], (hi * (1.0 - (1.0 - gam) / mf))[0], hi[0]
+
+
+def edge_tie(gap, roots):
+    """The first (m, gamma) among the candidate roots, stepped a few ulps either
+    way, at which gap(d, tol, lo, hi) is exactly zero."""
+    for m, g0 in roots:
+        for k in range(-40, 41):
+            g = g0 + k * math.ulp(g0)
+            if 0.5 < g < 1.0 and gap(*bracket_terms(m, g)) == 0.0:
+                return m, g
+    raise AssertionError("no tie found")
+
+
+def bracket_roots(gap):
+    """Per m >= 2, the gammas where gap changes sign, by bisection in floats."""
+    gs = np.linspace(0.5 + 1e-9, 1.0 - 1e-9, 65).tolist()
+    for m in range(2, 200):
+        def f(g):
+            return gap(*bracket_terms(m, g))
+
+        for a, b in zip(gs, gs[1:]):
+            if f(a) * f(b) >= 0.0:
+                continue
+            while (a + b) / 2 not in (a, b):
+                a, b = (a, (a + b) / 2) if f(a) * f((a + b) / 2) <= 0.0 else ((a + b) / 2, b)
+            yield m, a
+
+
+class TestMemberScreen:
+    """_member_from_t settles most entries with bounds for the whole array and
+    leaves the rest to the per-entry bracket: on every entry its membership and
+    its rechecks are the bracket's own."""
+
+    @staticmethod
+    def check(ms, gam, m_lo, m_hi):
+        want, want_rechecked = bracket_reference(ms, gam)
+        rechecked = []
+        certified = pq._indicator_parts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                pq, "_indicator_parts", lambda m, g: rechecked.append(m.copy()) or certified(m, g)
+            )
+            mf = ms.astype(np.float64)
+            got = pq._member_from_t(ms, mf, mf ** (gam - 1.0), gam, m_lo, m_hi)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.sort(np.concatenate([np.zeros(0, np.int64), *rechecked])), want_rechecked)
+        return want_rechecked.size
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=screen_case())
+    def test_equals_the_bracket_on_every_entry(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("edge", ["member", "non-member", "integer above"])
+    def test_ties_on_the_bracket_edges(self, edge):
+        # m and gamma where d lands exactly on an edge of the bracket: strict
+        # (d < lo - 2*tol, d < 1 - tol) or not (d >= hi + 2*tol), so a flipped
+        # comparison changes what is re-decided. d == tol cannot occur: it
+        # needs y0 = ceil(y0)/(1 + 2^-46), a float only when it is an
+        # integer, and then d = 0.
+        if edge == "member":
+            gap = lambda d, tol, lo, hi: d - (lo - 2.0 * tol)  # noqa: E731
+            m, gam = edge_tie(gap, bracket_roots(gap))
+        elif edge == "non-member":
+            gap = lambda d, tol, lo, hi: d - (hi + 2.0 * tol)  # noqa: E731
+            m, gam = edge_tie(gap, bracket_roots(gap))
+        else:  # y0 = m^gamma just above the integer j, by j*2^-46
+            gap = lambda d, tol, lo, hi: d - (1.0 - tol)  # noqa: E731
+            roots = ((m, (math.log(j) + 2.0 ** -46) / math.log(m)) for m in range(3, 200) for j in range(2, m))
+            m, gam = edge_tie(gap, ((m, g) for m, g in roots if 0.5 < g < 1.0))
+        rechecks = self.check(np.array([m], dtype=np.int64), gam, m, m)
+        assert rechecks == (edge != "non-member")
+
+    @pytest.mark.parametrize("c", [1.0 + 1e-9, 1.024, 1.3, 1.9])
+    def test_sweep_blocks_leave_few_entries_to_the_bracket(self, monkeypatch, c):
+        # the scalar bounds are tight enough that the bracket sees a small
+        # share of a sweep; most of that share is the first block, where m
+        # starts at 2 and the bracket (1 - gamma)/m is widest
+        seen, total = [], 0
+        bracket = pq._member_bracket
+        monkeypatch.setattr(
+            pq, "_member_bracket", lambda ms, *args: seen.append(ms.size) or bracket(ms, *args)
+        )
+        for ps, _, _ in pq._member_blocks(10 ** 6, 1, 0, GammaExponent.from_c(c).gamma):
+            total += ps.size
+        assert sum(seen) < total // 50
 
 
 class TestMemberStream:

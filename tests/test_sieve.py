@@ -227,6 +227,30 @@ class TestPrimeStream:
                 got = joined(stream(x, q, a))
                 assert np.array_equal(got, want), (warm, x, q, a)
 
+    def test_warm_residue_filter_at_the_table_cap(self, monkeypatch):
+        # the filter of the cached list against int64 b % q, block for block,
+        # with primes up to 2^24, where n*c comes nearest to wrapping
+        monkeypatch.setattr(sv, "_table", None)
+        sv.shared_table(sv.TABLE_LIMIT)
+        rng = random.Random(24)
+        x = sv.TABLE_LIMIT - rng.randrange(100)
+        whole = list(sv.prime_stream(x))
+        for q in [*range(1, 31), 9973, 10 ** 4]:
+            a = rng.randrange(-(10 ** 5), 10 ** 5)
+            got = list(sv.prime_stream(x, q, a))
+            assert len(got) == len(whole)
+            for b, w in zip(got, whole):
+                assert b.dtype == np.int64 and np.array_equal(b, w[w % q == a % q]), (q, a)
+
+    @pytest.mark.parametrize("q", [2 ** 31 - 1, 2 ** 31 + 11, 3 ** 30, 10 ** 12 + 39])
+    def test_moduli_beyond_the_filter(self, monkeypatch, q):
+        # with the table warm the filter takes q < 2^31, and a larger q sieves
+        monkeypatch.setattr(sv, "_table", None)
+        sv.shared_table(5000)
+        for a, want in ((997, [997]), (998, []), (q + 997, [997]), (-q + 3, [3])):
+            assert joined(stream(1000, q, a)).tolist() == want
+
+
 
 class TestArithmeticFunctions:
     def test_von_mangoldt_examples(self):
