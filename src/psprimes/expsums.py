@@ -7,12 +7,13 @@ combinatorial von Mangoldt decomposition, and the weighted-versus-classical
 prime-sum discrepancy with its alpha scans. A scan evaluates each rational
 alpha = a/q exactly, from the weights summed over the residue classes mod q.
 
-Every reduction is an exactly rounded sum (``numeric.fsum_array``: exact
-extraction, repeated until nothing remains, equal to math.fsum), so every
-result is deterministic. Every direct exponential sum goes through
-``_weighted_parts``, which forms its phases and terms _FSUM_CHUNK at a time,
-adds the exact int of each chunk and rounds once: its memory is a few chunks
-however many the terms, and the digits are those of one sum over them all.
+Every reduction is an exactly rounded sum, math.fsum of an expansion from
+``numeric._exact_parts`` (exact extraction, repeated until nothing
+remains), so every result is deterministic. Every direct exponential sum
+goes through ``_weighted_parts``, which forms its phases and terms
+_FSUM_CHUNK at a time, adds the expansion of each chunk and rounds once: its
+memory is a few chunks however many the terms, and the digits are those of
+one sum over them all.
 The central sum reads Lambda only at the prime powers (``sieve._prime_powers``).
 The von Mangoldt decomposition builds its coefficients exactly in integers,
 each array in the narrowest dtype its bound allows, and takes one float step,
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import _FSUM_CHUNK, GammaExponent, _exact_sum, _exact_sums, _iroot, _round_exact
+from .numeric import _FSUM_CHUNK, GammaExponent, _exact_parts, _group_fsums, _iroot
 from .numeric import fsum_array, unit_exp, unit_exp_parts
 from .pspseq import _member_from_t
 from .sieve import _prime_powers, mobius_array, shared_table
@@ -109,17 +110,16 @@ def _weighted_parts(weights, ns, phase) -> tuple[float, float]:
     ns is a range or a 1-D array; weights is a scalar or an array aligned
     with ns; phase maps a run of entries of ns, as an array, to their float64
     phases. Both are read _FSUM_CHUNK entries at a time, so the temporaries
-    stay a few chunks long however long ns is: the products of each chunk go
-    into one exact int (numeric._exact_sum), and the total is rounded once,
-    to the bits of math.fsum over all the terms; a single chunk goes to
-    fsum_array, which sends a short one to math.fsum itself.
+    stay a few chunks long however long ns is: the expansions of the products
+    of each chunk (numeric._exact_parts) are concatenated, and math.fsum
+    rounds them once, to the bits of math.fsum over all the terms.
 
     From 2^52 on, float64 spacing is a whole turn and e(phase) would read 1,
     so a phase that is not finite or reaches 2^52 raises ValueError. Callers
     form phases under np.errstate(over="ignore", invalid="ignore"): one that
     overflowed is inf or nan, and is rejected here without a numpy warning.
     """
-    re = im = 0  # exact sums in units of 2^-1074
+    re, im = [], []  # the expansions of the two sums
     for lo in range(0, len(ns), _FSUM_CHUNK):
         part = ns[lo : lo + _FSUM_CHUNK]
         if isinstance(part, range):
@@ -131,11 +131,9 @@ def _weighted_parts(weights, ns, phase) -> tuple[float, float]:
         w = weights if np.ndim(weights) == 0 else weights[lo : lo + _FSUM_CHUNK]
         cos *= w  # in place, with the bits of w * cos
         sin *= w
-        if len(ns) <= _FSUM_CHUNK:
-            return fsum_array(cos), fsum_array(sin)
-        re += _exact_sum(cos)
-        im += _exact_sum(sin)
-    return _round_exact(re), _round_exact(im)
+        re += _exact_parts(cos)
+        im += _exact_parts(sin)
+    return math.fsum(re), math.fsum(im)
 
 
 def _weighted_abs_sum(weights: np.ndarray, ns, phase) -> float:
@@ -587,7 +585,7 @@ def alpha_scan(nmax: int, c: float, grid_size: int) -> AlphaScanResult:
     ps = shared_table(nmax).primes(nmax)
     values: dict[float, float] = {}
     for q, nums in numerators.items():
-        big_w = np.array([_round_exact(s) for s in _exact_sums(w, ps % q, q)])
+        big_w = _group_fsums(w, ps % q, q)
         ks = np.flatnonzero(big_w)
         big_w = big_w[ks]
         cos, sin = unit_exp_parts(np.arange(q) / q)

@@ -11,15 +11,16 @@ A floor that is off by one corrupts every downstream membership count,
 which is why nothing here trusts a bare float comparison near an
 integer boundary.
 
-Exact sums run error-free extraction until nothing remains: ``_exact_sum``
-takes one array into an exact integer (``_exact_sums`` one per group of its
-entries), callers add the integers of their blocks, and ``_round_exact``
-rounds the total once; ``fsum_array`` does both for one array.
+An exact sum is an expansion, a short list of floats with that exact sum
+(Shewchuk, DCG 18, 1997): ``_exact_parts`` extracts one from an array,
+callers concatenate those of their blocks, and math.fsum rounds the sum
+once; ``fsum_array`` does both for one array, ``_group_fsums`` per group.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -194,66 +195,37 @@ _EXTRACT_BITS = (_FSUM_CHUNK + 1).bit_length()
 # A float sum of a chunk's entries, all multiples of 2^lsb and below 2^e, is
 # exact once e <= lsb + _PLAIN_BITS: n*2^e <= 2^(lsb + 53) for n <= _FSUM_CHUNK.
 _PLAIN_BITS = 53 - (_FSUM_CHUNK.bit_length() - 1)
-# _exact_sum adds fewer entries than this as Python ints: at 8 entries that
-# takes about 5 us against 12 us for the passes, which cost less from about 24
-# (same VM). A sparse progression has a block this small per sieve segment.
-_EXACT_LIST = 16
-# fsum_array sends arrays of fewer entries to math.fsum over a list. On a
-# 2-core x86-64 VM (numpy 2.4), list fsum against extraction: 15 -> 17 us at
-# 512 normal entries, 23 -> 18 us at 768, 31 -> 20 us at 1024 and 62 -> 22 us
-# at 2048, so extraction wins from about 600; the hand-over stays at 2^11,
-# which names the edge cases of tests/test_numeric.py, at a cost of up to
-# about 40 us per sum. Either way the sum has the same bits.
-_FSUM_MIN = 1 << 11
-# Entries below 2^996 keep sigma at most 2^1011, so no pass can overflow, and
-# the exact int total needs no cap on the entries: an exact sum beyond the
-# float range raises OverflowError from the final division, as math.fsum does.
+# _exact_parts returns an array of fewer entries as its list: a short array is
+# its own expansion. math.fsum of that list against math.fsum of the
+# extracted parts, standard normal entries and then a sweep's t = p^(gamma-1)
+# (2-core x86-64 VM, Python 3.11, numpy 2.4): 1.7 -> 14 and 1.8 -> 9 us at
+# 64 entries, 8 -> 16 and 9 -> 11 us at 256, 18 -> 19 and 17 -> 12 us at
+# 512, 32 -> 18 and 34 -> 13 us at 1024, 75 -> 23 and 62 -> 16 us at 2048.
+# 2^9 lies between the two cross-overs; either way the sum has the same bits.
+_EXPAND_MIN = 1 << 9
+# Entries below 2^996 keep sigma at most 2^1011, so no pass can overflow.
 # fsum_array leaves an array with a larger or a non-finite entry to math.fsum.
 _FSUM_BIG = 2.0 ** 996
 
 
 def fsum_array(a: np.ndarray) -> float:
-    """Exactly rounded sum of a 1-D float64 array: math.fsum of its elements.
-
-    Fewer than _FSUM_MIN entries, or an array outside ``_exact_sum``'s
-    precondition, go to math.fsum itself.
-    """
+    """math.fsum of the elements of a 1-D float64 array, as math.fsum of its expansion."""
     a = np.asarray(a, dtype=np.float64)
-    if a.size < _FSUM_MIN:
-        return math.fsum(a.tolist())
     try:
-        return _round_exact(_exact_sum(a))
+        parts = _exact_parts(a)
     except ValueError:  # an entry is not finite or reaches 2^996
         return math.fsum(a)
+    return math.fsum(parts)
 
 
-def _exact_sum(a: np.ndarray) -> int:
-    """The exact sum of a 1-D float64 array in units of 2^-1074: ``_exact_sums`` in one group.
+def _exact_parts(a: np.ndarray) -> list[float]:
+    """An expansion of the sum of a 1-D float64 array: floats whose exact sum is its exact sum.
 
-    Below _EXACT_LIST entries the sum is taken in Python ints from each
-    entry's integer ratio, whose denominators are powers of two.
-    """
-    if a.size >= _EXACT_LIST:
-        return _exact_sums(a)[0]
-    vals = a.tolist()
-    if not all(abs(v) < _FSUM_BIG for v in vals):  # also for nan
-        raise ValueError("fsum terms must be finite and below 2^996 in magnitude")
-    ratios = [v.as_integer_ratio() for v in vals]
-    den = max((d for _, d in ratios), default=1)
-    return sum([n * (den // d) for n, d in ratios]) * ((1 << 1074) // den)
-
-
-def _exact_sums(a: np.ndarray, groups: np.ndarray | None = None, n: int = 1) -> list[int]:
-    """The exact sum of the entries of a 1-D float64 array in each group k < n.
-
-    Each sum is a Python int in units of 2^-1074. ``groups`` holds the group
-    of each entry, an int array as long as ``a``; None puts every entry in
-    group 0. Each chunk r of at most _FSUM_CHUNK = 2^14 entries is split into
-    parts whose float sums are exact in any order: the entries of a part are
-    multiples of 2^u, and every sum of them is below 2^(u + 53). So
-    ndarray.sum, or np.bincount per group, adds a part exactly; times 2^-u
-    each of its sums is an integer below 2^53, which int64 holds exactly, and
-    it goes into the group's int.
+    Fewer than _EXPAND_MIN entries are returned as they are. Otherwise each
+    chunk r of at most _FSUM_CHUNK = 2^14 entries is split into parts whose
+    float sums are exact in any order: the entries of a part are multiples of
+    2^u, and every sum of them is below 2^(u + 53). So ndarray.sum adds a
+    part exactly, and the list holds one float per part.
 
     The parts come from passes of ExtractVector (Rump, Ogita and Oishi,
     "Accurate floating-point summation part I: faithful rounding", SIAM J.
@@ -274,12 +246,35 @@ def _exact_sums(a: np.ndarray, groups: np.ndarray | None = None, n: int = 1) -> 
     <= 2^(lsb + 53): r itself is the last part, and no pass runs to find it
     zero. A sweep's block of t = p^(gamma-1) takes one pass and this sum.
 
-    Exact totals of several arrays add as ints, and ``_round_exact`` rounds
-    their sum once, to math.fsum of all their entries; an empty group gives
-    0. Precondition: every entry is finite and below 2^996 in magnitude
-    (ValueError otherwise).
+    Expansions of several arrays concatenate into one of all their entries,
+    and math.fsum rounds it once, to math.fsum of those entries (+0.0 for a
+    zero sum). Precondition from _EXPAND_MIN entries on: every entry is
+    finite and below 2^996 in magnitude (ValueError otherwise).
     """
-    totals = [0] * n if groups is None else np.zeros(n, dtype=object)  # Python ints
+    if a.size < _EXPAND_MIN:
+        return a.tolist()
+    return [float(part.sum()) for _, part, _ in _passes(a)]
+
+
+def _group_fsums(a: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
+    """math.fsum of the entries of a 1-D float64 array in each group k < n.
+
+    ``groups`` is an int array as long as ``a``. np.bincount adds each part
+    of ``_exact_parts`` per group exactly: times 2^-u a group's sum is an
+    integer below 2^53, held exactly by int64, and it goes into the group's
+    Python int in units of 2^-1074, rounded once at the end (+0.0 for an
+    empty group). Precondition as for ``_exact_parts`` at any size.
+    """
+    totals = np.zeros(n, dtype=object)  # Python ints
+    for i, part, unit in _passes(a):
+        sums = np.ldexp(np.bincount(groups[i : i + _FSUM_CHUNK], part, n), -unit)
+        totals += sums.astype(np.int64).astype(object) << (1074 + unit)
+    return (totals / (1 << 1074)).astype(np.float64)
+
+
+def _passes(a: np.ndarray) -> Iterator[tuple[int, np.ndarray, int]]:
+    """(start of the chunk, part, u) for each part of each chunk of a, as
+    ``_exact_parts`` describes: the entries of the part are multiples of 2^u."""
     for i in range(0, a.size, _FSUM_CHUNK):
         r = a[i : i + _FSUM_CHUNK]
         top, bot = r.max(), r.min()
@@ -290,28 +285,14 @@ def _exact_sums(a: np.ndarray, groups: np.ndarray | None = None, n: int = 1) -> 
         lsb = max(math.frexp(small)[1] - 53, -1074) if small else -math.inf
         while True:
             if e <= lsb + _PLAIN_BITS:
-                part, unit = r, lsb
-            else:
-                s = max(e + _EXTRACT_BITS, -1022)
-                sigma = math.ldexp(1.0, s)
-                part = r + sigma
-                part -= sigma
-                unit = max(s - 53, -1074)
-            if groups is None:
-                num, den = float(part.sum()).as_integer_ratio()
-                totals[0] += (num << 1074) // den
-            else:
-                sums = np.ldexp(np.bincount(groups[i : i + _FSUM_CHUNK], part, n), -unit)
-                totals += sums.astype(np.int64).astype(object) << (1074 + unit)
-            if part is r:
+                yield i, r, lsb
                 break
+            s = max(e + _EXTRACT_BITS, -1022)
+            sigma = math.ldexp(1.0, s)
+            part = r + sigma
+            part -= sigma
+            yield i, part, max(s - 53, -1074)
             r = r - part
             e = s - 52
             if e > lsb + _PLAIN_BITS and not r.any():
                 break
-    return list(totals)
-
-
-def _round_exact(total: int) -> float:
-    """An exact sum in units of 2^-1074, rounded as math.fsum rounds (+0.0 for 0)."""
-    return total / (1 << 1074)

@@ -29,9 +29,10 @@ in blocks of at most _BLOCK primes taken from ``sieve.prime_stream``, it
 yields each block's primes, t = p^(gamma-1) and their membership, decided
 from that same t (the Beatty test only at the floor-power members). Each
 count is a short loop over it. Each block's main-term terms are extracted
-into an exact integer, the integers are added, and the total is rounded
-once. Memory is O(segment + sqrt(x)) whatever x is; no table is built, but
-the stream slices a cached prime list that covers x instead of sieving.
+into an expansion (``numeric._exact_parts``), the expansions are
+concatenated, and math.fsum rounds them once. Memory is O(segment +
+sqrt(x)) whatever x is; no table is built, but the stream slices a cached
+prime list that covers x instead of sieving.
 Goldbach counts and the weights of ``bf_discrepancy`` decide membership at
 the primes of the shared prime list, which the singular series reads too.
 """
@@ -45,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numeric import _ARRAY_GUARD_REL, GammaExponent, _exact_sum, _pow_parts_array, _round_exact
+from .numeric import _ARRAY_GUARD_REL, _FSUM_CHUNK, GammaExponent, _exact_parts, _pow_parts_array
 from .numeric import floor_neg_pow
 from .sieve import prime_stream, shared_table
 
@@ -207,17 +208,26 @@ def _member_blocks(
             t = pf ** (gam - 1.0)
             member = _member_from_t(ps, pf, t, gam, int(ps[0]), int(ps[-1]))
             if B is not None:
-                member[member] = _beatty_member_at(ps[member], B)
+                kept = np.flatnonzero(member)
+                member[kept] = _beatty_member_at(ps[kept], B)
             yield ps, t, member
 
 
 def _refined(x: int, gam: float, q: int, a: int) -> tuple[float, int]:
     """(refined main term, members) for the primes p = a (mod q) up to x."""
-    total = members = 0
+    parts, members = [], 0
     for _, t, member in _member_blocks(x, q, a, gam):
-        total += _exact_sum(t)
+        _add_exact(parts, t)
         members += int(np.count_nonzero(member))
-    return gam * _round_exact(total), members
+    return gam * math.fsum(parts), members
+
+
+def _add_exact(parts: list[float], terms: np.ndarray) -> None:
+    """parts += the expansion of terms, refolded from _FSUM_CHUNK floats on: the
+    short blocks of a sparse progression are their own expansions."""
+    parts += _exact_parts(terms)
+    if len(parts) >= _FSUM_CHUNK:
+        parts[:] = _exact_parts(np.array(parts))
 
 
 def refined_main_term(x: int, c: float, q: int = 1, a: int = 0) -> float:
@@ -266,12 +276,12 @@ def ps_prime_count_ap(x: int, c: float, q: int, a: int) -> PsCountReport:
         raise ValueError(f"require gcd(a, q) = 1, got a={a}, q={q}")
     gam = GammaExponent.from_c(c).gamma
     xg1 = float(x) ** (gam - 1.0)
-    integral = count = primes = 0
+    integral, count, primes = [], 0, 0
     for ps, t, member in _member_blocks(x, q, a % q, gam):
-        integral += _exact_sum((xg1 - t) / (gam - 1.0))
+        _add_exact(integral, (xg1 - t) / (gam - 1.0))
         count += int(np.count_nonzero(member))
         primes += ps.size
-    main = gam * xg1 * primes + gam * (1.0 - gam) * _round_exact(integral)
+    main = gam * xg1 * primes + gam * (1.0 - gam) * math.fsum(integral)
     return PsCountReport(
         x=x,
         c=c,
@@ -589,7 +599,7 @@ def goldbach3_count(
     member = {}
     for c in set(cs):
         member[c] = np.zeros(N + 1, dtype=bool)
-        member[c][ps[_ps_member_at(ps, GammaExponent.from_c(c))]] = True
+        member[c][ps.compress(_ps_member_at(ps, GammaExponent.from_c(c)))] = True
     ind = [member[c] for c in cs]
     others = ((1, 2), (0, 2), (0, 1))  # the two places other than the i-th
     if N % 2:  # no 2 (p = 2k + 1 makes the sum k1 + k2 + k3 = M), or two 2s

@@ -1,7 +1,9 @@
+import ast
 import math
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -303,7 +305,9 @@ def fsum_outcome(fsum, a):
     return "nan" if math.isnan(v) else (v, math.copysign(1.0, v))
 
 
-_MIN = nc._FSUM_MIN
+_MIN = nc._EXPAND_MIN
+# 2^11 entries: a partial chunk well above the hand-over
+_MID = 1 << 11
 
 
 class TestFsumArrayEdges:
@@ -314,7 +318,7 @@ class TestFsumArrayEdges:
         [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf], [math.inf, math.nan],
          [1e308, 1e308, -1e308], [2.0 ** 996], [-(2.0 ** 996)], [2.0 ** 1000, -(2.0 ** 1000)]],
     )
-    @pytest.mark.parametrize("n", [0, _MIN - 4, _MIN + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("n", [0, _MIN - 4, _MIN + 1, _MID - 4, _MID + 1, 3 * _CHUNK + 5])
     def test_nonfinite_and_huge_entries(self, special, n):
         rng = np.random.default_rng(n)
         a = np.concatenate([rng.standard_normal(n), special])
@@ -330,7 +334,7 @@ class TestFsumArrayEdges:
             with pytest.raises(OverflowError):
                 fsum(a)
 
-    @pytest.mark.parametrize("n", [_MIN - 1, _MIN, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("n", [_MIN - 1, _MIN, _MID - 1, _MID, 2 * _CHUNK + 3])
     def test_zero_and_signed_zero_sums_are_plus_zero(self, n):
         rng = np.random.default_rng(n)
         mixed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
@@ -338,7 +342,7 @@ class TestFsumArrayEdges:
         for a in (np.zeros(n), np.full(n, -0.0), mixed, np.concatenate([x, -x[::-1]])):
             assert fsum_outcome(nc.fsum_array, a) == fsum_outcome(math.fsum, a) == (0.0, 1.0)
 
-    @pytest.mark.parametrize("n", [_MIN + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("n", [_MIN + 1, _MID + 1, 3 * _CHUNK + 5])
     def test_subnormal_only(self, n):
         rng = np.random.default_rng(n)
         a = rng.integers(-(2 ** 52), 2 ** 52, n) * 5e-324  # exact multiples of 2^-1074
@@ -346,23 +350,25 @@ class TestFsumArrayEdges:
         assert np.all(np.abs(a) < 2.0 ** -1022)
         assert fsum_outcome(nc.fsum_array, a) == fsum_outcome(math.fsum, a)
 
-    @pytest.mark.parametrize("n", [_MIN - 2, _MIN - 1, _MIN, _MIN + 1])
+    @pytest.mark.parametrize(
+        "n", [_MIN - 2, _MIN - 1, _MIN, _MIN + 1, _MID - 2, _MID - 1, _MID, _MID + 1]
+    )
     def test_sizes_around_the_crossover(self, n):
         for seed in range(20):
             rng = np.random.default_rng(seed)
             a = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
             assert fsum_outcome(nc.fsum_array, a) == fsum_outcome(math.fsum, a)
 
-    def test_finite_arrays_are_binned_without_fsum(self, monkeypatch):
+    def test_fsum_sees_only_the_parts(self, monkeypatch):
         rng = np.random.default_rng(1)
         a = rng.standard_normal(3 * _CHUNK) * 10.0 ** rng.integers(-300, 300, 3 * _CHUNK)
         want = math.fsum(a)
-
-        def no_fsum(_):
-            raise AssertionError("math.fsum reached")
-
-        monkeypatch.setattr(math, "fsum", no_fsum)
+        fsum, seen = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda xs: seen.append(list(xs)) or fsum(xs))
         assert nc.fsum_array(a) == want
+        # one call, on the expansion: at most 56 parts per chunk, not the entries
+        assert seen == [nc._exact_parts(a)]
+        assert len(seen[0]) <= 3 * 56
 
 
 def stream_case(n, cuts, seed, spikes):
@@ -376,13 +382,18 @@ def stream_case(n, cuts, seed, spikes):
     return a, [a[lo:hi] for lo, hi in zip(edges, edges[1:])]
 
 
+def concatenated_parts(blocks):
+    """The expansions of the blocks, concatenated: an expansion of them all."""
+    return [p for b in blocks for p in nc._exact_parts(b)]
+
+
 def stream_sum(blocks):
-    """The sum of the per-block exact totals, rounded once."""
-    return nc._round_exact(sum(nc._exact_sum(b) for b in blocks))
+    """The concatenated expansions of the blocks, rounded once."""
+    return math.fsum(concatenated_parts(blocks))
 
 
 class TestFsumStream:
-    """Per-block exact totals, added and rounded once, against math.fsum of them all."""
+    """Per-block expansions, concatenated and rounded once, against math.fsum of them all."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -409,11 +420,11 @@ class TestFsumStream:
             got = stream_sum(blocks)
             assert (got, math.copysign(1.0, got)) == (0.0, 1.0)
 
-    def test_short_stream_goes_to_fsum(self, monkeypatch):
-        # fsum_array sends fewer than _FSUM_MIN entries to math.fsum
-        monkeypatch.setattr(math, "fsum", lambda _: "fsum")
-        assert nc.fsum_array(np.ones(_MIN - 1)) == "fsum"
-        assert nc.fsum_array(np.ones(_MIN)) == _MIN
+    def test_short_stream_goes_to_fsum(self):
+        # fewer than _EXPAND_MIN entries are their own expansion
+        assert nc._exact_parts(np.ones(_MIN - 1)) == [1.0] * (_MIN - 1)
+        # from there on, one pass and the plain sum of its zero remainder
+        assert nc._exact_parts(np.ones(_MIN)) == [float(_MIN), 0.0]
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 ** 996, -(2.0 ** 996)])
     def test_precondition_is_checked(self, bad):
@@ -437,6 +448,36 @@ class TestFsumStream:
         a[[_CHUNK - 1, 4 * _CHUNK, 8 * _CHUNK + 2]] = [1e16, 1.0, -1e16]
         # per-block rounding would give 0.0
         assert stream_sum(blocks) == 1.0
+
+
+def fraction_sum(xs):
+    """The exact sum of a list or array of floats, as a Fraction."""
+    return sum(map(Fraction, list(xs)), Fraction(0))
+
+
+class TestExpansions:
+    """Expansions concatenate: the parts of any blocks of an array hold its exact sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, 8, _MIN - 1, _MIN + 1, _CHUNK + 1, 2 * _CHUNK + 9]),
+        cuts=st.lists(st.integers(0, 2 * _CHUNK + 9), max_size=10),
+        seed=st.integers(0, 2 ** 32 - 1),
+        spikes=st.lists(
+            st.tuples(
+                st.integers(0, 2 * _CHUNK + 8),
+                st.sampled_from([1e16, -1e16, 1e295, -1e295, 5e-324, -0.0]),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_expansions_concatenate(self, n, cuts, seed, spikes):
+        a, blocks = stream_case(n, cuts, seed, spikes)
+        parts = concatenated_parts(blocks)
+        assert fraction_sum(parts) == fraction_sum(a)
+        assert signed(math.fsum(parts)) == signed(math.fsum(a))
+        # an expansion of the expansion, as a stream folds a long one
+        assert fraction_sum(nc._exact_parts(np.array(parts))) == fraction_sum(a)
 
 
 @st.composite
@@ -472,7 +513,7 @@ def signed(v):
 
 
 class TestExtraction:
-    """The ExtractVector passes of _exact_sum, run until nothing remains."""
+    """The ExtractVector passes of _exact_parts, run until nothing remains."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=summation_case())
@@ -565,14 +606,14 @@ class TestExtraction:
 
 
 class TestGroupedExactSum:
-    """_exact_sums: one exact int per group, rounding to math.fsum of that group."""
+    """_group_fsums: each group's sum, rounded as math.fsum rounds that group."""
 
     @staticmethod
     def check(a, groups, n):
-        sums = nc._exact_sums(a, groups, n)
+        sums = nc._group_fsums(a, groups, n)
         want = [signed(math.fsum(a[groups == k])) for k in range(n)]
-        assert [signed(nc._round_exact(t)) for t in sums] == want
-        assert sum(sums) == nc._exact_sum(a)
+        assert [signed(t) for t in sums] == want
+        assert want == [signed(float(fraction_sum(a[groups == k]))) for k in range(n)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -610,18 +651,8 @@ class TestGroupedExactSum:
         groups[[5, _CHUNK + 2, 2 * _CHUNK + 4]] = 1
         a[groups == 1] = 0.0
         a[[5, _CHUNK + 2, 2 * _CHUNK + 4]] = [1e16, 1.0, -1e16]
-        assert nc._round_exact(nc._exact_sums(a, groups, 9)[1]) == 1.0
+        assert nc._group_fsums(a, groups, 9)[1] == 1.0
         self.check(a, groups, 9)
-
-
-def fraction_total(a):
-    """The exact sum of the entries of a in units of 2^-1074, in Fractions."""
-    total = sum(map(Fraction, a.tolist()), Fraction(0)) * 2 ** 1074
-    assert total.denominator == 1
-    return total.numerator
-
-
-_LIST = nc._EXACT_LIST
 
 
 @st.composite
@@ -629,7 +660,7 @@ def exact_sum_case(draw):
     """An array of one of the lengths where a path or a chunk changes, in one of
     the shapes the proofs treat apart."""
     n = draw(st.sampled_from(
-        [0, 1, 8, _LIST - 1, _LIST, _LIST + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+        [0, 1, 8, _MIN - 1, _MIN, _MIN + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["spread", "cancelling", "subnormal", "huge", "t-like", "ap-like"]))
@@ -654,18 +685,18 @@ def exact_sum_case(draw):
 
 
 class TestExactSum:
-    """_exact_sum and _exact_sums against exact Fraction sums, and rounded
+    """_exact_parts and _group_fsums against exact Fraction sums, and rounded
     against math.fsum."""
 
     @settings(max_examples=40, deadline=None)
     @given(a=exact_sum_case(), k=st.integers(1, 5))
     def test_equals_fractions_and_fsum(self, a, k):
-        total = nc._exact_sum(a)
-        assert total == fraction_total(a)
-        rounded = fsum_outcome(lambda v: nc._round_exact(nc._exact_sum(v)), a)
+        assert fraction_sum(nc._exact_parts(a)) == fraction_sum(a)
+        rounded = fsum_outcome(lambda v: math.fsum(nc._exact_parts(v)), a)
         assert rounded == fsum_outcome(math.fsum, a)
         groups = np.arange(a.size) % k
-        assert nc._exact_sums(a, groups, k) == [fraction_total(a[groups == g]) for g in range(k)]
+        want = [signed(float(fraction_sum(a[groups == g]))) for g in range(k)]
+        assert [signed(v) for v in nc._group_fsums(a, groups, k)] == want
 
     def test_second_pass_at_its_sigma_bound(self):
         # after the first pass (sigma = 2^15) each of the first half leaves
@@ -678,26 +709,72 @@ class TestExactSum:
         tiny = rng.uniform(1.0, 2.0, _CHUNK // 2) * 2.0 ** -60
         a = np.concatenate([big, tiny])
         a[-1] = -a[-1]  # both signs: every part comes from a pass
-        assert nc._exact_sum(a) == fraction_total(a)
+        assert fraction_sum(nc._exact_parts(a)) == fraction_sum(a)
 
     @pytest.mark.parametrize("c", [1.0 + 1e-9, 1.024, 1.5, 1.9])
     def test_sweep_block_takes_one_pass(self, monkeypatch, c):
         # t = m^(gamma - 1) on the first sweep block: positive, and within 2^23
-        # of its largest entry, so one pass and one plain float sum
+        # of its largest entry, so one pass and one plain float sum: two parts
         t = np.arange(2, 2 + _CHUNK, dtype=np.float64) ** (1.0 / c - 1.0)
         sigmas = []
         ldexp = math.ldexp
         monkeypatch.setattr(math, "ldexp", lambda x, e: sigmas.append(e) or ldexp(x, e))
-        assert nc._exact_sum(t) == fraction_total(t)
+        parts = nc._exact_parts(t)
+        assert fraction_sum(parts) == fraction_sum(t)
         assert len(sigmas) == 1
+        assert len(parts) == 2
 
-    @pytest.mark.parametrize("n", [1, 8, _LIST - 1, _LIST, _CHUNK + 1])
+    # sizes on both sides of the hand-over _EXPAND_MIN
+    @pytest.mark.parametrize("n", [1, 8, 15, 16, _MIN - 1, _MIN, _MIN + 1, _CHUNK + 1])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 ** 996, -(2.0 ** 996)])
     def test_precondition_at_every_size(self, n, bad):
         a = np.ones(n)
         a[n // 2] = bad
+        if n < _MIN:  # the entries themselves: math.fsum decides
+            got = fsum_outcome(lambda v: math.fsum(nc._exact_parts(v)), a)
+            assert got == fsum_outcome(math.fsum, a)
+            return
         with pytest.raises(ValueError, match="below 2\\^996"):
-            nc._exact_sum(a)
+            nc._exact_parts(a)
+        with pytest.raises(ValueError, match="below 2\\^996"):
+            nc._group_fsums(a, np.zeros(n, dtype=np.int64), 1)
+
+
+def _numeric_imports(module):
+    """The names a module imports from psprimes.numeric."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numeric"
+        for alias in node.names
+    }
+
+
+def test_exact_sums_stay_private_to_numeric():
+    # outside numeric an exact sum is an expansion, rounded by math.fsum: the
+    # other modules import only these names of numeric's summation section,
+    # which runs from _FSUM_CHUNK to the end of the module, and none of them
+    # works in units of 2^-1074
+    import psprimes
+    from psprimes import cli, exppairs, expsums, pspseq, sieve
+
+    names = [
+        n.name if isinstance(n, ast.FunctionDef) else getattr(n.targets[0], "id", None)
+        for n in ast.parse(Path(nc.__file__).read_text()).body
+        if isinstance(n, (ast.Assign, ast.FunctionDef))
+    ]
+    summing = set(names[names.index("_FSUM_CHUNK") :])
+    assert {"_exact_parts", "_group_fsums", "fsum_array", "_passes"} <= summing
+    allowed = {"_exact_parts", "fsum_array", "_group_fsums", "_FSUM_CHUNK"}
+    for module in (expsums, pspseq):
+        assert _numeric_imports(module) & summing <= allowed
+    for module in (psprimes, cli, exppairs, expsums, pspseq, sieve):
+        tree = ast.parse(Path(module.__file__).read_text())
+        assert not any(
+            isinstance(n, ast.Constant) and n.value in (1074, 1 << 1074, 2.0 ** -1074)
+            for n in ast.walk(tree)
+        ), module.__name__
 
 
 class TestGammaExponent:

@@ -303,20 +303,38 @@ class TestStreamingCount:
         # the one power per prime that membership reads is the main term's
         # p ** (gamma - 1), bit for bit, in both main-term forms
         blocks = []
-        exact_sum = pq._exact_sum
+        exact_parts = pq._exact_parts
         monkeypatch.setattr(
-            pq, "_exact_sum", lambda terms: blocks.append(terms.copy()) or exact_sum(terms)
+            pq, "_exact_parts", lambda terms: blocks.append(terms.copy()) or exact_parts(terms)
         )
         x = 10 ** 6
         ps = np.flatnonzero(eratosthenes(x)).astype(np.float64)
         gam = GammaExponent.from_c(c).gamma
         pq.ps_prime_count(x, c)
         assert np.concatenate(blocks).tobytes() == (ps ** (gam - 1.0)).tobytes()
+        # each sweep block of t takes one pass: an expansion of at most 2 floats
+        assert all(len(exact_parts(t)) <= 2 for t in blocks)
         blocks.clear()
         pq.ps_prime_count_ap(x, c, 3, 2)
         xg1 = float(x) ** (gam - 1.0)
         want = (xg1 - ps[ps % 3 == 2] ** (gam - 1.0)) / (gam - 1.0)
         assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q, a", [(1, 0), (211, 7), (9973, 5)])
+    def test_folded_expansions_give_the_same_main_terms(self, monkeypatch, q, a):
+        # a stream folds its expansion into a shorter one from _FSUM_CHUNK
+        # floats on; folding after every few floats leaves every bit alone
+        x = 3 * 10 ** 6
+        want = [pq.ps_prime_count_ap(x, 1.1, q, a), pq.refined_main_term(x, 1.3, q, a)]
+        calls = []
+        exact_parts = pq._exact_parts
+        monkeypatch.setattr(pq, "_FSUM_CHUNK", 5)
+        monkeypatch.setattr(
+            pq, "_exact_parts", lambda terms: calls.append(terms.size) or exact_parts(terms)
+        )
+        assert [pq.ps_prime_count_ap(x, 1.1, q, a), pq.refined_main_term(x, 1.3, q, a)] == want
+        blocks = sum(1 for _ in pq._member_blocks(x, q, a, 0.9))
+        assert len(calls) > 2 * blocks  # folds ran besides the two sweeps' blocks
 
     def test_membership_is_decided_at_primes_only(self, monkeypatch):
         # a timing-free guard against per-integer work: the one-power kernel
