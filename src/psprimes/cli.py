@@ -33,8 +33,11 @@ are rejected.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -90,7 +93,15 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that raises UsageError instead of exiting."""
+    """ArgumentParser that raises UsageError instead of exiting.
+
+    A token of a dash and then a digit or a dot is a value (-1e-3, -3/7,
+    -.5), never a flag: no flag here starts with a digit.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
 
     def error(self, message):  # argparse would call sys.exit(2)
         raise UsageError(message)
@@ -139,10 +150,12 @@ def _write(args, columns, rows, extra_meta=None):
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [f"# {k}={v}" for k, v in meta.items()]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        buf.writelines(f"# {k}={v}\n" for k, v in meta.items())
+        out = csv.writer(buf, lineterminator="\n")  # quotes a field only if it holds a comma
+        out.writerow(columns)
+        out.writerows([_fmt(v) for v in row] for row in rows)
+        text = buf.getvalue()
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -261,26 +274,17 @@ def _cmd_expsum_theorem(args):
 
 def _cmd_expsum_bilinear(args):
     g = GammaExponent.from_c(args.c)
-    m_range = range(args.M + 1, 2 * args.M + 1)
-    n_range = range(args.N + 1, 2 * args.N + 1)
     h_weights = {args.h: args.delta}
     # before the coefficient arrays exist
-    check_bilinear_size(m_range, n_range, args.x, h_weights)
-    a = np.broadcast_to(1.0, len(m_range))  # ones without an array
+    check_bilinear_size(args.M, args.N, args.x, h_weights)
+    a = np.broadcast_to(1.0, args.M)  # ones without an array
     if args.bn == "log":
-        b = np.fromiter(map(math.log, n_range), dtype=np.float64, count=len(n_range))
+        ns = range(args.N + 1, 2 * args.N + 1)
+        b = np.fromiter(map(math.log, ns), dtype=np.float64, count=args.N)
     else:
-        b = np.broadcast_to(1.0, len(n_range))
+        b = np.broadcast_to(1.0, args.N)
     val = bilinear_sum(
-        args.kind,
-        a,
-        b,
-        m_range,
-        n_range,
-        alpha=args.alpha,
-        g=g,
-        u=args.u,
-        x=args.x,
+        args.kind, a, b, args.M, args.N, alpha=args.alpha, g=g, u=args.u, x=args.x,
         h_weights=h_weights,
     )
     return _one({

@@ -25,7 +25,6 @@ loop, so the float one is bit-identical to that loop.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,7 @@ _MAX_XH = 10 ** 13
 # memory. Through the CLI on a 2-core x86-64 VM: vdc and bprocess at N = 2^24
 # take ~1 s and 31 MB; bilinear 1.1 s and 31 MB at M = 1, N = 2^24 (3.0 s and
 # 159 MB with --bn log, whose coefficients are one float64 array); at
-# M = 2^24, N = 1, 0.4 s when no m*n lies in (x, 2x] but about 6 minutes when
+# M = 2^24, N = 1, 0.2 s when no m*n lies in (x, 2x] but about 6 minutes when
 # every m does (its per-m loop, which _MAX_BILINEAR_ROWS rejects).
 _MAX_DIRECT_TERMS = 1 << 24
 # Largest number of rows (h, m) of bilinear_sum's Python loop, 10 to 30 us
@@ -60,29 +59,26 @@ def _check_terms(what: str, n: int, limit: int) -> None:
         raise ResourceGuardError(f"{what} = {n} exceeds the limit {limit}")
 
 
-def check_bilinear_size(
-    m_range: range, n_range: range, x: int, h_weights: dict[int, float]
-) -> None:
-    """ValueError for an empty range; ResourceGuardError if bilinear_sum would visit too much.
+def check_bilinear_size(M: int, N: int, x: int, h_weights: dict[int, float]) -> None:
+    """ValueError for M or N below 1; ResourceGuardError if bilinear_sum would visit too much.
 
     The limits are 2^24 (m, n) pairs, and 2^17 rows of its loop: the m that
-    can put some m*n in (x, 2x], once per nonzero delta_h.
+    put some m*n in (x, 2x], once per nonzero delta_h.
     """
-    if not (m_range and n_range):
+    if M < 1 or N < 1:
         raise ValueError("an m or n range is empty: M and N must be at least 1")
-    _check_terms("M*N", len(m_range) * len(n_range), _MAX_DIRECT_TERMS)
+    _check_terms("M*N", M * N, _MAX_DIRECT_TERMS)
     nonzero_h = sum(d != 0.0 for d in h_weights.values())
-    rows = len(_bilinear_rows(m_range, n_range, x)) * nonzero_h
-    _check_terms("rows", rows, _MAX_BILINEAR_ROWS)
+    _check_terms("rows", len(_bilinear_rows(M, N, x)) * nonzero_h, _MAX_BILINEAR_ROWS)
 
 
-def _bilinear_rows(m_range: range, n_range: range, x: int) -> range:
-    """Indices i of the m = m_range[i] that bilinear_sum's loop visits."""
-    n_lo, n_hi = sorted((n_range[0], n_range[-1]))
-    if n_lo < 1 or m_range.step < 0:
-        return range(len(m_range))
-    # some m*n lies in (x, 2x] only if x // max(n) < m <= 2x // min(n)
-    return range(bisect_right(m_range, x // n_hi), bisect_right(m_range, 2 * x // n_lo))
+def _bilinear_rows(M: int, N: int, x: int) -> range:
+    """The m in (M, 2M] with some n in (N, 2N] and m*n in (x, 2x].
+
+    Each m here has x // m < 2N and N < 2x // m, and m <= 2x // (N + 1) <= x
+    gives x // m < 2x // m: the run of n in bilinear_sum is never empty.
+    """
+    return range(max(M, x // (2 * N)) + 1, min(2 * M, 2 * x // (N + 1)) + 1)
 
 
 @dataclass(frozen=True)
@@ -165,8 +161,8 @@ def bilinear_sum(
     kind: str,
     a_coeffs,
     b_coeffs,
-    m_range: range,
-    n_range: range,
+    M: int,
+    N: int,
     *,
     alpha: float,
     g: GammaExponent,
@@ -176,22 +172,24 @@ def bilinear_sum(
 ) -> float:
     """|sum over h, m, n of delta_h a_m b_n e(alpha*mn + h*(mn+u)^gamma)|, mn in (x, 2x].
 
-    kind 'TypeI' admits b_n up to max(1, log(2N)) (smooth/log coefficients);
-    'TypeII' requires |b_n| <= 1. Coefficient bound violations are rejected,
-    and so are sizes beyond the limits of check_bilinear_size.
+    m runs over (M, 2M] and n over (N, 2N]; a_coeffs and b_coeffs hold a_m
+    and b_n in that order. kind 'TypeI' admits b_n up to max(1, log(4N))
+    (smooth/log coefficients); 'TypeII' requires |b_n| <= 1. Coefficient
+    bound violations are rejected, and so are sizes beyond the limits of
+    check_bilinear_size.
     """
     if kind not in ("TypeI", "TypeII"):
         raise ValueError(f"kind must be TypeI or TypeII, got {kind!r}")
-    check_bilinear_size(m_range, n_range, x, h_weights)
+    check_bilinear_size(M, N, x, h_weights)
     a = np.asarray(a_coeffs, dtype=np.float64)
     b = np.asarray(b_coeffs, dtype=np.float64)
-    if len(a) != len(m_range) or len(b) != len(n_range):
-        raise ValueError("coefficient arrays must align with their ranges")
+    if len(a) != M or len(b) != N:
+        raise ValueError("coefficient arrays must have lengths M and N")
     tol = 1e-12
     # max |c| without a temporary as long as c; written as <= so that nan fails
     if not max(a.max(), -a.min()) <= 1.0 + tol:
         raise ValueError("need |a_m| <= 1")
-    b_cap = 1.0 if kind == "TypeII" else max(1.0, math.log(2 * max(n_range)))
+    b_cap = 1.0 if kind == "TypeII" else max(1.0, math.log(4 * N))
     if not max(b.max(), -b.min()) <= b_cap + tol:
         raise ValueError(f"need |b_n| <= {b_cap:g} for {kind}")
     if not all(abs(d) <= 1.0 + tol for d in h_weights.values()):
@@ -205,22 +203,14 @@ def bilinear_sum(
             delta = h_weights[h]
             if delta == 0.0:
                 continue
-            for i in _bilinear_rows(m_range, n_range, x):
-                m = m_range[i]
-                if m == 0:
-                    continue
-                # the products m*n, ascending, beside their b_n: those in (x, 2x] are one run
-                prods = range(m * n_range.start, m * n_range.stop, m * n_range.step)
-                bs = b
-                if prods.step < 0:
-                    prods, bs = prods[::-1], b[::-1]
-                lo, hi = bisect_right(prods, x), bisect_right(prods, 2 * x)
-                if lo == hi:
-                    continue
+            for m in _bilinear_rows(M, N, x):
+                # the run of n in (lo, hi] with m*n in (x, 2x]
+                lo, hi = max(N, x // m), min(2 * N, 2 * x // m)
                 re, im = _weighted_parts(
-                    bs[lo:hi], prods[lo:hi], lambda p: alpha * p + h * (p + u) ** gam
+                    b[lo - N : hi - N], range(m * (lo + 1), m * (hi + 1), m),
+                    lambda p: alpha * p + h * (p + u) ** gam,
                 )
-                coeff = delta * float(a[i])
+                coeff = delta * float(a[m - M - 1])
                 res.append(coeff * re)
                 ims.append(coeff * im)
     return math.hypot(math.fsum(res), math.fsum(ims))

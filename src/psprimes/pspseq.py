@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -63,10 +63,13 @@ class PsCountReport:
     c: float
     count: int
     main_term: float
-    ratio: float | None
+    ratio: float | None = field(init=False)  # count / main_term; None if main_term <= 0
     q: int = 1
     a: int = 0
     headline_term: float | None = None
+
+    def __post_init__(self) -> None:
+        self.ratio = self.count / self.main_term if self.main_term > 0 else None
 
 
 def ps_indicator(m: int, g: GammaExponent) -> int:
@@ -247,14 +250,8 @@ def ps_prime_count(x: int, c: float) -> PsCountReport:
     """
     g = GammaExponent.from_c(c)
     main, count = _refined(x, g.gamma, 1, 0)
-    return PsCountReport(
-        x=x,
-        c=c,
-        count=count,
-        main_term=main,
-        ratio=count / main if main > 0 else None,
-        headline_term=x ** g.gamma / math.log(x),
-    )
+    return PsCountReport(x=x, c=c, count=count, main_term=main,
+                         headline_term=x ** g.gamma / math.log(x))
 
 
 def ap_main_term(x: int, c: float, q: int, a: int) -> float:
@@ -282,15 +279,7 @@ def ps_prime_count_ap(x: int, c: float, q: int, a: int) -> PsCountReport:
         count += int(np.count_nonzero(member))
         primes += ps.size
     main = gam * xg1 * primes + gam * (1.0 - gam) * math.fsum(integral)
-    return PsCountReport(
-        x=x,
-        c=c,
-        count=count,
-        main_term=main,
-        ratio=count / main if main > 0 else None,
-        q=q,
-        a=a % q,
-    )
+    return PsCountReport(x=x, c=c, count=count, main_term=main, q=q, a=a % q)
 
 
 # The irrationals known by name, each as (p, q, d, r) with alpha exactly
@@ -402,13 +391,7 @@ def ps_beatty_prime_count(x: int, c: float, B: BeattyParams) -> PsCountReport:
     g = GammaExponent.from_c(c)
     count = sum(int(np.count_nonzero(m)) for _, _, m in _member_blocks(x, 1, 0, g.gamma, B))
     main = x ** g.gamma / (B.alpha * math.log(x))
-    return PsCountReport(
-        x=x,
-        c=c,
-        count=count,
-        main_term=main,
-        ratio=count / main if main > 0 else None,
-    )
+    return PsCountReport(x=x, c=c, count=count, main_term=main)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import importlib.util
 import io
 import json
@@ -65,7 +66,7 @@ class TestExppairCli:
     def test_vdc_golden(self, capsys):
         rc, out, _ = run(capsys, "exppair", "eval", "--k", "1/2", "--l", "1/2")
         assert rc == 0
-        assert "8/9" in out and "9/8" in out
+        assert out.splitlines()[-1] == '"(1/2,1/2)",1/2,1/2,8/9,9/8'  # the word's comma quoted
 
     def test_trivial_rejected_exit_2(self, capsys):
         rc, _, err = run(capsys, "exppair", "eval", "--k", "0", "--l", "1")
@@ -152,7 +153,7 @@ class TestPsCli:
         # counts are those of an integer bisection oracle (tests/test_pspseq.py,
         # beatty_oracle)
         rc, out, _ = run(
-            capsys, "ps", "beatty", "--x", x, "--c", "1.1", "--alpha", alpha, f"--beta={beta}"
+            capsys, "ps", "beatty", "--x", x, "--c", "1.1", "--alpha", alpha, "--beta", beta
         )
         assert rc == 0
         assert int(out.strip().splitlines()[-1].split(",")[4]) == count
@@ -578,6 +579,29 @@ class TestCliPlumbing:
             header, row = out.splitlines()[-2:]
             assert dict(zip(header.split(","), row.split(",")))["mismatches"] == "0"
 
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_csv_rows_match_the_header(self, capsys, argv):
+        # a field that holds a comma, such as the word "(1/2,1/2)", is quoted
+        rc, out, _ = run(capsys, *argv, "--format", "csv")
+        assert rc == 0
+        header, *rows = csv.reader(l for l in out.splitlines() if not l.startswith("# "))
+        assert rows and all(len(row) == len(header) for row in rows)
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [(["ps", "beatty", "--x", "1000", "--c", "1.1", "--alpha", "sqrt2"], "--beta", "-1e-3"),
+         (["ps", "beatty", "--x", "1000", "--c", "1.1", "--alpha", "sqrt2"], "--beta", "-3/7"),
+         (["ps", "beatty", "--x", "1000", "--c", "1.1", "--alpha", "sqrt2"], "--beta", "-.5"),
+         (["expsum", "vdc", "--c", "1.1", "--N", "1024"], "--h", "-2.5E-1"),
+         (["expsum", "theorem", "--x", "1024", "--c", "1.1", "--H", "2"], "--u", "-1e300")],
+        ids=["beta-exponent", "beta-rational", "beta-dot", "h-exponent", "u-exit-2"],
+    )
+    def test_negative_real_after_a_space(self, capsys, argv, flag, value):
+        # a dash and then a digit or a dot is a value, as it is after '='
+        spaced = run(capsys, *argv, flag, value)
+        joined = run(capsys, *argv, f"{flag}={value}")
+        assert spaced == joined and spaced[0] in (0, 2)
+
     def test_unknown_subcommand_exit_64(self, capsys):
         rc, _, _ = run(capsys, "nonsense")
         assert rc == 64
@@ -831,11 +855,12 @@ class TestOutputColumns:
         rc_json, json_out, _ = run(capsys, *argv, "--format", "json")
         assert rc == rc_json == 0
         meta = [l[2:] for l in csv_out.splitlines() if l.startswith("# ")]
-        header, *rows = [l for l in csv_out.splitlines() if not l.startswith("# ")]
+        header, *rows = csv.reader(l for l in csv_out.splitlines() if not l.startswith("# "))
         # the inputs ask for every optional [...] column (exppair eval --gamma)
-        assert header == _frozen_headers()[cmd].replace("[", "").replace("]", "")
+        assert ",".join(header) == _frozen_headers()[cmd].replace("[", "").replace("]", "")
+        assert all(len(row) == len(header) for row in rows)
         payload = json.loads(json_out)
-        assert ",".join(payload["columns"]) == header
-        assert [",".join(row) for row in payload["rows"]] == rows
+        assert payload["columns"] == header
+        assert payload["rows"] == rows
         provenance = {**payload["provenance"], "format": "csv"}
         assert [f"{k}={v}" for k, v in provenance.items()] == meta

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -87,15 +88,15 @@ class TestTheoremSum:
 class TestBilinear:
     def test_hand_expanded_tiny_case(self):
         g = GammaExponent.from_c(1.1)
-        mr, nr = range(5, 9), range(5, 9)
+        M = N = 4  # m and n in (4, 8]
         x = 30
         want = 0j
-        for m in mr:
-            for n in nr:
+        for m in range(M + 1, 2 * M + 1):
+            for n in range(N + 1, 2 * N + 1):
                 if x < m * n <= 2 * x:
                     want += cmath.exp(2j * math.pi * 3 * (m * n) ** g.gamma)
         got = ex.bilinear_sum(
-            "TypeII", [1] * 4, [1] * 4, mr, nr,
+            "TypeII", [1] * 4, [1] * 4, M, N,
             alpha=0.0, g=g, u=0.0, x=x, h_weights={3: 1.0},
         )
         assert got == pytest.approx(abs(want), abs=1e-12)
@@ -103,15 +104,16 @@ class TestBilinear:
     def test_zero_weights_give_zero(self):
         g = GammaExponent.from_c(1.1)
         val = ex.bilinear_sum(
-            "TypeII", [1] * 3, [1] * 3, range(4, 7), range(4, 7),
+            "TypeII", [1] * 3, [1] * 3, 3, 3,
             alpha=0.2, g=g, u=0.1, x=20, h_weights={2: 0.0, 5: 0.0},
         )
         assert val == 0.0
 
     def test_log_coefficients_match_direct(self):
         g = GammaExponent.from_c(1.05)
-        mr, nr = range(3, 7), range(8, 16)
-        x = 40
+        M, N = 4, 8
+        mr, nr = range(M + 1, 2 * M + 1), range(N + 1, 2 * N + 1)
+        x = 60
         b = [math.log(n) for n in nr]
         want = 0j
         for h, d in ((2, 1.0), (3, -0.5)):
@@ -127,7 +129,7 @@ class TestBilinear:
                             )
                         )
         got = ex.bilinear_sum(
-            "TypeI", [0.5] * 4, b, mr, nr,
+            "TypeI", [0.5] * M, b, M, N,
             alpha=0.25, g=g, u=0.5, x=x, h_weights={2: 1.0, 3: -0.5},
         )
         assert got == pytest.approx(abs(want), abs=1e-12)
@@ -138,7 +140,7 @@ class TestBilinear:
         M = x = 1 << 20
         t0 = time.perf_counter()
         val = ex.bilinear_sum(
-            "TypeI", [1.0] * M, [1.0], range(M + 1, 2 * M + 1), range(2, 3),
+            "TypeI", [1.0] * M, [1.0], M, 1,
             alpha=0.0, g=g, u=0.0, x=x, h_weights={1: 1.0},
         )
         assert val == 0.0
@@ -148,7 +150,8 @@ class TestBilinear:
     def test_partial_overlap_equals_full_loop(self, x):
         # the reference visits every m, as the loop did before it was windowed
         g = GammaExponent.from_c(1.05)
-        mr, nr, u, alpha = range(10, 400), range(7, 30), 0.25, 0.3
+        M, N, u, alpha = 200, 15, 0.25, 0.3
+        mr, nr = range(M + 1, 2 * M + 1), range(N + 1, 2 * N + 1)
         a = np.cos(np.arange(len(mr), dtype=np.float64))
         b = np.linspace(-1.0, 1.0, len(nr))
         weights = {1: 1.0, 4: -0.5}
@@ -166,36 +169,35 @@ class TestBilinear:
                 ims.append(delta * float(a[i]) * math.fsum(b[mask] * sin))
         want = math.hypot(math.fsum(res), math.fsum(ims))
         got = ex.bilinear_sum(
-            "TypeII", a, b, mr, nr, alpha=alpha, g=g, u=u, x=x, h_weights=weights
+            "TypeII", a, b, M, N, alpha=alpha, g=g, u=u, x=x, h_weights=weights
         )
         assert got == want and want > 0.0
 
     def test_coefficient_bounds_enforced(self):
         g = GammaExponent.from_c(1.1)
-        common = dict(alpha=0.0, g=g, u=0.0, x=10, h_weights={1: 1.0})
+        common = dict(alpha=0.0, g=g, u=0.0, x=3, h_weights={1: 1.0})  # m*n = 4
         with pytest.raises(ValueError):
-            ex.bilinear_sum("TypeII", [2.0], [1.0], range(3, 4), range(3, 4), **common)
+            ex.bilinear_sum("TypeII", [2.0], [1.0], 1, 1, **common)
         with pytest.raises(ValueError):
-            ex.bilinear_sum("TypeII", [1.0], [1.5], range(3, 4), range(3, 4), **common)
+            ex.bilinear_sum("TypeII", [1.0], [1.5], 1, 1, **common)
         with pytest.raises(ValueError):
             ex.bilinear_sum(
-                "TypeI", [1.0], [1.0], range(3, 4), range(3, 4),
-                alpha=0.0, g=g, u=0.0, x=10, h_weights={1: 2.0},
+                "TypeI", [1.0], [1.0], 1, 1,
+                alpha=0.0, g=g, u=0.0, x=3, h_weights={1: 2.0},
             )
         with pytest.raises(ValueError):
-            ex.bilinear_sum("TypeX", [1.0], [1.0], range(3, 4), range(3, 4), **common)
+            ex.bilinear_sum("TypeX", [1.0], [1.0], 1, 1, **common)
 
     @pytest.mark.parametrize("kind", ["TypeI", "TypeII"])
     def test_empty_range_rejected(self, kind):
         # TypeI leaked max() of an empty sequence; TypeII returned 0.0
         g = GammaExponent.from_c(1.1)
-        for m_range, n_range in ((range(2, 3), range(1, 1)), (range(1, 1), range(1, 3)),
-                                 (range(-4, -9), range(4, 7))):
+        for M, N in ((1, 0), (0, 2), (-5, 3)):
             with pytest.raises(ValueError, match="M and N must be at least 1"):
-                ex.check_bilinear_size(m_range, n_range, 10, {1: 1.0})
+                ex.check_bilinear_size(M, N, 10, {1: 1.0})
             with pytest.raises(ValueError, match="M and N must be at least 1"):
-                ex.bilinear_sum(kind, [1.0] * len(m_range), [1.0] * len(n_range), m_range,
-                                n_range, alpha=0.0, g=g, u=0.0, x=10, h_weights={1: 1.0})
+                ex.bilinear_sum(kind, [1.0] * max(M, 0), [1.0] * max(N, 0), M, N,
+                                alpha=0.0, g=g, u=0.0, x=10, h_weights={1: 1.0})
 
     @pytest.mark.parametrize("a, b, delta", [([math.nan], [1.0], 1.0),
                                              ([1.0], [math.nan], 1.0),
@@ -203,9 +205,9 @@ class TestBilinear:
                              ids=["a", "b", "delta"])
     def test_nan_coefficient_rejected(self, a, b, delta):
         g = GammaExponent.from_c(1.1)
-        with pytest.raises(ValueError):  # m*n = 12 lies in (x, 2x]
-            ex.bilinear_sum("TypeI", a, b, range(3, 4), range(4, 5), alpha=0.0, g=g,
-                            u=0.0, x=10, h_weights={1: delta})
+        with pytest.raises(ValueError):  # m*n = 4 lies in (x, 2x]
+            ex.bilinear_sum("TypeI", a, b, 1, 1, alpha=0.0, g=g, u=0.0, x=3,
+                            h_weights={1: delta})
 
 
 class TestVaaler:
@@ -267,7 +269,7 @@ class TestDirectSumLimits:
         ex.vdc_bound_check(1.0, g, 0.0, 64)
         ex.b_process_compare(1.0, g, 64)
         ex.vaaler_coeffs(8)
-        ex.check_bilinear_size(range(8), range(8), 30, {1: 1.0})
+        ex.check_bilinear_size(8, 8, 30, {1: 1.0})
         with pytest.raises(ex.ResourceGuardError):
             ex.vdc_bound_check(1.0, g, 0.0, 65)
         with pytest.raises(ex.ResourceGuardError):
@@ -277,7 +279,7 @@ class TestDirectSumLimits:
         with pytest.raises(ex.ResourceGuardError):
             # rejected before the (misaligned) coefficients are read
             ex.bilinear_sum(
-                "TypeII", [], [], range(8), range(9),
+                "TypeII", [], [], 8, 9,
                 alpha=0.0, g=g, u=0.0, x=30, h_weights={1: 1.0},
             )
 
@@ -285,37 +287,44 @@ class TestDirectSumLimits:
         # rows are the m whose m*n can reach (x, 2x], once per nonzero delta_h
         monkeypatch.setattr(ex, "_MAX_BILINEAR_ROWS", 8)
         g = GammaExponent.from_c(1.1)
-        m_range, n_range = range(1, 101), range(10, 21)  # x = 500: m in (25, 100]
-        ex.check_bilinear_size(range(1, 9), range(1, 2), 4, {1: 1.0, 2: 0.0, 3: 1.0})
-        ex.check_bilinear_size(m_range, n_range, 40, {1: 1.0})  # m in (2, 8]
-        for x, h_weights in ((500, {1: 1.0}), (40, {1: 1.0, 2: 1.0, 3: -1.0})):
+        ex.check_bilinear_size(4, 1, 8, {1: 1.0, 2: 0.0, 3: 1.0})  # m in (4, 8], twice
+        ex.check_bilinear_size(4, 10, 40, {1: 1.0})  # m in (4, 7]
+        # n in (10, 20]; x = 500 gives m in (50, 90], x = 40 m in (4, 7] three times
+        for M, x, h_weights in ((50, 500, {1: 1.0}), (4, 40, {1: 1.0, 2: 1.0, 3: -1.0})):
             with pytest.raises(ex.ResourceGuardError, match="rows"):
                 # rejected before the (misaligned) coefficients are read
                 ex.bilinear_sum(
-                    "TypeI", [], [], m_range, n_range,
+                    "TypeI", [], [], M, 10,
                     alpha=0.0, g=g, u=0.0, x=x, h_weights=h_weights,
                 )
 
     def test_bilinear_row_count_matches_the_loop(self):
-        # the rows counted are the rows the loop visits: the others add nothing
+        # the rows counted are exactly the m with some m*n in (x, 2x]: the others add nothing
         g = GammaExponent.from_c(1.3)
-        m_range, n_range = range(3, 60), range(7, 19)
-        a, b = np.linspace(-1, 1, len(m_range)), np.cos(np.arange(len(n_range)))
+        M, N = 29, 6  # m in (29, 58], n in (6, 12]
+        ms = range(M + 1, 2 * M + 1)
+        a, b = np.linspace(-1, 1, M), np.cos(np.arange(N))
         kw = dict(alpha=0.3, g=g, u=0.5, h_weights={2: 0.5})
-        for x in (10, 100, 500, 2000):
-            rows = ex._bilinear_rows(m_range, n_range, x)
-            visited = [i for i in range(len(m_range))
-                       if any(x < m_range[i] * n <= 2 * x for n in n_range)]
-            assert set(visited) <= set(rows)
-            got = ex.bilinear_sum("TypeII", a, b, m_range, n_range, x=x, **kw)
-            a_rows = np.where(np.isin(np.arange(len(m_range)), visited), a, 0.0)
-            assert got == ex.bilinear_sum("TypeII", a_rows, b, m_range, n_range, x=x, **kw)
+        for x in (1, 10, 100, 200, 500, 2000):
+            visited = [m for m in ms if any(x < m * n <= 2 * x for n in range(N + 1, 2 * N + 1))]
+            assert list(ex._bilinear_rows(M, N, x)) == visited
+            got = ex.bilinear_sum("TypeII", a, b, M, N, x=x, **kw)
+            a_rows = np.where(np.isin(ms, visited), a, 0.0)
+            assert got == ex.bilinear_sum("TypeII", a_rows, b, M, N, x=x, **kw)
+
+    def test_bilinear_rows_closed_form_on_a_grid(self):
+        # every m of the closed form has an n, and no other m does
+        for M, N in itertools.product(range(1, 9), repeat=2):
+            for x in range(-2, 4 * M * N + 3):
+                visited = [m for m in range(M + 1, 2 * M + 1)
+                           if any(x < m * n <= 2 * x for n in range(N + 1, 2 * N + 1))]
+                assert list(ex._bilinear_rows(M, N, x)) == visited, (M, N, x)
 
     def test_oversized_bilinear_rows_rejected_at_once(self):
-        big = range(2 ** 24 + 1, 2 ** 25 + 1)
+        # m in (2^24, 2^25] and n = 2
         with pytest.raises(ex.ResourceGuardError, match="rows = 16777216"):
-            ex.check_bilinear_size(big, range(2, 3), 2 ** 25, {1: 1.0})
-        ex.check_bilinear_size(big, range(2, 3), 2 ** 24, {1: 1.0})  # no m reaches (x, 2x]
+            ex.check_bilinear_size(2 ** 24, 1, 2 ** 25, {1: 1.0})
+        ex.check_bilinear_size(2 ** 24, 1, 2 ** 24, {1: 1.0})  # no m reaches (x, 2x]
 
 
 class TestBProcess:
@@ -690,11 +699,12 @@ class TestReductionsMatchInlineFsum:
 
     def test_bilinear_sum(self):
         g = GammaExponent.from_c(1.05)
-        mr, nr, x, u, alpha = range(1, 4), range(1, 60001), 30000, 0.5, 0.25
+        M, N, x, u, alpha = 3, 30000, 150000, 0.5, 0.25
+        mr = range(M + 1, 2 * M + 1)  # each m has a run of n longer than one chunk
         a = np.array([1.0, -0.5, 0.75])
-        b = np.log(np.arange(1, 60001, dtype=np.float64)) / math.log(120000)
+        ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
+        b = np.log(ns.astype(np.float64)) / math.log(120000)
         weights = {2: 1.0, 3: -0.5}
-        ns = np.arange(1, 60001, dtype=np.int64)
         res, ims = [], []
         for h, delta in weights.items():
             for i, m in enumerate(mr):
@@ -706,7 +716,7 @@ class TestReductionsMatchInlineFsum:
                 ims.append(delta * a[i] * math.fsum(b[mask] * sin))
         want = math.hypot(math.fsum(res), math.fsum(ims))
         got = ex.bilinear_sum(
-            "TypeII", a, b, mr, nr, alpha=alpha, g=g, u=u, x=x, h_weights=weights
+            "TypeII", a, b, M, N, alpha=alpha, g=g, u=u, x=x, h_weights=weights
         )
         assert got == want
 
@@ -746,29 +756,27 @@ class TestChunkEdges:
             assert ex.b_process_compare(h, g, N, (a, b)).direct == want
 
     @pytest.mark.parametrize("length", EDGE_LENGTHS)
-    @pytest.mark.parametrize(
-        "mr, step", [(range(1, 2), 1), (range(3, 4), 1), (range(3, 4), -1), (range(-2, -1), -1)]
-    )
-    def test_bilinear_row(self, length, mr, step):
-        # one row m whose run of n with m*n in (x, 2x] is `length` long
+    # the ids of the ascending cases when this test took an m range and an n step
+    @pytest.mark.parametrize("M", [1, 3], ids=["mr0-1", "mr1-1"])
+    def test_bilinear_row(self, length, M):
+        # the row m = 2M has a run of n with m*n in (x, 2x] `length` long, n in (N, N + length]
         g = GammaExponent.from_c(1.1)
-        m = mr[0]
-        x = abs(m) * length
-        n0 = 1 if m > 0 else -1  # the sign of n that makes m*n positive
-        nr = range(n0, n0 * (2 * length + 40), n0) if step == n0 else range(
-            n0 * (2 * length + 39), 0, -n0)
-        rng = np.random.default_rng(length)
-        b = rng.uniform(-1.0, 1.0, len(nr))
-        ns = np.array(nr, dtype=np.int64)
-        prod = m * ns
-        mask = (prod > x) & (prod <= 2 * x)
-        assert int(mask.sum()) == length
-        sel = prod[mask]
+        N, x = length + 40, 2 * M * (length + 20)
+        b = np.random.default_rng(length).uniform(-1.0, 1.0, N)
+        ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
         u, alpha, h, delta = 0.375, 0.2, 3, -0.75
-        re, im = self.parts(b[mask], alpha * sel + h * (sel + u) ** g.gamma)
-        want = math.hypot(delta * 0.5 * re, delta * 0.5 * im)
+        res, ims = [], []
+        for m in range(M + 1, 2 * M + 1):
+            prod = m * ns
+            mask = (prod > x) & (prod <= 2 * x)
+            assert m < 2 * M or int(mask.sum()) == length
+            sel = prod[mask]
+            re, im = self.parts(b[mask], alpha * sel + h * (sel + u) ** g.gamma)
+            res.append(delta * 0.5 * re)
+            ims.append(delta * 0.5 * im)
+        want = math.hypot(math.fsum(res), math.fsum(ims))
         got = ex.bilinear_sum(
-            "TypeII", [0.5], b, mr, nr, alpha=alpha, g=g, u=u, x=x, h_weights={h: delta}
+            "TypeII", [0.5] * M, b, M, N, alpha=alpha, g=g, u=u, x=x, h_weights={h: delta}
         )
         assert got == want
 
