@@ -253,7 +253,7 @@ def _cmd_goldbach3(args):
     r = goldbach3_count(args.N, args.c1, args.c2, args.c3)
     return _one({
         "N": r.N, "c1": r.c[0], "c2": r.c[1], "c3": r.c[2], "exact": r.exact,
-        "predicted": r.predicted, "ratio": r.exact / r.predicted if r.predicted > 0 else None,
+        "predicted": r.predicted, "ratio": r.ratio,
         "singular": r.singular_value, "degenerate": r.degenerate,
     })
 

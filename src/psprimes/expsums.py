@@ -9,11 +9,11 @@ alpha = a/q exactly, from the weights summed over the residue classes mod q.
 
 Every reduction is an exactly rounded sum, math.fsum of an expansion from
 ``numeric._exact_parts`` (exact extraction, repeated until nothing
-remains), so every result is deterministic. Every direct exponential sum
-goes through ``_weighted_parts``, which forms its phases and terms
-_FSUM_CHUNK at a time, adds the expansion of each chunk and rounds once: its
-memory is a few chunks however many the terms, and the digits are those of
-one sum over them all.
+remains), so every result is deterministic. Every direct exponential sum,
+the stationary-phase sum of b_process_compare included, goes through
+``_weighted_parts``, which forms its phases and terms _FSUM_CHUNK at a time,
+adds the expansion of each chunk and rounds once: its memory is a few chunks
+however many the terms, and the digits are those of one sum over them all.
 The central sum reads Lambda only at the prime powers (``sieve._prime_powers``).
 The von Mangoldt decomposition builds its coefficients exactly in integers,
 each array in the narrowest dtype its bound allows, and takes one float step,
@@ -30,12 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import _FSUM_CHUNK, GammaExponent, _exact_parts, _group_fsums, _iroot
-from .numeric import fsum_array, unit_exp, unit_exp_parts
+from .numeric import fsum_array, unit_exp_parts
 from .pspseq import _member_from_t
 from .sieve import _prime_powers, mobius_array, shared_table
 
-# Largest x*H theorem_sum accepts (its work is about pi(2x)*H phase terms).
-_MAX_XH = 10 ** 13
+# Largest work of theorem_sum, in phase terms: H*(P + _TERMS_PER_H), P from
+# _prime_power_bound. A term costs 55-75 ns and each h ~15-19 us, as much as 300
+# terms. At the limit, through the CLI (2-core x86-64 VM, Python 3.11, numpy
+# 2.4): 44 s at x = 16, H = 3154574; 50 s at x = 1024; 29 s at x = 2^23, H = 946.
+_MAX_THEOREM_TERMS = 10 ** 9
+_TERMS_PER_H = 300
 # Largest N of vdc_bound_check and b_process_compare, and largest number of
 # (m, n) pairs of bilinear_sum. The sums stream, so these bound time, not
 # memory. Through the CLI on a 2-core x86-64 VM: vdc and bprocess at N = 2^24
@@ -143,7 +147,8 @@ def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
     With scaled=True the result is multiplied by min(1, x^(1-gamma)/H).
     The inner sums and the sum over h, in increasing h, are exactly rounded.
     """
-    _check_terms("x*H", spec.x * spec.H, _MAX_XH)
+    work = spec.H * (_prime_power_bound(spec.x) + _TERMS_PER_H)
+    _check_terms("phase terms", work, _MAX_THEOREM_TERMS)  # before the table is read
     ns, w = _prime_powers(spec.x, 2 * spec.x)  # the n with Lambda(n) != 0
     gam = spec.g.gamma
     pow_u = (ns + spec.u) ** gam
@@ -151,10 +156,17 @@ def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         alpha_n = spec.alpha * ns
         # the terms are the phases of each h themselves, as long as w: none of length x
-        total = math.fsum([_weighted_abs_sum(w, alpha_n + h * pow_u, lambda t: t) for h in hs])
+        total = math.fsum(_weighted_abs_sum(w, alpha_n + h * pow_u, lambda t: t) for h in hs)
     if scaled:
         total *= min(1.0, spec.x ** (1.0 - gam) / spec.H)
     return total
+
+
+def _prime_power_bound(x: int) -> int:
+    """An upper bound on the prime powers in (x, 2x], x >= 16: at most 2x/log x primes
+    (Montgomery and Vaughan, Mathematika 20, 1973), taken with log x cut to 3 decimals so
+    any x stays in integers, and at most one higher power per p <= sqrt(2x)."""
+    return -(-2000 * x // math.floor(1000 * math.log(x))) + math.isqrt(2 * x)
 
 
 def bilinear_sum(
@@ -302,9 +314,9 @@ def vdc_bound_check(h: float, g: GammaExponent, alpha: float, N: int) -> VdcChec
     return VdcCheck(lhs=lhs, rhs_unit=rhs, empirical_c=lhs / rhs, lam=lam)
 
 
-# Stationary points solved per b_process_compare call: each costs ~15 us
-# (bisection plus Newton polish; x86-64, Python 3.11), so an accepted call
-# spends at most ~1.5 s on them.
+# Stationary points per b_process_compare call, each from the closed form of
+# f'(x) = nu: 10^5 points take ~10 ms in process, and ~0.2 s and 35 MB through
+# the CLI (2-core x86-64 VM, Python 3.11, numpy 2.4).
 _MAX_STATIONARY_TERMS = 10 ** 5
 
 
@@ -328,7 +340,7 @@ def b_process_compare(
 
     Phase f(n) = h*n^gamma on [a, b] within (N, 2N] (so f'' < 0). The main
     term sums e(-phi(nu) - 1/8)/sqrt(|f''(x_nu)|) over integers nu in
-    [f'(b), f'(a)] with f'(x_nu) = nu solved by bisection plus Newton polish;
+    [f'(b), f'(a)], with f'(x_nu) = nu in closed form (clipped to [a, b]);
     the reference error unit is log(F/N + 2) + N/sqrt(F) with F = h*N^gamma.
     More than _MAX_STATIONARY_TERMS such nu raise ResourceGuardError before
     any work is done.
@@ -341,8 +353,7 @@ def b_process_compare(
         raise ValueError(f"interval [{a}, {b}] must sit inside ({N}, {2 * N}]")
     gam = g.gamma
     fp = lambda t: gam * h * t ** (gam - 1.0)  # decreasing on [a, b]
-    nu_lo = math.ceil(fp(b))
-    nu_hi = math.floor(fp(a))
+    nu_lo, nu_hi = math.ceil(fp(b)), math.floor(fp(a))
     if nu_hi - nu_lo + 1 > _MAX_STATIONARY_TERMS:
         raise ResourceGuardError(
             f"{float(nu_hi - nu_lo + 1):.3g} stationary points exceed the budget "
@@ -352,16 +363,12 @@ def b_process_compare(
     ns = range(math.ceil(a), math.floor(b) + 1)
     direct = complex(*_weighted_parts(1.0, ns, lambda n: h * n.astype(np.float64) ** gam))
 
-    terms_re: list[float] = []
-    terms_im: list[float] = []
-    for nu in range(nu_lo, nu_hi + 1):
-        x_nu = _stationary_point(gam, h, float(nu), float(a), float(b))
-        phi = -h * x_nu ** gam + nu * x_nu
-        curv = abs(gam * (gam - 1.0) * h * x_nu ** (gam - 2.0))
-        z = unit_exp(-phi - 0.125) / math.sqrt(curv)
-        terms_re.append(z.real)
-        terms_im.append(z.imag)
-    stationary = complex(math.fsum(terms_re), math.fsum(terms_im))
+    nus = np.arange(nu_lo, nu_hi + 1, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.clip((nus / (gam * h)) ** (1.0 / (gam - 1.0)), a, b)  # f'(x) = nu
+        weights = 1.0 / np.sqrt(np.abs(gam * (gam - 1.0) * h * x ** (gam - 2.0)))
+        phases = h * x ** gam - nus * x - 0.125  # -phi(nu) - 1/8
+    stationary = complex(*_weighted_parts(weights, phases, lambda t: t))
 
     F = h * float(N) ** gam
     bound = math.log(F / N + 2.0) + N / math.sqrt(F)
@@ -371,25 +378,8 @@ def b_process_compare(
         error=abs(direct - stationary),
         bound=bound,
         degenerate=F < 1.0,
-        num_stationary=len(terms_re),
+        num_stationary=len(nus),
     )
-
-
-def _stationary_point(gam: float, h: float, nu: float, a: float, b: float) -> float:
-    """Solve gam*h*t^(gam-1) = nu on [a, b] to ~1e-13 relative (monotone)."""
-    lo, hi = a, b
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if gam * h * mid ** (gam - 1.0) >= nu:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        val = gam * h * x ** (gam - 1.0) - nu
-        slope = gam * (gam - 1.0) * h * x ** (gam - 2.0)
-        x = min(max(x - val / slope, a), b)
-    return x
 
 
 # Largest x hb_terms accepts. At its peak, a Horner step of _hb_coefficients,

@@ -63,13 +63,18 @@ class PsCountReport:
     c: float
     count: int
     main_term: float
-    ratio: float | None = field(init=False)  # count / main_term; None if main_term <= 0
+    ratio: float | None = field(init=False)  # _ratio(count, main_term)
     q: int = 1
     a: int = 0
     headline_term: float | None = None
 
     def __post_init__(self) -> None:
-        self.ratio = self.count / self.main_term if self.main_term > 0 else None
+        self.ratio = _ratio(self.count, self.main_term)
+
+
+def _ratio(value: float, main_term: float) -> float | None:
+    """value / main_term, the ratio of every report; None if main_term <= 0."""
+    return value / main_term if main_term > 0 else None
 
 
 def ps_indicator(m: int, g: GammaExponent) -> int:
@@ -446,6 +451,10 @@ class Goldbach3Result:
     predicted: float
     degenerate: bool
     singular_value: float
+
+    @property
+    def ratio(self) -> float | None:  # a property: dataclasses.asdict leaves it out
+        return _ratio(self.exact, self.predicted)
 
 
 # A-priori rounding bound for the pair counts, after Percival ("Rapid

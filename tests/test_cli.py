@@ -511,6 +511,15 @@ class TestOtherSubcommands:
         assert proc.returncode == 2
         assert "stationary points exceed the budget" in proc.stderr
 
+    def test_expsum_theorem_hours_of_work_exit_2(self):
+        # x*H = 10^13, about 6e11 phase terms or some 10 hours: rejected before
+        # the prime table is read
+        proc = run_process(
+            "expsum", "theorem", "--x", "8388608", "--c", "1.1", "--H", "1192093", timeout=10
+        )
+        assert proc.returncode == 2
+        assert "phase terms" in proc.stderr and "exceeds the limit" in proc.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -828,6 +837,29 @@ class TestCliFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(argv)
         assert rc in (0, 2, 64), (argv, config, err.getvalue())
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--N", "4096", "--a", "4097", "--b", "4097"],
+            ["--N", "4096", "--a", "4097.2", "--b", "4097.7"],  # no integer n
+            ["--h", "1e308", "--N", "4096", "--a", "4097.5", "--b", "4097.5"],
+            ["--N", "1"],
+            ["--h", "1e6", "--N", "1"],
+            ["--h", "1e-320"],
+            ["--h", "1e5", "--c", "1.0001"],
+            ["--h", "1e5", "--c", "1.999999"],
+        ],
+        ids=["a-is-b", "no-integer", "a-is-b-huge-h", "N-1", "N-1-large-h", "tiny-h",
+             "c-near-1", "c-near-2"],
+    )
+    def test_bprocess_edge_inputs(self, capsys, flags):
+        # numpy warnings are errors under pytest: one would reach exit 1
+        defaults = {"--h": "8", "--c": "1.1", "--N": "1024"}
+        argv = [t for kv in {**defaults, **dict(zip(flags[::2], flags[1::2]))}.items() for t in kv]
+        rc, _, err = run(capsys, "expsum", "bprocess", *argv)
+        assert rc in (0, 2), err
+        assert rc == 2 or err == ""
 
 
 def _frozen_headers():

@@ -71,11 +71,27 @@ class TestTheoremSum:
         assert scaled == pytest.approx(plain * factor, rel=1e-12)
 
     def test_resource_guard(self, monkeypatch):
-        monkeypatch.setattr(ex, "_MAX_XH", 1000)
         g = GammaExponent.from_c(1.1)
         spec = ex.ExpSumSpec(alpha=0.0, g=g, u=0.0, x=2 ** 10, H=8)
-        with pytest.raises(ex.ResourceGuardError):
+        work = 8 * (ex._prime_power_bound(2 ** 10) + ex._TERMS_PER_H)
+        monkeypatch.setattr(ex, "_MAX_THEOREM_TERMS", work)
+        ex.theorem_sum(spec)
+        monkeypatch.setattr(ex, "_MAX_THEOREM_TERMS", work - 1)
+        with pytest.raises(ex.ResourceGuardError, match="phase terms"):
             ex.theorem_sum(spec)
+
+    def test_prime_power_bound_holds(self):
+        # every x in [16, 2^16] from one cumulative count of the prime powers,
+        # then sampled larger x, each from _prime_powers itself
+        hi = 2 ** 17
+        counts = np.concatenate([[0], np.cumsum(sv.lambda_array(hi)[1:] > 0)])
+        xs = np.arange(16, 2 ** 16 + 1)
+        bounds = np.array([ex._prime_power_bound(int(x)) for x in xs])
+        assert (bounds >= counts[2 * xs] - counts[xs]).all()
+        for x in (2 ** 16 + 1, 100003, 2 ** 18, 999999, 2 ** 20 + 7, 3 * 10 ** 6, 2 ** 23):
+            assert ex._prime_power_bound(x) >= len(sv._prime_powers(x, 2 * x)[0]), x
+        for x in (16, 100, 1000, 2 ** 16):
+            assert len(sv._prime_powers(x, 2 * x)[0]) == counts[2 * x] - counts[x]
 
     def test_spec_validation(self):
         g = GammaExponent.from_c(1.1)
@@ -373,6 +389,44 @@ class TestBProcess:
         g = GammaExponent.from_c(1.1)
         with pytest.raises(ex.ResourceGuardError):
             ex.b_process_compare(1e300, g, 1024)
+
+    @pytest.mark.parametrize(
+        "c, h, interval",
+        [(c, h, None) for c in (1.01, 1.1, 1.5, 1.9) for h in (2e3, 3e4)]
+        + [(1.1, 3e4, (1100.5, 1500.25))],
+    )
+    def test_stationary_sum_matches_mpmath(self, c, h, interval):
+        # 40-digit sum over the same nu, with x_nu, |f''(x_nu)| and the phase
+        # h*x^gamma - nu*x - 1/8 in mpmath from the same float h and gamma
+        g = GammaExponent.from_c(c)
+        N = 1024
+        a, b = interval or (N + 1, 2 * N)
+        r = ex.b_process_compare(h, g, N, interval)
+        gam = g.gamma
+        nus = range(math.ceil(gam * h * b ** (gam - 1.0)), math.floor(gam * h * a ** (gam - 1.0)) + 1)
+        assert r.num_stationary == len(nus) > 0
+        with mpmath.workdps(40):
+            G, hh = mpmath.mpf(gam), mpmath.mpf(h)
+            want, wsum = mpmath.mpc(0), mpmath.mpf(0)
+            for nu in nus:
+                x = min(max((nu / (G * hh)) ** (1 / (G - 1)), mpmath.mpf(a)), mpmath.mpf(b))
+                w = 1 / mpmath.sqrt(abs(G * (G - 1) * hh * x ** (G - 2)))
+                want += w * mpmath.expjpi(2 * (hh * x ** G - nu * x - mpmath.mpf(1) / 8))
+                wsum += w
+            want, wsum = complex(want), float(wsum)
+        # each float phase is near F = h*N^gamma in size, so within a few ulps
+        # of F of its exact value: allow 4 ulps of F per term, a turn being 2*pi
+        F = h * N ** gam
+        assert abs(r.stationary - want) <= 4 * 2 * math.pi * F * 2.0 ** -53 * wsum
+
+    @pytest.mark.parametrize("h", [1.0, 1000.0, 3e5])
+    def test_one_weighted_parts_call_per_sum(self, monkeypatch, h):
+        # the direct and the stationary-phase sum, whatever the number of points
+        calls = []
+        kernel = ex._weighted_parts
+        monkeypatch.setattr(ex, "_weighted_parts", lambda *a: calls.append(1) or kernel(*a))
+        r = ex.b_process_compare(h, GammaExponent.from_c(1.1), 1024)
+        assert len(calls) == 2, r.num_stationary
 
 
 def loop_dirichlet(f, g, hi):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import math
 import random
@@ -1140,6 +1141,16 @@ class TestGoldbach3:
         r = pq.goldbach3_count(10 ** 4 + 1, 1.01, 1.05, 1.1)
         assert r.exact >= 0
         assert r.predicted > 0
+
+    def test_ratio_is_a_read_only_property(self):
+        odd = pq.goldbach3_count(10 ** 4 + 1, 1.01, 1.05, 1.1)
+        even = pq.goldbach3_count(10 ** 4 + 2, 1.01, 1.01, 1.01)
+        assert odd.ratio == odd.exact / odd.predicted
+        assert even.predicted == 0.0 and even.ratio is None
+        with pytest.raises(AttributeError):
+            odd.ratio = 1.0
+        # a property, not a field: the serialised result is unchanged
+        assert "ratio" not in dataclasses.asdict(odd)
 
     def test_rejections(self):
         with pytest.raises(ValueError):
