@@ -14,7 +14,8 @@ the stationary-phase sum of b_process_compare included, goes through
 ``_weighted_parts``, which forms its phases and terms _FSUM_CHUNK at a time,
 adds the expansion of each chunk and rounds once: its memory is a few chunks
 however many the terms, and the digits are those of one sum over them all.
-The central sum reads Lambda only at the prime powers (``sieve._prime_powers``).
+The central sum reads Lambda only at the prime powers (``sieve._prime_powers``),
+and each call sums a block of h, one per row of its phases.
 The von Mangoldt decomposition builds its coefficients exactly in integers,
 each array in the narrowest dtype its bound allows, and takes one float step,
 a convolution with log. Its Dirichlet convolutions take O(sqrt(n)) slice
@@ -34,12 +35,11 @@ from .numeric import fsum_array, unit_exp_parts
 from .pspseq import _member_from_t
 from .sieve import _prime_powers, mobius_array, shared_table
 
-# Largest work of theorem_sum, in phase terms: H*(P + _TERMS_PER_H), P from
-# _prime_power_bound. A term costs 55-75 ns and each h ~15-19 us, as much as 300
-# terms. At the limit, through the CLI (2-core x86-64 VM, Python 3.11, numpy
-# 2.4): 44 s at x = 16, H = 3154574; 50 s at x = 1024; 29 s at x = 2^23, H = 946.
+# Largest work of theorem_sum, in phase terms: H*P, P from _prime_power_bound.
+# At the limit, through the CLI (2-core x86-64 VM, Python 3.11, numpy 2.4):
+# 74 s at x = 16, H = 58823529, where rounding each h's sum is most of the
+# time; 32 s at x = 1024, H = 2932551; 28 s at x = 2^23, H = 946.
 _MAX_THEOREM_TERMS = 10 ** 9
-_TERMS_PER_H = 300
 # Largest N of vdc_bound_check and b_process_compare, and largest number of
 # (m, n) pairs of bilinear_sum. The sums stream, so these bound time, not
 # memory. Through the CLI on a 2-core x86-64 VM: vdc and bprocess at N = 2^24
@@ -104,7 +104,7 @@ class ExpSumSpec:
             raise ValueError(f"H must be >= 1, got {self.H}")
 
 
-def _weighted_parts(weights, ns, phase) -> tuple[float, float]:
+def _weighted_parts(weights, ns, phase):
     """Exactly rounded (re, im) of the sum over n in ns of w_n * e(phase(n)).
 
     ns is a range or a 1-D array; weights is a scalar or an array aligned
@@ -112,19 +112,21 @@ def _weighted_parts(weights, ns, phase) -> tuple[float, float]:
     phases. Both are read _FSUM_CHUNK entries at a time, so the temporaries
     stay a few chunks long however long ns is: the expansions of the products
     of each chunk (numeric._exact_parts) are concatenated, and math.fsum
-    rounds them once, to the bits of math.fsum over all the terms.
+    rounds them once, to the bits of math.fsum over all the terms. Phases of
+    shape (rows, run), one row or one chunk in all, give lists of each row's re and im.
 
     From 2^52 on, float64 spacing is a whole turn and e(phase) would read 1,
-    so a phase that is not finite or reaches 2^52 raises ValueError. Callers
-    form phases under np.errstate(over="ignore", invalid="ignore"): one that
+    so a phase that is not finite or reaches 2^52 raises ValueError. Phases
+    are formed under np.errstate(over="ignore", invalid="ignore"): one that
     overflowed is inf or nan, and is rejected here without a numpy warning.
     """
-    re, im = [], []  # the expansions of the two sums
+    re, im = [], []  # the expansions of the sums: floats, or arrays of one float per row
     for lo in range(0, len(ns), _FSUM_CHUNK):
         part = ns[lo : lo + _FSUM_CHUNK]
         if isinstance(part, range):
             part = np.arange(part.start, part.stop, part.step, dtype=np.int64)
-        t = phase(part)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = phase(part)
         if not max(t.max(initial=0.0), -t.min(initial=0.0)) < 2.0 ** 52:  # also nan
             raise ValueError("phases must be finite and below 2^52 in magnitude")
         cos, sin = unit_exp_parts(t)
@@ -133,6 +135,8 @@ def _weighted_parts(weights, ns, phase) -> tuple[float, float]:
         sin *= w
         re += _exact_parts(cos)
         im += _exact_parts(sin)
+    if re and isinstance(re[0], np.ndarray):  # rows: column r is row r's expansion
+        return tuple([math.fsum(row) for row in np.array(s).T.tolist()] for s in (re, im))
     return math.fsum(re), math.fsum(im)
 
 
@@ -145,18 +149,20 @@ def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
     """Sum over h of |sum over n of Lambda(n) e(alpha*n + h*(n+u)^gamma)|.
 
     With scaled=True the result is multiplied by min(1, x^(1-gamma)/H).
-    The inner sums and the sum over h, in increasing h, are exactly rounded.
+    The inner sums and the sum over h are exactly rounded, a block of h per call.
     """
-    work = spec.H * (_prime_power_bound(spec.x) + _TERMS_PER_H)
-    _check_terms("phase terms", work, _MAX_THEOREM_TERMS)  # before the table is read
-    ns, w = _prime_powers(spec.x, 2 * spec.x)  # the n with Lambda(n) != 0
+    _check_terms("phase terms", spec.H * _prime_power_bound(spec.x), _MAX_THEOREM_TERMS)
+    ns, w = _prime_powers(spec.x, 2 * spec.x)  # the n with Lambda(n) != 0, once checked
     gam = spec.g.gamma
     pow_u = (ns + spec.u) ** gam
-    hs = range(spec.H + 1, 2 * spec.H + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha_n = spec.alpha * ns
-        # the terms are the phases of each h themselves, as long as w: none of length x
-        total = math.fsum(_weighted_abs_sum(w, alpha_n + h * pow_u, lambda t: t) for h in hs)
+    step = max(1, _FSUM_CHUNK // len(ns))  # h per call: rows of at most a chunk, or one
+
+    def block(h: int):  # |S_h| for h in [h, h + step), up to 2H
+        rows = np.arange(h, min(h + step, 2 * spec.H + 1), dtype=np.float64)[:, None]
+        phase = lambda i: spec.alpha * ns[i[0] : i[-1] + 1] + rows * pow_u[i[0] : i[-1] + 1]
+        return map(math.hypot, *_weighted_parts(w, range(len(ns)), phase))
+
+    total = math.fsum(s for h in range(spec.H + 1, 2 * spec.H + 1, step) for s in block(h))
     if scaled:
         total *= min(1.0, spec.x ** (1.0 - gam) / spec.H)
     return total
@@ -210,21 +216,20 @@ def bilinear_sum(
     gam = g.gamma
     res: list[float] = []
     ims: list[float] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for h in sorted(h_weights):
-            delta = h_weights[h]
-            if delta == 0.0:
-                continue
-            for m in _bilinear_rows(M, N, x):
-                # the run of n in (lo, hi] with m*n in (x, 2x]
-                lo, hi = max(N, x // m), min(2 * N, 2 * x // m)
-                re, im = _weighted_parts(
-                    b[lo - N : hi - N], range(m * (lo + 1), m * (hi + 1), m),
-                    lambda p: alpha * p + h * (p + u) ** gam,
-                )
-                coeff = delta * float(a[m - M - 1])
-                res.append(coeff * re)
-                ims.append(coeff * im)
+    for h in sorted(h_weights):
+        delta = h_weights[h]
+        if delta == 0.0:
+            continue
+        for m in _bilinear_rows(M, N, x):
+            # the run of n in (lo, hi] with m*n in (x, 2x]
+            lo, hi = max(N, x // m), min(2 * N, 2 * x // m)
+            re, im = _weighted_parts(
+                b[lo - N : hi - N], range(m * (lo + 1), m * (hi + 1), m),
+                lambda p: alpha * p + h * (p + u) ** gam,
+            )
+            coeff = delta * float(a[m - M - 1])
+            res.append(coeff * re)
+            ims.append(coeff * im)
     return math.hypot(math.fsum(res), math.fsum(ims))
 
 
@@ -305,11 +310,9 @@ def vdc_bound_check(h: float, g: GammaExponent, alpha: float, N: int) -> VdcChec
     lam = gam * (1.0 - gam) * abs(h) * float(N) ** (gam - 2.0)
     if lam <= 0.0:
         raise ValueError(f"|h| = {abs(h)} is too small: the curvature scale lam underflows to 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = _weighted_parts(
-            1.0, range(N + 1, 2 * N + 1), lambda n: h * n.astype(np.float64) ** gam + alpha * n
-        )
-    lhs = math.hypot(*parts)
+    lhs = math.hypot(*_weighted_parts(
+        1.0, range(N + 1, 2 * N + 1), lambda n: h * n.astype(np.float64) ** gam + alpha * n
+    ))
     rhs = N * math.sqrt(lam) + 1.0 / math.sqrt(lam)
     return VdcCheck(lhs=lhs, rhs_unit=rhs, empirical_c=lhs / rhs, lam=lam)
 

@@ -12,9 +12,9 @@ which is why nothing here trusts a bare float comparison near an
 integer boundary.
 
 An exact sum is an expansion, a short list of floats with that exact sum
-(Shewchuk, DCG 18, 1997): ``_exact_parts`` extracts one from an array,
-callers concatenate those of their blocks, and math.fsum rounds the sum
-once; ``fsum_array`` does both for one array, ``_group_fsums`` per group.
+(Shewchuk, DCG 18, 1997): ``_exact_parts`` extracts one from an array (a
+2-D one, one per row), callers concatenate those of their blocks, and
+math.fsum rounds it once; ``fsum_array`` does both, ``_group_fsums`` per group.
 """
 
 from __future__ import annotations
@@ -218,14 +218,14 @@ def fsum_array(a: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def _exact_parts(a: np.ndarray) -> list[float]:
-    """An expansion of the sum of a 1-D float64 array: floats whose exact sum is its exact sum.
+def _exact_parts(a: np.ndarray) -> list:
+    """An expansion of the sum of a float64 array: floats whose exact sum is its exact sum.
 
-    Fewer than _EXPAND_MIN entries are returned as they are. Otherwise each
+    A 1-D array of fewer than _EXPAND_MIN entries is its own. Otherwise each
     chunk r of at most _FSUM_CHUNK = 2^14 entries is split into parts whose
     float sums are exact in any order: the entries of a part are multiples of
     2^u, and every sum of them is below 2^(u + 53). So ndarray.sum adds a
-    part exactly, and the list holds one float per part.
+    part, or any subset of it, exactly, and the list holds one float per part.
 
     The parts come from passes of ExtractVector (Rump, Ogita and Oishi,
     "Accurate floating-point summation part I: faithful rounding", SIAM J.
@@ -245,36 +245,33 @@ def _exact_parts(a: np.ndarray) -> list[float]:
     _PLAIN_BITS, a sum of the at most 2^14 remainders stays below 2^(e + 14)
     <= 2^(lsb + 53): r itself is the last part, and no pass runs to find it
     zero. A sweep's block of t = p^(gamma-1) takes one pass and this sum.
+    A 2-D array, one row or at most _FSUM_CHUNK entries, has an expansion
+    per row: each part adds its rows apart, to an array of one float each.
 
     Expansions of several arrays concatenate into one of all their entries,
     and math.fsum rounds it once, to math.fsum of those entries (+0.0 for a
-    zero sum). Precondition from _EXPAND_MIN entries on: every entry is
+    zero sum). Precondition but for a short 1-D array: every entry is
     finite and below 2^996 in magnitude (ValueError otherwise).
     """
-    if a.size < _EXPAND_MIN:
+    if a.ndim == 1 and a.size < _EXPAND_MIN:
         return a.tolist()
-    return [float(part.sum()) for _, part, _ in _passes(a)]
+    return [part.reshape(a.shape[:-1] + (-1,)).sum(axis=-1) for _, part in _passes(a.reshape(-1))]
 
 
 def _group_fsums(a: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
     """math.fsum of the entries of a 1-D float64 array in each group k < n.
 
-    ``groups`` is an int array as long as ``a``. np.bincount adds each part
-    of ``_exact_parts`` per group exactly: times 2^-u a group's sum is an
-    integer below 2^53, held exactly by int64, and it goes into the group's
-    Python int in units of 2^-1074, rounded once at the end (+0.0 for an
-    empty group). Precondition as for ``_exact_parts`` at any size.
+    ``groups`` is an int array as long as ``a``. np.bincount adds any subset
+    of a part of ``_exact_parts`` exactly, so each group has an expansion of
+    one float per part, rounded by math.fsum (+0.0 for an empty group).
+    Precondition as for ``_exact_parts`` at any size.
     """
-    totals = np.zeros(n, dtype=object)  # Python ints
-    for i, part, unit in _passes(a):
-        sums = np.ldexp(np.bincount(groups[i : i + _FSUM_CHUNK], part, n), -unit)
-        totals += sums.astype(np.int64).astype(object) << (1074 + unit)
-    return (totals / (1 << 1074)).astype(np.float64)
+    sums = [np.bincount(groups[i : i + _FSUM_CHUNK], part, n) for i, part in _passes(a)]
+    return np.array([math.fsum(g) for g in np.reshape(sums, (-1, n)).T.tolist()])
 
 
-def _passes(a: np.ndarray) -> Iterator[tuple[int, np.ndarray, int]]:
-    """(start of the chunk, part, u) for each part of each chunk of a, as
-    ``_exact_parts`` describes: the entries of the part are multiples of 2^u."""
+def _passes(a: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(chunk start, part) for each part of each chunk of a 1-D array (_exact_parts)."""
     for i in range(0, a.size, _FSUM_CHUNK):
         r = a[i : i + _FSUM_CHUNK]
         top, bot = r.max(), r.min()
@@ -285,13 +282,13 @@ def _passes(a: np.ndarray) -> Iterator[tuple[int, np.ndarray, int]]:
         lsb = max(math.frexp(small)[1] - 53, -1074) if small else -math.inf
         while True:
             if e <= lsb + _PLAIN_BITS:
-                yield i, r, lsb
+                yield i, r
                 break
             s = max(e + _EXTRACT_BITS, -1022)
             sigma = math.ldexp(1.0, s)
             part = r + sigma
             part -= sigma
-            yield i, part, max(s - 53, -1074)
+            yield i, part
             r = r - part
             e = s - 52
             if e > lsb + _PLAIN_BITS and not r.any():

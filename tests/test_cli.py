@@ -844,14 +844,15 @@ class TestCliFuzz:
             ["--N", "4096", "--a", "4097", "--b", "4097"],
             ["--N", "4096", "--a", "4097.2", "--b", "4097.7"],  # no integer n
             ["--h", "1e308", "--N", "4096", "--a", "4097.5", "--b", "4097.5"],
+            ["--h", "1e308", "--N", "4096", "--a", "4097", "--b", "4097"],
             ["--N", "1"],
             ["--h", "1e6", "--N", "1"],
             ["--h", "1e-320"],
             ["--h", "1e5", "--c", "1.0001"],
             ["--h", "1e5", "--c", "1.999999"],
         ],
-        ids=["a-is-b", "no-integer", "a-is-b-huge-h", "N-1", "N-1-large-h", "tiny-h",
-             "c-near-1", "c-near-2"],
+        ids=["a-is-b", "no-integer", "a-is-b-huge-h", "integer-huge-h", "N-1", "N-1-large-h",
+             "tiny-h", "c-near-1", "c-near-2"],
     )
     def test_bprocess_edge_inputs(self, capsys, flags):
         # numpy warnings are errors under pytest: one would reach exit 1

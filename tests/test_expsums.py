@@ -2,6 +2,8 @@ import cmath
 import itertools
 import math
 import time
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -27,6 +29,19 @@ def naive_theorem_sum(spec):
                 s += lam[n] * cmath.exp(2j * math.pi * ph)
         total += abs(s)
     return total
+
+
+def per_h_theorem_sum(spec, scaled=False):
+    """math.fsum over h of math.hypot of the math.fsum of each h's terms (reference)."""
+    ns, w = sv._prime_powers(spec.x, 2 * spec.x)
+    gam = spec.g.gamma
+    pow_u = (ns + spec.u) ** gam
+    sums = []
+    for h in range(spec.H + 1, 2 * spec.H + 1):
+        cos, sin = unit_exp_parts(spec.alpha * ns + h * pow_u)
+        sums.append(math.hypot(math.fsum(w * cos), math.fsum(w * sin)))
+    total = math.fsum(sums)
+    return total * min(1.0, spec.x ** (1.0 - gam) / spec.H) if scaled else total
 
 
 class TestTheoremSum:
@@ -73,12 +88,60 @@ class TestTheoremSum:
     def test_resource_guard(self, monkeypatch):
         g = GammaExponent.from_c(1.1)
         spec = ex.ExpSumSpec(alpha=0.0, g=g, u=0.0, x=2 ** 10, H=8)
-        work = 8 * (ex._prime_power_bound(2 ** 10) + ex._TERMS_PER_H)
+        work = 8 * ex._prime_power_bound(2 ** 10)  # H*P
         monkeypatch.setattr(ex, "_MAX_THEOREM_TERMS", work)
         ex.theorem_sum(spec)
         monkeypatch.setattr(ex, "_MAX_THEOREM_TERMS", work - 1)
         with pytest.raises(ex.ResourceGuardError, match="phase terms"):
             ex.theorem_sum(spec)
+
+    # P = 8 prime powers at x = 16 and 128 at x = 880 divide 2^14, 142 at
+    # x = 1024 does not, and 20429 at x = 2^18 fill more than one chunk; the
+    # last block of h is short except at x = 880, H = 256
+    @pytest.mark.parametrize(
+        "x, H, alpha, u, scaled",
+        [(16, 20000, math.sqrt(2), 0.0, False), (1024, 20000, 0.3, 1.0, True),
+         (880, 256, math.sqrt(2), 0.0, False), (880, 257, 0.3, 1.0, False),
+         (2 ** 18, 3, math.sqrt(2), 0.731, True), (16, 1, 0.3, 1.0, True)],
+    )
+    def test_blocks_of_h_equal_the_per_h_loop(self, x, H, alpha, u, scaled):
+        spec = ex.ExpSumSpec(alpha=alpha, g=GammaExponent.from_c(1.1), u=u, x=x, H=H)
+        assert ex.theorem_sum(spec, scaled) == per_h_theorem_sum(spec, scaled)
+
+    def test_each_row_is_rounded_once(self):
+        # the row 2^53 + 1 + 2^-60 rounds to 2^53 + 2, but adding its parts
+        # in floats gives 2^53: the tie 2^53 + 1 goes to even first
+        w = np.array([2.0 ** 53, 1.0, 2.0 ** -60])
+        re, _ = ex._weighted_parts(w, range(3), lambda i: np.array([[0.0], [0.5], [0.0]]) + 0 * i)
+        assert re == [2.0 ** 53 + 2, -(2.0 ** 53 + 2), 2.0 ** 53 + 2]
+
+    @pytest.mark.parametrize("x, H, P", [(16, 20000, 8), (1024, 500, 142), (2 ** 18, 3, 20429)])
+    def test_one_weighted_parts_call_per_block_of_h(self, monkeypatch, x, H, P):
+        shapes = []
+        kernel = ex._weighted_parts
+
+        def spy(w, ns, phase):
+            shapes.append(phase(np.arange(min(len(ns), nc._FSUM_CHUNK))).shape)
+            return kernel(w, ns, phase)
+
+        monkeypatch.setattr(ex, "_weighted_parts", spy)
+        ex.theorem_sum(ex.ExpSumSpec(alpha=0.3, g=GammaExponent.from_c(1.1), u=0.0, x=x, H=H))
+        rows = max(1, nc._FSUM_CHUNK // P)
+        assert len(shapes) == -(-H // rows)
+        assert sum(r for r, _ in shapes) == H
+        assert all(r * P <= nc._FSUM_CHUNK or r == 1 for r, _ in shapes)
+
+    def test_holds_no_list_as_long_as_H(self):
+        spec = ex.ExpSumSpec(alpha=0.3, g=GammaExponent.from_c(1.1), u=0.0, x=16, H=250000)
+        ex.theorem_sum(ex.ExpSumSpec(alpha=0.3, g=spec.g, u=0.0, x=16, H=8))  # table warm
+        tracemalloc.start()
+        try:
+            ex.theorem_sum(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # H floats in a list take 8 MB; a block of 2048 h a few hundred kB
+        assert peak < 4 * 2 ** 20
 
     def test_prime_power_bound_holds(self):
         # every x in [16, 2^16] from one cumulative count of the prime powers,
@@ -606,6 +669,12 @@ class TestBalogFriedlander:
     def test_grid_size_cap(self):
         with pytest.raises(ValueError):
             ex.alpha_scan(2 ** 10, 1.1, 10 ** 4 + 1)
+
+    def test_overflowing_phases_raise_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="below 2\\^52"):
+                ex.bf_discrepancy(1000, 1.1, 1e308)
 
     def test_scan_rows_are_discrepancies_within_the_phase_error(self):
         # bf_discrepancy rounds each phase alpha*p (alpha < 1) by up to

@@ -49,6 +49,24 @@ class TestFloorPow:
                 y = mpmath.power(n, mpmath.mpf(e))
                 assert m <= y < m + 1, (n, e, m)
 
+    def test_np_power_within_the_stated_radius(self):
+        # every certified floor assumes np.power within _FLOAT_POW_REL = 2^-47
+        # relative. Sample it on this machine as the code calls it, an array
+        # of bases and one float exponent, so the vector kernel runs: t =
+        # p^(gamma-1) for p < 2^34 (the counting sweep), m^gamma for m < 2^53
+        # (_pow_parts_array) and n^c for n < 2^27; bases log-uniform
+        rng = np.random.default_rng(47)
+        worst = 0.0
+        with mpmath.workprec(200):
+            for bits, exponent in ((34, lambda c: 1 / c - 1), (53, lambda c: 1 / c), (27, float)):
+                for c in rng.uniform(1.0, 2.0, 6):
+                    e = exponent(c)
+                    ns = np.exp2(rng.uniform(1.0, bits, 48)).astype(np.int64)
+                    for n, y in zip(ns.tolist(), (ns.astype(np.float64) ** e).tolist()):
+                        want = mpmath.power(n, mpmath.mpf(e))
+                        worst = max(worst, float(abs(y - want) / want))
+        assert worst <= nc._FLOAT_POW_REL
+
     def test_floor_neg_pow(self):
         assert nc.floor_neg_pow(2, 1.5) == -3  # -ceil(2.828) = -3
         assert nc.floor_neg_pow(4, 1.5) == -8  # exact power
@@ -697,6 +715,18 @@ class TestExactSum:
         groups = np.arange(a.size) % k
         want = [signed(float(fraction_sum(a[groups == g]))) for g in range(k)]
         assert [signed(v) for v in nc._group_fsums(a, groups, k)] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=exact_sum_case(), rows=st.sampled_from([1, 2, 3, 7, 64]))
+    def test_one_expansion_per_row(self, a, rows):
+        # one row of any length, or rows of at most _FSUM_CHUNK entries in all
+        if rows > 1:
+            a = a[: min(a.size, _CHUNK) // rows * rows]
+        a = a.reshape(rows, -1)
+        parts = np.array(nc._exact_parts(a)).reshape(-1, rows)
+        for row, expansion in zip(a, parts.T):
+            assert fraction_sum(expansion) == fraction_sum(row)
+            assert fsum_outcome(math.fsum, expansion) == fsum_outcome(math.fsum, row)
 
     def test_second_pass_at_its_sigma_bound(self):
         # after the first pass (sigma = 2^15) each of the first half leaves
