@@ -20,7 +20,6 @@ from .numeric import (
     PrecisionError,
     floor_neg_pow,
     floor_pow,
-    unit_exp,
 )
 from .sieve import (
     SieveTable,

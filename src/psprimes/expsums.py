@@ -11,9 +11,10 @@ Every reduction is an exactly rounded sum, math.fsum of an expansion from
 ``numeric._exact_parts`` (exact extraction, repeated until nothing
 remains), so every result is deterministic. Every direct exponential sum,
 the stationary-phase sum of b_process_compare included, goes through
-``_weighted_parts``, which forms its phases and terms _FSUM_CHUNK at a time,
-adds the expansion of each chunk and rounds once: its memory is a few chunks
-however many the terms, and the digits are those of one sum over them all.
+``_weighted_parts``: its caller's ``terms(lo, hi)`` forms the weights and
+phases of _FSUM_CHUNK terms at a time, and the kernel adds the expansion of
+each chunk and rounds once. Its memory is a few chunks however many the
+terms, and the digits are those of one sum over them all.
 The central sum reads Lambda only at the prime powers (``sieve._prime_powers``),
 and each call sums a block of h, one per row of its phases.
 The von Mangoldt decomposition builds its coefficients exactly in integers,
@@ -41,9 +42,11 @@ from .sieve import _prime_powers, mobius_array, shared_table
 # time; 32 s at x = 1024, H = 2932551; 28 s at x = 2^23, H = 946.
 _MAX_THEOREM_TERMS = 10 ** 9
 # Largest N of vdc_bound_check and b_process_compare, and largest number of
-# (m, n) pairs of bilinear_sum. The sums stream, so these bound time, not
-# memory. Through the CLI on a 2-core x86-64 VM: vdc and bprocess at N = 2^24
-# take ~1 s and 31 MB; bilinear 1.1 s and 31 MB at M = 1, N = 2^24 (3.0 s and
+# stationary points of b_process_compare and of (m, n) pairs of bilinear_sum.
+# The sums stream, so these bound time, not memory. Through the CLI on a
+# 2-core x86-64 VM: vdc and bprocess at N = 2^24 take ~1 s and 31 MB, and
+# bprocess with 2^24 stationary points 1.2-1.4 s and 32 MB at N = 1024, ~2 s
+# at N = 2^24; bilinear 1.1 s and 31 MB at M = 1, N = 2^24 (3.0 s and
 # 159 MB with --bn log, whose coefficients are one float64 array); at
 # M = 2^24, N = 1, 0.2 s when no m*n lies in (x, 2x] but about 6 minutes when
 # every m does (its per-m loop, which _MAX_BILINEAR_ROWS rejects).
@@ -104,33 +107,29 @@ class ExpSumSpec:
             raise ValueError(f"H must be >= 1, got {self.H}")
 
 
-def _weighted_parts(weights, ns, phase):
-    """Exactly rounded (re, im) of the sum over n in ns of w_n * e(phase(n)).
+def _weighted_parts(size, terms):
+    """Exactly rounded (re, im) of the sum over i < size of w_i * e(t_i).
 
-    ns is a range or a 1-D array; weights is a scalar or an array aligned
-    with ns; phase maps a run of entries of ns, as an array, to their float64
-    phases. Both are read _FSUM_CHUNK entries at a time, so the temporaries
-    stay a few chunks long however long ns is: the expansions of the products
-    of each chunk (numeric._exact_parts) are concatenated, and math.fsum
-    rounds them once, to the bits of math.fsum over all the terms. Phases of
-    shape (rows, run), one row or one chunk in all, give lists of each row's re and im.
+    terms(lo, hi) returns the weights, a scalar or an array, and the float64
+    phases of terms lo to hi - 1. It is called _FSUM_CHUNK terms at a time,
+    so the temporaries stay a few chunks long however large size is: the
+    expansions of the products of each chunk (numeric._exact_parts) are
+    concatenated, and math.fsum rounds them once, to the bits of math.fsum
+    over all the terms. Phases of shape (rows, hi - lo), one row or one chunk
+    in all, give lists of each row's re and im.
 
     From 2^52 on, float64 spacing is a whole turn and e(phase) would read 1,
-    so a phase that is not finite or reaches 2^52 raises ValueError. Phases
-    are formed under np.errstate(over="ignore", invalid="ignore"): one that
-    overflowed is inf or nan, and is rejected here without a numpy warning.
+    so a phase that is not finite or reaches 2^52 raises ValueError. Terms
+    are formed under np.errstate(over="ignore", invalid="ignore"): a phase
+    that overflowed is inf or nan, and is rejected here without a numpy warning.
     """
     re, im = [], []  # the expansions of the sums: floats, or arrays of one float per row
-    for lo in range(0, len(ns), _FSUM_CHUNK):
-        part = ns[lo : lo + _FSUM_CHUNK]
-        if isinstance(part, range):
-            part = np.arange(part.start, part.stop, part.step, dtype=np.int64)
+    for lo in range(0, size, _FSUM_CHUNK):
         with np.errstate(over="ignore", invalid="ignore"):
-            t = phase(part)
+            w, t = terms(lo, min(lo + _FSUM_CHUNK, size))
         if not max(t.max(initial=0.0), -t.min(initial=0.0)) < 2.0 ** 52:  # also nan
             raise ValueError("phases must be finite and below 2^52 in magnitude")
         cos, sin = unit_exp_parts(t)
-        w = weights if np.ndim(weights) == 0 else weights[lo : lo + _FSUM_CHUNK]
         cos *= w  # in place, with the bits of w * cos
         sin *= w
         re += _exact_parts(cos)
@@ -142,7 +141,7 @@ def _weighted_parts(weights, ns, phase):
 
 def _weighted_abs_sum(weights: np.ndarray, ns, phase) -> float:
     """|sum over n in ns of w_n * e(phase(n))|, each part exactly rounded (_weighted_parts)."""
-    return math.hypot(*_weighted_parts(weights, ns, phase))
+    return math.hypot(*_weighted_parts(len(ns), lambda lo, hi: (weights[lo:hi], phase(ns[lo:hi]))))
 
 
 def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
@@ -159,8 +158,8 @@ def theorem_sum(spec: ExpSumSpec, scaled: bool = False) -> float:
 
     def block(h: int):  # |S_h| for h in [h, h + step), up to 2H
         rows = np.arange(h, min(h + step, 2 * spec.H + 1), dtype=np.float64)[:, None]
-        phase = lambda i: spec.alpha * ns[i[0] : i[-1] + 1] + rows * pow_u[i[0] : i[-1] + 1]
-        return map(math.hypot, *_weighted_parts(w, range(len(ns)), phase))
+        terms = lambda lo, hi: (w[lo:hi], spec.alpha * ns[lo:hi] + rows * pow_u[lo:hi])
+        return map(math.hypot, *_weighted_parts(len(ns), terms))
 
     total = math.fsum(s for h in range(spec.H + 1, 2 * spec.H + 1, step) for s in block(h))
     if scaled:
@@ -221,12 +220,13 @@ def bilinear_sum(
         if delta == 0.0:
             continue
         for m in _bilinear_rows(M, N, x):
-            # the run of n in (lo, hi] with m*n in (x, 2x]
-            lo, hi = max(N, x // m), min(2 * N, 2 * x // m)
-            re, im = _weighted_parts(
-                b[lo - N : hi - N], range(m * (lo + 1), m * (hi + 1), m),
-                lambda p: alpha * p + h * (p + u) ** gam,
-            )
+            n0, n1 = max(N, x // m), min(2 * N, 2 * x // m)  # n in (n0, n1]: m*n in (x, 2x]
+
+            def terms(lo, hi):
+                p = m * np.arange(n0 + 1 + lo, n0 + 1 + hi, dtype=np.int64)
+                return b[n0 - N + lo : n0 - N + hi], alpha * p + h * (p + u) ** gam
+
+            re, im = _weighted_parts(n1 - n0, terms)
             coeff = delta * float(a[m - M - 1])
             res.append(coeff * re)
             ims.append(coeff * im)
@@ -310,17 +310,14 @@ def vdc_bound_check(h: float, g: GammaExponent, alpha: float, N: int) -> VdcChec
     lam = gam * (1.0 - gam) * abs(h) * float(N) ** (gam - 2.0)
     if lam <= 0.0:
         raise ValueError(f"|h| = {abs(h)} is too small: the curvature scale lam underflows to 0")
-    lhs = math.hypot(*_weighted_parts(
-        1.0, range(N + 1, 2 * N + 1), lambda n: h * n.astype(np.float64) ** gam + alpha * n
-    ))
+
+    def terms(lo, hi):  # n in (N + lo, N + hi]
+        n = np.arange(N + 1 + lo, N + 1 + hi, dtype=np.float64)
+        return 1.0, h * n ** gam + alpha * n
+
+    lhs = math.hypot(*_weighted_parts(N, terms))
     rhs = N * math.sqrt(lam) + 1.0 / math.sqrt(lam)
     return VdcCheck(lhs=lhs, rhs_unit=rhs, empirical_c=lhs / rhs, lam=lam)
-
-
-# Stationary points per b_process_compare call, each from the closed form of
-# f'(x) = nu: 10^5 points take ~10 ms in process, and ~0.2 s and 35 MB through
-# the CLI (2-core x86-64 VM, Python 3.11, numpy 2.4).
-_MAX_STATIONARY_TERMS = 10 ** 5
 
 
 @dataclass
@@ -345,8 +342,9 @@ def b_process_compare(
     term sums e(-phi(nu) - 1/8)/sqrt(|f''(x_nu)|) over integers nu in
     [f'(b), f'(a)], with f'(x_nu) = nu in closed form (clipped to [a, b]);
     the reference error unit is log(F/N + 2) + N/sqrt(F) with F = h*N^gamma.
-    More than _MAX_STATIONARY_TERMS such nu raise ResourceGuardError before
-    any work is done.
+    Both sums stream through _weighted_parts: x_nu, its weight and its phase
+    are formed a chunk of nu at a time. More than _MAX_DIRECT_TERMS such nu
+    raise ResourceGuardError before any work is done.
     """
     if h <= 0:
         raise ValueError(f"h must be positive for a concave phase, got {h}")
@@ -357,21 +355,24 @@ def b_process_compare(
     gam = g.gamma
     fp = lambda t: gam * h * t ** (gam - 1.0)  # decreasing on [a, b]
     nu_lo, nu_hi = math.ceil(fp(b)), math.floor(fp(a))
-    if nu_hi - nu_lo + 1 > _MAX_STATIONARY_TERMS:
+    points = max(0, nu_hi - nu_lo + 1)
+    if points > _MAX_DIRECT_TERMS:
         raise ResourceGuardError(
-            f"{float(nu_hi - nu_lo + 1):.3g} stationary points exceed the budget "
-            f"of {_MAX_STATIONARY_TERMS}; lower h or narrow the interval"
+            f"{float(points):.3g} stationary points exceed the budget "
+            f"of {_MAX_DIRECT_TERMS}; lower h or narrow the interval"
         )
 
-    ns = range(math.ceil(a), math.floor(b) + 1)
-    direct = complex(*_weighted_parts(1.0, ns, lambda n: h * n.astype(np.float64) ** gam))
+    n0 = math.ceil(a)
+    direct_terms = lambda lo, hi: (1.0, h * np.arange(n0 + lo, n0 + hi, dtype=np.float64) ** gam)
+    direct = complex(*_weighted_parts(math.floor(b) + 1 - n0, direct_terms))
 
-    nus = np.arange(nu_lo, nu_hi + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
+    def stationary_terms(lo, hi):  # nu in [nu_lo + lo, nu_lo + hi)
+        nus = nu_lo + np.arange(lo, hi, dtype=np.float64)
         x = np.clip((nus / (gam * h)) ** (1.0 / (gam - 1.0)), a, b)  # f'(x) = nu
         weights = 1.0 / np.sqrt(np.abs(gam * (gam - 1.0) * h * x ** (gam - 2.0)))
-        phases = h * x ** gam - nus * x - 0.125  # -phi(nu) - 1/8
-    stationary = complex(*_weighted_parts(weights, phases, lambda t: t))
+        return weights, h * x ** gam - nus * x - 0.125  # -phi(nu) - 1/8
+
+    stationary = complex(*_weighted_parts(points, stationary_terms))
 
     F = h * float(N) ** gam
     bound = math.log(F / N + 2.0) + N / math.sqrt(F)
@@ -381,7 +382,7 @@ def b_process_compare(
         error=abs(direct - stationary),
         bound=bound,
         degenerate=F < 1.0,
-        num_stationary=len(nus),
+        num_stationary=points,
     )
 
 

@@ -174,12 +174,6 @@ def _pow_parts_array(ns: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
     return out, frac
 
 
-def unit_exp(t: float) -> complex:
-    """e(t) = exp(2*pi*i*t), with the argument reduced mod 1 first."""
-    r = t - math.floor(t)
-    return complex(math.cos(TWO_PI * r), math.sin(TWO_PI * r))
-
-
 def unit_exp_parts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised (cos, sin) of 2*pi*t with mod-1 reduction."""
     t = np.asarray(t, dtype=np.float64)

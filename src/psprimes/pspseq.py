@@ -424,7 +424,7 @@ def singular_series(N: int, P: int) -> SingularSeriesResult:
     ps = shared_table(P).primes(P)
     divides = _mod_primes(N, ps) == 0
     pm1 = ps.astype(np.float64) - 1.0
-    f_div = float(np.prod(1.0 - 1.0 / pm1[divides] ** 2)) if divides.any() else 1.0
+    f_div = float(np.prod(1.0 - 1.0 / pm1[divides] ** 2))  # empty product: 1.0
     f_rest = float(np.prod(1.0 + 1.0 / pm1[~divides] ** 3))
     return SingularSeriesResult(
         N=N, truncation_P=P, value=f_div * f_rest, tail_bound=2.0 / P

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import itertools
 import math
@@ -5,6 +6,7 @@ import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -112,7 +114,8 @@ class TestTheoremSum:
         # the row 2^53 + 1 + 2^-60 rounds to 2^53 + 2, but adding its parts
         # in floats gives 2^53: the tie 2^53 + 1 goes to even first
         w = np.array([2.0 ** 53, 1.0, 2.0 ** -60])
-        re, _ = ex._weighted_parts(w, range(3), lambda i: np.array([[0.0], [0.5], [0.0]]) + 0 * i)
+        rows = np.array([[0.0], [0.5], [0.0]])
+        re, _ = ex._weighted_parts(3, lambda lo, hi: (w[lo:hi], rows + 0 * w[lo:hi]))
         assert re == [2.0 ** 53 + 2, -(2.0 ** 53 + 2), 2.0 ** 53 + 2]
 
     @pytest.mark.parametrize("x, H, P", [(16, 20000, 8), (1024, 500, 142), (2 ** 18, 3, 20429)])
@@ -120,9 +123,9 @@ class TestTheoremSum:
         shapes = []
         kernel = ex._weighted_parts
 
-        def spy(w, ns, phase):
-            shapes.append(phase(np.arange(min(len(ns), nc._FSUM_CHUNK))).shape)
-            return kernel(w, ns, phase)
+        def spy(size, terms):
+            shapes.append(terms(0, min(size, nc._FSUM_CHUNK))[1].shape)
+            return kernel(size, terms)
 
         monkeypatch.setattr(ex, "_weighted_parts", spy)
         ex.theorem_sum(ex.ExpSumSpec(alpha=0.3, g=GammaExponent.from_c(1.1), u=0.0, x=x, H=H))
@@ -439,14 +442,15 @@ class TestBProcess:
             ex.b_process_compare(4.0, g, 1024, interval=(100, 5000))
 
     def test_stationary_budget_counts_the_solved_points(self, monkeypatch):
+        # more points than N = 1024, so the budget on N holds at n - 1 too
         g = GammaExponent.from_c(1.1)
-        n = ex.b_process_compare(1000.0, g, 1024).num_stationary
-        assert n == 30
-        monkeypatch.setattr(ex, "_MAX_STATIONARY_TERMS", n)
-        assert ex.b_process_compare(1000.0, g, 1024).num_stationary == n
-        monkeypatch.setattr(ex, "_MAX_STATIONARY_TERMS", n - 1)
-        with pytest.raises(ex.ResourceGuardError):
-            ex.b_process_compare(1000.0, g, 1024)
+        n = ex.b_process_compare(4e4, g, 1024).num_stationary
+        assert n == 1181
+        monkeypatch.setattr(ex, "_MAX_DIRECT_TERMS", n)
+        assert ex.b_process_compare(4e4, g, 1024).num_stationary == n
+        monkeypatch.setattr(ex, "_MAX_DIRECT_TERMS", n - 1)
+        with pytest.raises(ex.ResourceGuardError, match="stationary points exceed the budget"):
+            ex.b_process_compare(4e4, g, 1024)
 
     def test_huge_h_rejected_up_front(self):
         g = GammaExponent.from_c(1.1)
@@ -490,6 +494,55 @@ class TestBProcess:
         monkeypatch.setattr(ex, "_weighted_parts", lambda *a: calls.append(1) or kernel(*a))
         r = ex.b_process_compare(h, GammaExponent.from_c(1.1), 1024)
         assert len(calls) == 2, r.num_stationary
+
+    @pytest.mark.parametrize("c, h, interval", [(1.1, 7e6, None), (1.5, 2e7, (1100.5, 2000.25))])
+    def test_streamed_stationary_sum_equals_one_array(self, c, h, interval):
+        # above 10^5 points, the former cap: x_nu, the weights and the phases
+        # formed in one array each and summed by math.fsum give the same bits
+        g = GammaExponent.from_c(c)
+        N = 1024
+        a, b = interval or (N + 1, 2 * N)
+        r = ex.b_process_compare(h, g, N, interval)
+        gam = g.gamma
+        fp = lambda t: gam * h * t ** (gam - 1.0)
+        nus = np.arange(math.ceil(fp(b)), math.floor(fp(a)) + 1, dtype=np.float64)
+        assert r.num_stationary == len(nus)
+        assert 2 * 10 ** 5 <= len(nus) <= 3 * 10 ** 5
+        x = np.clip((nus / (gam * h)) ** (1.0 / (gam - 1.0)), a, b)
+        w = 1.0 / np.sqrt(np.abs(gam * (gam - 1.0) * h * x ** (gam - 2.0)))
+        cos, sin = unit_exp_parts(h * x ** gam - nus * x - 0.125)
+        assert r.stationary == complex(math.fsum(w * cos), math.fsum(w * sin))
+
+    def test_stationary_sum_streams(self):
+        # about 10^6 points, whose x_nu, weights, phases and nu as four float64
+        # arrays would take 32 MB; the chunks of the stream a few hundred kB
+        g = GammaExponent.from_c(1.1)
+        ex.b_process_compare(1e3, g, 1024)  # imports and tables warm
+        tracemalloc.start()
+        try:
+            r = ex.b_process_compare(3.4e7, g, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.num_stationary > 10 ** 6
+        assert peak < 4 * 2 ** 20
+
+
+def test_direct_sums_go_through_the_one_kernel():
+    # in expsums, np.errstate appears only in _weighted_parts, and
+    # unit_exp_parts only there and in alpha_scan's table of e(k/q): a direct
+    # sum that formed and reduced its own terms would need one of them
+    seen = set()
+    for top in ast.parse(Path(ex.__file__).read_text()).body:
+        for node in ast.walk(top):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("errstate", "unit_exp_parts"):
+                seen.add((name, getattr(top, "name", None)))
+    assert seen == {
+        ("errstate", "_weighted_parts"),
+        ("unit_exp_parts", "_weighted_parts"),
+        ("unit_exp_parts", "alpha_scan"),
+    }
 
 
 def loop_dirichlet(f, g, hi):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import isprime
 
 from psprimes import numeric as nc
+from psprimes import sieve as sv
 
 
 class TestFloorPow:
@@ -66,6 +68,34 @@ class TestFloorPow:
                         want = mpmath.power(n, mpmath.mpf(e))
                         worst = max(worst, float(abs(y - want) / want))
         assert worst <= nc._FLOAT_POW_REL
+
+    def test_log_within_the_stated_radius(self):
+        # hb_terms' error argument takes np.log within 2^-52 relative, and so
+        # do Lambda and the bf weights. Sample np.log where the code runs, against
+        # 200-bit mpmath as the code calls it, on float64 arrays: primes
+        # p < 2^24 (Lambda, the bf weights), primes p < 2^34 and n < 2^23
+        # (hb_terms), log-uniform; and math.log at every prime p < 2^12, the p
+        # whose higher powers up to 2^24 _prime_powers weighs by math.log(p)
+        rng = np.random.default_rng(52)
+        table = sv.shared_table(2 ** 24).primes(2 ** 24)
+        below = lambda v: table[np.searchsorted(table, v, side="right") - 1]
+        starts = np.exp2(rng.uniform(24, 34, 400)).astype(np.int64).tolist()
+        large = [next(n for n in range(v, 2 ** 35) if isprime(n)) for v in starts]
+        samples = [(a, np.log(a)) for a in (
+            below(np.exp2(rng.uniform(1, 24, 400))).astype(np.float64),
+            np.array(large, dtype=np.float64),
+            np.exp2(rng.uniform(1, 23, 400)).astype(np.int64).astype(np.float64),
+        )]
+        small = table[table < 2 ** 12].tolist()
+        samples.append((small, [math.log(p) for p in small]))
+        worst = 0.0
+        with mpmath.workprec(200):
+            for args, logs in samples:
+                for n, y in zip(np.asarray(args).tolist(), np.asarray(logs).tolist()):
+                    want = mpmath.log(n)
+                    worst = max(worst, float(abs(y - want) / want))
+        assert max(large) < 2 ** 34
+        assert worst <= 2.0 ** -52
 
     def test_floor_neg_pow(self):
         assert nc.floor_neg_pow(2, 1.5) == -3  # -ceil(2.828) = -3
@@ -257,22 +287,26 @@ class TestAdversarialFloors:
 
 
 class TestUnitExp:
+    """e(t) = exp(2*pi*i*t) from unit_exp_parts, as every direct sum forms it."""
+
+    @staticmethod
+    def e(t):
+        cos, sin = nc.unit_exp_parts(np.asarray(t, dtype=np.float64))
+        return cos + 1j * sin
+
     def test_examples(self):
-        assert nc.unit_exp(0.0) == 1.0 + 0.0j
-        assert abs(nc.unit_exp(0.5) + 1.0) < 1e-15
-        assert abs(nc.unit_exp(0.25) - 1j) < 1e-15
+        one, minus_one, i = self.e([0.0, 0.5, 0.25]).tolist()
+        assert one == 1.0 + 0.0j
+        assert abs(minus_one + 1.0) < 1e-15
+        assert abs(i - 1j) < 1e-15
 
     def test_modulus_one(self):
-        rng = random.Random(5)
-        for _ in range(2000):
-            t = rng.uniform(-1e7, 1e7)
-            assert abs(abs(nc.unit_exp(t)) - 1.0) <= 1e-14
+        t = np.random.default_rng(5).uniform(-1e7, 1e7, 2000)
+        assert np.abs(np.abs(self.e(t)) - 1.0).max() <= 1e-14
 
     def test_inverse_product(self):
-        rng = random.Random(6)
-        for _ in range(2000):
-            t = rng.uniform(-1e5, 1e5)
-            assert abs(nc.unit_exp(t) * nc.unit_exp(-t) - 1.0) <= 1e-13
+        t = np.random.default_rng(6).uniform(-1e5, 1e5, 2000)
+        assert np.abs(self.e(t) * self.e(-t) - 1.0).max() <= 1e-13
 
 
 _CHUNK = nc._FSUM_CHUNK
